@@ -208,7 +208,9 @@ class Correspondence:
 
         Children of a direct correspondence carry their component index as
         label; chained correspondences have a single composite component, so
-        labels are zero.  Requires stage fibers of degree <= 2.
+        labels are zero.  Stage fibers of any degree are batched (see
+        GraphPolynomial.fiber_batch); children come in batch order, not
+        sorted, and a degenerate stage fiber leaves NaN pairs.
         """
         if self.is_direct:
             parts1, parts2, labs = [], [], []

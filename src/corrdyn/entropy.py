@@ -17,7 +17,7 @@ import numpy as np
 
 from .correspondence import Correspondence
 from .errors import BudgetExceeded, MissingLabels
-from .sphere import SpherePoint, chordal_distance, fibonacci_sphere_points
+from .sphere import SpherePoint, chordal_distance, embed_projective, fibonacci_sphere_points
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
 
@@ -168,7 +168,7 @@ class _LevelTree:
         lvl = {
             "z1": z1,
             "z2": z2,
-            "xyz": _embed(z1, z2),
+            "xyz": embed_projective(z1, z2),
             "valid": np.ones(z1.size, dtype=bool),
             "label": np.zeros(z1.size, dtype=np.int16),
         }
@@ -193,11 +193,11 @@ class _LevelTree:
         bad = ~np.isfinite(W1.real) | ~np.isfinite(W2.real)
         valid &= ~bad
         W1[bad], W2[bad] = 0.0, 1.0
-        xyz = _embed(W1, W2)
-        # sort the d1 children of each node lexicographically (network sort)
+        xyz = embed_projective(W1, W2)
+        # sort the d1 children of each node lexicographically
         idx = np.tile(np.arange(d1), (n, 1))
         rows1 = np.arange(n)
-        for a, b in _sort_pairs(d1):
+        for a, b in _transposition_pairs(d1):
             xa, xb = xyz[rows1, idx[:, a]], xyz[rows1, idx[:, b]]
             swap = _lex_less(xb, xa)
             ia = idx[:, a].copy()
@@ -226,36 +226,10 @@ class _LevelTree:
         }
 
 
-def _take(xyz, cols):
-    rows = np.arange(xyz.shape[0])
-    return xyz[rows, cols]
-
-
-def _gather(arr, cols):
-    rows = np.arange(arr.shape[0])
-    return arr[rows, cols]
-
-
-def _sort_pairs(k: int):
-    """Compare-swap network for k <= 6 elements."""
-    nets = {
-        1: [],
-        2: [(0, 1)],
-        3: [(0, 1), (1, 2), (0, 1)],
-        4: [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)],
-        5: [(0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3), (1, 2)],
-        6: [(1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3), (1, 4), (2, 4), (1, 3), (2, 3)],
-    }
-    if k not in nets:
-        raise NotImplementedError("child width above 6 not supported")
-    return nets[k]
-
-
-def _embed(z1, z2):
-    n = np.abs(z1) ** 2 + np.abs(z2) ** 2
-    n = np.where(n == 0, 1.0, n)
-    w = 2.0 * z1 * np.conj(z2) / n
-    return np.stack([w.real, w.imag, (np.abs(z1) ** 2 - np.abs(z2) ** 2) / n], axis=-1)
+def _transposition_pairs(k: int):
+    """Odd-even transposition network on k slots: k rounds of adjacent
+    compare-swaps.  With a strict compare, equal keys keep slot order."""
+    return [(i, i + 1) for r in range(k) for i in range(r % 2, k - 1, 2)]
 
 
 def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float, strict: bool):
@@ -371,6 +345,7 @@ class EntropyProtocol:
             "seed_strategy": self.seed_strategy,
             "grid_size": self.grid_size,
             "resolution_factor": self.resolution_factor,
+            "pair_budget": self.pair_budget,
         }
 
     @staticmethod
@@ -488,9 +463,9 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
                 tree, eps, strict, labels, protocol.pair_budget
             ):
                 if truncated:
-                    all_flags.append(
-                        f"pair_budget_truncated@eps={eps:g},depth={ell}"
-                    )
+                    flag = f"pair_budget_truncated@eps={eps:g},depth={ell}"
+                    if flag not in all_flags:  # the KT and DS passes may stop at one depth
+                        all_flags.append(flag)
                     break
                 if protocol.n_min <= ell <= protocol.n_max and ell >= 1:
                     counts[ell] = _greedy_count(tree.levels[ell]["valid"], pi, pj)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FiberDegenerate
 from .polynomials import ComplexPolynomial
-from .roots import roots_with_clusters
+from .roots import projective_roots_batch, roots_with_clusters
 from .sphere import INF, SpherePoint
 
 MERGE_TOL = 1e-9
@@ -117,10 +117,12 @@ class GraphPolynomial:
         """Fibers of many base points given as homogeneous pairs.
 
         Returns (W1, W2) arrays of shape (N, deg_w): projective w-roots per
-        base point, multiplicities implicit in repetition.  Only implemented
-        for deg_w <= 2, which covers every family in the acceptance runs.
-        Entries where the specialized polynomial vanishes identically are
-        returned as NaN pairs for the caller to prune.
+        base point, multiplicities implicit in repetition, degree drops as
+        roots (1, 0) at infinity.  deg_w 1 and 2 use closed forms; higher
+        degrees use roots.projective_roots_batch, in no particular root
+        order.  Entries where the specialized polynomial vanishes identically,
+        or whose base pair is NaN (a dead entry of an earlier chain stage),
+        are returned as NaN pairs for the caller to prune.
         """
         m, n = self.deg_z, self.deg_w
         Z1 = np.asarray(Z1, dtype=complex)
@@ -128,7 +130,7 @@ class GraphPolynomial:
         zp = np.stack([Z1 ** i * Z2 ** (m - i) for i in range(m + 1)], axis=-1)
         cw = zp @ self.coeffs  # (N, n+1) specialized w-coefficients
         scale = np.max(np.abs(cw), axis=-1)
-        dead = scale < 1e-250
+        dead = ~(scale >= 1e-250)
         scale = np.where(dead, 1.0, scale)
         cw = cw / scale[..., None]
         if n == 1:
@@ -149,7 +151,9 @@ class GraphPolynomial:
             W1 = np.where(tiny, 1.0, W1)
             W2 = np.where(tiny, 0.0, W2)
         else:
-            raise NotImplementedError("fiber_batch supports deg_w <= 2")
+            W1, W2 = projective_roots_batch(np.where(dead[..., None], 0.0, cw).reshape(-1, n + 1))
+            W1 = W1.reshape(cw.shape[:-1] + (n,))
+            W2 = W2.reshape(cw.shape[:-1] + (n,))
         if np.any(dead):
             W1 = np.where(dead[..., None], np.nan, W1)
             W2 = np.where(dead[..., None], np.nan, W2)

@@ -18,7 +18,7 @@ import numpy as np
 from .correspondence import Correspondence
 from .errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
 from .rational import MobiusMap, RationalMap, mobius_apply, rational_preimages
-from .sphere import SpherePoint, chordal_distance
+from .sphere import SpherePoint, chordal_distance, embed_projective
 
 ATOM_MERGE_TOL = 1e-9
 
@@ -105,12 +105,6 @@ def _merge_atoms(items: list[tuple[SpherePoint, float]]) -> tuple:
 # Dirac pullbacks
 # ---------------------------------------------------------------------------
 
-def _supports_batch(C: Correspondence) -> bool:
-    if C.is_direct:
-        return all(gp.deg_w <= 2 for gp, _ in C.components)
-    return all(_supports_batch(c) for c in C.chain)
-
-
 def pullback_dirac_tree(
     C: Correspondence, z0: SpherePoint, n: int, budget: int = 2 ** 20
 ) -> WeightedCloud:
@@ -143,38 +137,19 @@ def pullback_dirac_tree_levels(
     if 0 in ns:
         out[0] = WeightedCloud(((z0, 1.0),), 0, dict(prov))
     CT = C.transpose()
-    if _supports_batch(CT):
-        a, b = z0.projective()
-        z1 = np.array([a], dtype=complex)
-        z2 = np.array([b], dtype=complex)
-        for step in range(1, n_max + 1):
-            W1, W2, _ = CT.forward_batch(z1, z2)
-            if np.any(np.isnan(W1)):
-                raise FiberDegenerate(f"degenerate fiber at level {step - 1}")
-            z1, z2 = W1.ravel(), W2.ravel()
-            if step in ns:
-                w = 1.0 / z1.size
-                atoms = _merge_atoms(
-                    [(SpherePoint.from_projective(p, q), w) for p, q in zip(z1, z2)]
-                )
-                out[step] = WeightedCloud(atoms, step, dict(prov))
-        return out
-    level: list[tuple[SpherePoint, float]] = [(z0, 1.0)]
+    a, b = z0.projective()
+    z1 = np.array([a], dtype=complex)
+    z2 = np.array([b], dtype=complex)
     for step in range(1, n_max + 1):
-        nxt: list[tuple[SpherePoint, float]] = []
-        for p, mult in level:
-            try:
-                fib = CT.forward(p)
-            except FiberDegenerate as exc:
-                raise FiberDegenerate(
-                    f"degenerate fiber at level {step - 1} of the preimage tree: {exc}"
-                ) from exc
-            for q, m in fib.points:
-                nxt.append((q, mult * m))
-        level = list(_merge_atoms(nxt))
+        W1, W2, _ = CT.forward_batch(z1, z2)
+        if np.any(np.isnan(W1)):
+            raise FiberDegenerate(f"degenerate fiber at level {step - 1}")
+        z1, z2 = W1.ravel(), W2.ravel()
         if step in ns:
-            total = float(sum(m for _, m in level))
-            atoms = tuple((p, m / total) for p, m in level)
+            w = 1.0 / z1.size
+            atoms = _merge_atoms(
+                [(SpherePoint.from_projective(p, q), w) for p, q in zip(z1, z2)]
+            )
             out[step] = WeightedCloud(atoms, step, dict(prov))
     return out
 
@@ -194,17 +169,14 @@ def pullback_dirac_mc(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    prov = {
+        "seed_point": _point_json(z0),
+        "correspondence": C.name or "correspondence",
+        "method": "monte_carlo",
+        "rng_seed": rng_seed,
+    }
     if n == 0:
-        return WeightedCloud(
-            ((z0, 1.0),),
-            generation=0,
-            provenance={
-                "seed_point": _point_json(z0),
-                "correspondence": C.name or "correspondence",
-                "method": "monte_carlo",
-                "rng_seed": rng_seed,
-            },
-        )
+        return WeightedCloud(((z0, 1.0),), generation=0, provenance=prov)
     CT = C.transpose()
     d2 = C.d2
     # per-path choice tables from counter-based streams
@@ -212,38 +184,18 @@ def pullback_dirac_mc(
     for k in range(n_paths):
         g = np.random.Generator(np.random.Philox(key=(rng_seed, k)))
         choices[k] = g.integers(0, d2, size=n)
-    if _supports_batch(CT):
-        z1 = np.full(n_paths, complex(z0.projective()[0]), dtype=complex)
-        z2 = np.full(n_paths, complex(z0.projective()[1]), dtype=complex)
-        rows = np.arange(n_paths)
-        for step in range(n):
-            W1, W2, _ = CT.forward_batch(z1, z2)
-            if np.any(np.isnan(W1)):
-                raise FiberDegenerate(f"degenerate fiber at step {step} of a walk")
-            pick = choices[:, step]
-            z1, z2 = W1[rows, pick], W2[rows, pick]
-        endpoints = [SpherePoint.from_projective(a, b) for a, b in zip(z1, z2)]
-    else:
-        endpoints = []
-        for k in range(n_paths):
-            p = z0
-            for step in range(n):
-                slots = []
-                for q, m in CT.forward(p).points:
-                    slots.extend([q] * m)
-                p = slots[int(choices[k, step]) % len(slots)]
-            endpoints.append(p)
+    z1 = np.full(n_paths, complex(z0.projective()[0]), dtype=complex)
+    z2 = np.full(n_paths, complex(z0.projective()[1]), dtype=complex)
+    rows = np.arange(n_paths)
+    for step in range(n):
+        W1, W2, _ = CT.forward_batch(z1, z2)
+        if np.any(np.isnan(W1)):
+            raise FiberDegenerate(f"degenerate fiber at step {step} of a walk")
+        pick = choices[:, step]
+        z1, z2 = W1[rows, pick], W2[rows, pick]
+    endpoints = [SpherePoint.from_projective(a, b) for a, b in zip(z1, z2)]
     atoms = _merge_atoms([(p, 1.0 / n_paths) for p in endpoints])
-    return WeightedCloud(
-        atoms,
-        generation=n,
-        provenance={
-            "seed_point": _point_json(z0),
-            "correspondence": C.name or "correspondence",
-            "method": "monte_carlo",
-            "rng_seed": rng_seed,
-        },
-    )
+    return WeightedCloud(atoms, generation=n, provenance=prov)
 
 
 def _point_json(p: SpherePoint):
@@ -433,7 +385,7 @@ def metric_entropy_estimate(
     for nlev in range(N_max):
         # cells met by the level-n points of each atom; first-match = min id
         width = cur1.size // n_atoms
-        xyz = _embed_pairs(cur1, cur2).reshape(n_atoms, width, 3)
+        xyz = embed_projective(cur1, cur2).reshape(n_atoms, width, 3)
         cells = part.cells_of_embedded(xyz)
         labels[:, nlev] = cells.min(axis=1)
         if nlev < N_max - 1:
@@ -461,9 +413,3 @@ def metric_entropy_estimate(
         A = np.vstack([ns[lo:], np.ones_like(ns[lo:])]).T
         slope = float(np.linalg.lstsq(A, np.array(hs[lo:]), rcond=None)[0][0])
     return per_n, slope
-
-
-def _embed_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    n = np.abs(z1) ** 2 + np.abs(z2) ** 2
-    w = 2.0 * z1 * np.conj(z2) / n
-    return np.stack([w.real, w.imag, (np.abs(z1) ** 2 - np.abs(z2) ** 2) / n], axis=-1)

@@ -3,6 +3,8 @@
 Simultaneous Aberth-Ehrlich iteration, falling back to the companion matrix
 (numpy.roots) when the iteration stalls.  Roots closer than cluster_radius
 are merged into a single root at their centroid with summed multiplicity.
+projective_roots_batch solves many polynomials at once, unclustered, for the
+batched fibers of GraphPolynomial.fiber_batch.
 """
 
 from __future__ import annotations
@@ -123,6 +125,71 @@ def roots_with_clusters(
             centroid = complex(cl[0])
         out.append((centroid, len(cl)))
     return out
+
+
+#: coefficients at or below this share of the row maximum count as zero
+DROP_TOL = 1e-11
+
+
+def projective_roots_batch(coeffs: np.ndarray):
+    """Roots of many polynomials at once, as projective pairs.
+
+    coeffs is (N, n+1), ascending, each row max-normalized.  Returns (W1, W2)
+    of shape (N, n) with w = W1/W2, multiplicities implicit in repetition.
+    Top coefficients at or below DROP_TOL are a degree drop, returned as roots
+    (1, 0) at infinity; an all-zero row has only roots at infinity.  Each row
+    is solved by the eigenvalues of a companion matrix, of the reversed
+    polynomial when |c_0| > |c_n| so large roots come out as small
+    reciprocals, then polished by three Newton steps in the chart where the
+    root lies in the unit disk.
+    """
+    N, n = coeffs.shape[0], coeffs.shape[1] - 1
+    W1 = np.ones((N, n), dtype=complex)
+    W2 = np.zeros((N, n), dtype=complex)
+    live = np.abs(coeffs) > DROP_TOL
+    deg = np.where(live.any(axis=1), n - np.argmax(live[:, ::-1], axis=1), 0)
+    for k in np.unique(deg[deg > 0]):
+        rows = np.nonzero(deg == k)[0]
+        W1[rows, :k], W2[rows, :k] = _roots_of_degree(coeffs[rows, : k + 1])
+    return W1, W2
+
+
+def _roots_of_degree(c: np.ndarray):
+    """projective_roots_batch for rows whose top coefficient is nonzero."""
+    M, k = c.shape[0], c.shape[1] - 1
+    rev = np.abs(c[:, 0]) > np.abs(c[:, -1])
+    cc = np.where(rev[:, None], c[:, ::-1], c)
+    A = np.zeros((M, k, k), dtype=complex)
+    A[:, 0, :] = -cc[:, -2::-1] / cc[:, -1:]
+    A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    x = np.linalg.eigvals(A)
+    # chart of each root: w itself inside the unit disk, 1/w outside
+    inside = np.where(rev[:, None], np.abs(x) >= 1.0, np.abs(x) <= 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(inside == rev[:, None], 1.0 / x, x)
+    P = np.where(inside[..., None], c[:, None, :], c[:, None, ::-1])
+    p, dp = _horner(P, t)
+    for _ in range(3):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = t - p / dp
+        p1, dp1 = _horner(P, t1)
+        better = np.abs(p1) < np.abs(p)  # False on NaN: a failed step is dropped
+        t = np.where(better, t1, t)
+        p = np.where(better, p1, p)
+        dp = np.where(better, dp1, dp)
+    one = np.ones_like(t)
+    return np.where(inside, t, one), np.where(inside, one, t)
+
+
+def _horner(P: np.ndarray, t: np.ndarray):
+    """Value and derivative at t of the polynomials with ascending coefficients
+    along the last axis of P."""
+    p = P[..., -1]
+    dp = np.zeros_like(t)
+    for j in range(P.shape[-1] - 2, -1, -1):
+        dp = dp * t + p
+        p = p * t + P[..., j]
+    return p, dp
 
 
 def poly_roots(

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 STANDARD = "standard"
 RECIPROCAL = "reciprocal"
 
@@ -89,13 +91,6 @@ class SpherePoint:
             RECIPROCAL if self.chart == STANDARD else STANDARD,
         )
 
-    def antipode(self) -> "SpherePoint":
-        """Diametrically opposite point, z -> -1/conj(z)."""
-        v = -self.value.conjugate()
-        if self.chart == STANDARD:
-            return SpherePoint(v, STANDARD) if abs(v) <= 1 else SpherePoint(1 / v, RECIPROCAL)
-        return SpherePoint(v, RECIPROCAL) if abs(v) <= 1 else SpherePoint(1 / v, STANDARD)
-
     def embed_r3(self) -> tuple[float, float, float]:
         """Stereographic embedding onto the unit sphere in R^3.
 
@@ -143,8 +138,16 @@ def chordal_from_complex(z: complex, w: complex) -> float:
     return chordal_distance(SpherePoint.from_complex(z), SpherePoint.from_complex(w))
 
 
-def sphere_points_equal(p: SpherePoint, q: SpherePoint, tol: float = 1e-12) -> bool:
-    return chordal_distance(p, q) <= tol
+def embed_projective(z1, z2):
+    """Stereographic embedding of homogeneous pairs, shape (..., 3).
+
+    The array form of SpherePoint.embed_r3; a (0, 0) pair maps to (0, 0, 0)
+    instead of dividing by zero.
+    """
+    n = np.abs(z1) ** 2 + np.abs(z2) ** 2
+    n = np.where(n == 0, 1.0, n)
+    w = 2.0 * z1 * np.conj(z2) / n
+    return np.stack([w.real, w.imag, (np.abs(z1) ** 2 - np.abs(z2) ** 2) / n], axis=-1)
 
 
 def uniform_sphere_points(n: int, rng) -> list[SpherePoint]:

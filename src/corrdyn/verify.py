@@ -53,7 +53,7 @@ from .rational import (
 from .roots import poly_roots
 from .polynomials import ComplexPolynomial, poly_from_roots
 from .sampling import random_complex, random_involution, random_points, random_rational_map
-from .sphere import SpherePoint, chordal_distance, uniform_sphere_points
+from .sphere import SpherePoint, chordal_distance, embed_projective, uniform_sphere_points
 
 
 def _result(name, passed, witnesses=None, info=None):
@@ -334,13 +334,7 @@ def suite_invariance_inequality(rng_seed: int) -> dict:
     z1 = np.array([p.projective()[0] for p, _ in atoms])
     z2 = np.array([p.projective()[1] for p, _ in atoms])
     W1, W2, _ = C.forward_batch(z1, z2)
-    img_cells = []
-    for k in range(W1.shape[1]):
-        n_ = np.abs(W1[:, k]) ** 2 + np.abs(W2[:, k]) ** 2
-        w = 2.0 * W1[:, k] * np.conj(W2[:, k]) / n_
-        xyz = np.stack([w.real, w.imag, (np.abs(W1[:, k]) ** 2 - np.abs(W2[:, k]) ** 2) / n_], axis=-1)
-        img_cells.append(part.cells_of_embedded(xyz))
-    img_cells = np.stack(img_cells, axis=1)
+    img_cells = part.cells_of_embedded(embed_projective(W1, W2))
     bad = []
     for cell in rng.choice(part.k, size=50, replace=True):
         mass_a = weights[cells == cell].sum()

@@ -222,3 +222,66 @@ def test_ppm_round_trip(tmp_path):
 
 def test_unknown_command_usage():
     assert main(["frobnicate"]) == 2
+
+
+# -- quartic coverings: stage fibers of degree 3 and more ------------------------
+
+QUARTIC_COV = {
+    "kind": "covering",
+    "map": {"num": [[0.1, 0], [-1, 0], [0, 0], [0.3, 0.2], [1, 0]], "den": [[1, 0]]},
+}
+TINY_PROTOCOL = {"eps_grid": [0.5], "n_max": 4, "budget": 4096}
+
+
+def _run_config(tmp_path, command, cfg):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path)])
+
+
+def test_entropy_on_quartic_covering(tmp_path):
+    out = tmp_path / "entropy_out.json"
+    cfg = {"correspondence": QUARTIC_COV, "protocol": TINY_PROTOCOL, "out": str(out)}
+    assert _run_config(tmp_path, "entropy", cfg) == 0
+    report = json.loads(out.read_text())["KT"]
+    assert report["cap"] == pytest.approx(np.log(3))
+    assert report["estimate"] <= report["cap"] + 0.05
+
+
+def test_entropy_on_quartic_composition_above_six_children(tmp_path):
+    # cov(R4) o cov(R4) has d1 = 9 children per node
+    out = tmp_path / "entropy_out.json"
+    spec = {"kind": "compose", "factors": [QUARTIC_COV, QUARTIC_COV]}
+    protocol = {"eps_grid": [0.5], "n_max": 2, "budget": 4096}
+    cfg = {"correspondence": spec, "protocol": protocol, "out": str(out)}
+    assert _run_config(tmp_path, "entropy", cfg) == 0
+    assert json.loads(out.read_text())["KT"]["cap"] == pytest.approx(np.log(9))
+
+
+def test_limitset_on_quartic_covering(tmp_path):
+    out = tmp_path / "ls.ppm"
+    cfg = {
+        "correspondence": QUARTIC_COV,
+        "region": {"kind": "disk", "center": [0, 0], "radius": 2.0},
+        "viewport": {"re_min": -2, "re_max": 2, "im_min": -2, "im_max": 2},
+        "width": 24,
+        "height": 24,
+        "depth": 4,
+        "out": str(out),
+    }
+    assert _run_config(tmp_path, "limitset", cfg) == 0
+    assert RasterImage.from_ppm(out.read_bytes()).width == 24
+
+
+def test_equidist_on_quartic_covering(tmp_path):
+    cfg = {
+        "correspondence": QUARTIC_COV,
+        "seeds": [[0.3, 0.2], [-0.5, 0.1]],
+        "generations": [2],
+        "method": "full_tree",
+        "out_prefix": str(tmp_path / "eq"),
+    }
+    assert _run_config(tmp_path, "equidist", cfg) == 0
+    cloud = WeightedCloud.from_csv((tmp_path / "eq_seed0_n2.csv").read_text())
+    assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert len(json.loads((tmp_path / "eq_distances.json").read_text())) == 1

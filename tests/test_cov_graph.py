@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrdyn.correspondence import cov_graph
 from corrdyn.errors import DegreeTooLow, InexactDivision
@@ -7,6 +8,7 @@ from corrdyn.graphpoly import GraphPolynomial, diagonal_vanishing_fraction
 from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import RationalMap, polynomial_map
 from corrdyn.sampling import random_rational_map
+from corrdyn.sphere import INF, SpherePoint, chordal_distance
 
 
 def test_cubic_chebyshev_like():
@@ -80,3 +82,47 @@ def test_graph_json_round_trip():
     gp = cov_graph(polynomial_map([0, -3, 0, 1]))
     gp2 = GraphPolynomial.from_json(gp.to_json())
     assert np.allclose(gp.coeffs, gp2.coeffs)
+
+
+# -- batched fibers against the per-point fiber ---------------------------------
+
+def _fiber_drop_graph(rng, deg_z, deg_w, drop, drop_row, zero_root):
+    """Random graph whose fiber over 0 (drop_row 0) or inf (drop_row -1)
+    loses `drop` degrees and, with zero_root, also contains w = 0."""
+    c = rng.normal(size=(deg_z + 1, deg_w + 1)) + 1j * rng.normal(size=(deg_z + 1, deg_w + 1))
+    if drop:
+        c[drop_row, deg_w + 1 - drop :] = 0
+    if zero_root and drop < deg_w:
+        c[drop_row, 0] = 0
+    return GraphPolynomial(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    deg_z=st.integers(1, 4),
+    deg_w=st.integers(1, 6),
+    drop=st.integers(0, 2),
+    drop_row=st.sampled_from([0, -1]),
+    zero_root=st.booleans(),
+)
+def test_fiber_batch_matches_fiber(seed, deg_z, deg_w, drop, drop_row, zero_root):
+    rng = np.random.default_rng(seed)
+    gp = _fiber_drop_graph(rng, deg_z, deg_w, min(drop, deg_w), drop_row, zero_root)
+    far = 1e6 * np.exp(2j * np.pi * rng.random())
+    bases = [SpherePoint.from_complex(0), INF, SpherePoint.from_complex(far)]
+    bases += [SpherePoint.from_complex(complex(*rng.normal(size=2)) * 2) for _ in range(4)]
+    z1 = np.array([p.projective()[0] for p in bases])
+    z2 = np.array([p.projective()[1] for p in bases])
+    W1, W2 = gp.fiber_batch(z1, z2)
+    assert W1.shape == W2.shape == (len(bases), gp.deg_w)
+    for p, w1, w2 in zip(bases, W1, W2):
+        got = [SpherePoint.from_projective(a, b) for a, b in zip(w1, w2)]
+        for q, mult in gp.fiber(p):
+            for _ in range(mult):
+                dists = [chordal_distance(q, g) for g in got]
+                k = int(np.argmin(dists))
+                if mult == 1 or q.is_infinity:
+                    assert dists[k] <= 1e-8, (p, q, dists[k])
+                got.pop(k)
+        assert not got

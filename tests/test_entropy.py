@@ -188,3 +188,20 @@ def test_fast_counts_match_object_lane():
     for ell in (1, 2, 3, 4):
         orbits = enumerate_orbits(C, seeds, ell, budget=2 ** 18)
         assert fast[ell] == separated_count_KT(orbits, 0.25), f"level {ell}"
+
+
+def test_protocol_json_round_trip_keeps_pair_budget():
+    prot = EntropyProtocol(eps_grid=(0.3,), n_max=3, pair_budget=12345)
+    data = prot.to_json()
+    assert data["pair_budget"] == 12345
+    assert EntropyProtocol.from_json(data) == prot
+
+
+def test_pair_budget_truncation_flagged_once_per_report():
+    C = family_correspondence(4)
+    prot = EntropyProtocol(eps_grid=(0.3,), n_max=5, budget=2 ** 12, pair_budget=2000)
+    reports = entropy_estimate(C, prot)
+    for report in reports.values():
+        truncated = [f for f in report.flags if f.startswith("pair_budget_truncated@")]
+        assert truncated
+        assert len(report.flags) == len(set(report.flags))

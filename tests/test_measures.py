@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from corrdyn.correspondence import identity_correspondence, map_graph
+from corrdyn.correspondence import compose, deleted_covering, identity_correspondence, map_graph
 from corrdyn.errors import BudgetExceeded, ExceptionalStart
 from corrdyn.families import family_correspondence, family_involution
 from corrdyn.measures import (
     GridPartition,
     WeightedCloud,
+    _merge_atoms,
     brolin_cloud,
     energy_distance,
     metric_entropy_estimate,
@@ -61,6 +62,32 @@ def test_tree_levels_match_single_calls(f4):
     levels = pullback_dirac_tree_levels(f4, pt(0.3 + 0.2j), (2, 4))
     single = pullback_dirac_tree(f4, pt(0.3 + 0.2j), 4)
     assert energy_distance(levels[4], single) < 1e-12
+
+
+def _object_lane_pullback(C, z0, n):
+    """Per-point reference: merged backward fibers, weight = multiplicity share."""
+    CT = C.transpose()
+    level = [(z0, 1.0)]
+    for _ in range(n):
+        level = _merge_atoms(
+            [(q, mult * m) for p, mult in level for q, m in CT.forward(p).points]
+        )
+    total = sum(m for _, m in level)
+    return [(p, m / total) for p, m in level]
+
+
+def test_tree_levels_match_object_lane_on_quartic_composition():
+    # cov(R4) o cov(z^3 - 3z): stage fibers of degree 3 and 2, six preimages
+    R4 = polynomial_map([0.1, -1, 0, 0.3 + 0.2j, 1])
+    C = compose(deleted_covering(R4), deleted_covering(polynomial_map([0, -3, 0, 1])))
+    z0 = pt(0.3 + 0.2j)
+    levels = pullback_dirac_tree_levels(C, z0, (1, 2, 3))
+    for n, cloud in levels.items():
+        want = _object_lane_pullback(C, z0, n)
+        assert len(cloud.atoms) == len(want), n
+        for p, w in cloud.atoms:
+            d, v = min((chordal_distance(p, q), v) for q, v in want)
+            assert d <= 1e-9 and abs(w - v) <= 1e-12, (n, p, d, w, v)
 
 
 # -- monte carlo ---------------------------------------------------------------
