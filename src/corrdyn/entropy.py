@@ -6,17 +6,21 @@ sorted lexicographically by coordinates).  The fast lane exploits that two
 orbit tuples can fail to separate only if their prefixes also fail: the set
 of "everywhere-close" pairs is propagated level by level, and the greedy
 sweep over that pair graph reproduces the sequential greedy result exactly.
+One propagation serves both conventions (KT: distance < eps at every level;
+DS: distance <= eps and equal labels at every level), each pair carrying one
+bit per convention; the greedy runs once per level when the two pair sets
+coincide and once per convention where they differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .correspondence import Correspondence
-from .errors import BudgetExceeded, MissingLabels
+from .errors import BudgetExceeded, MissingLabels, UsageError
 from .sphere import SpherePoint, chordal_distance, embed_projective, fibonacci_sphere_points
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
@@ -232,91 +236,176 @@ def _transposition_pairs(k: int):
     return [(i, i + 1) for r in range(k) for i in range(r % 2, k - 1, 2)]
 
 
-def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float, strict: bool):
-    """All pairs (i < j) of seeds with distance < eps (<= eps if not strict)."""
+# Per-pair bits: KT while the pair is strictly closer than eps at every level,
+# DS while its component labels agree at every level (and it is within eps).
+KT, DS = 1, 2
+CONVENTIONS = (("KT", KT), ("DS", DS))
+_CHUNK = 1 << 18  # candidate pairs built and filtered at once
+_TAIL_BLOCK = 1 << 15  # greedy tails converted to Python ints at once
+
+
+def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float):
+    """All pairs (i < j) of valid seeds within eps (<= eps), with their bits.
+
+    Seeds carry no labels, so every pair has DS; KT when the distance is < eps.
+    """
     n = xyz.shape[0]
-    out_i, out_j = [], []
+    out_i, out_j, out_b = [], [], []
     block = 1024
     e2 = eps * eps
     for s in range(0, n, block):
         d2 = ((xyz[s : s + block, None, :] - xyz[None, :, :]) ** 2).sum(-1)
-        close = (d2 < e2) if strict else (d2 <= e2)
-        ii, jj = np.nonzero(close)
-        ii = ii + s
-        keep = (ii < jj) & valid[ii] & valid[jj]
-        out_i.append(ii[keep])
-        out_j.append(jj[keep])
-    return np.concatenate(out_i), np.concatenate(out_j)
+        ii, jj = np.nonzero(d2 <= e2)
+        keep = (ii + s < jj) & valid[ii + s] & valid[jj]
+        ii, jj = ii[keep], jj[keep]
+        out_i.append(ii + s)
+        out_j.append(jj)
+        out_b.append(np.where(d2[ii, jj] < e2, KT | DS, DS).astype(np.uint8))
+    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_b)
 
 
-def _propagate_pairs(tree: _LevelTree, eps: float, strict: bool, use_labels: bool,
-                     pair_budget: int = 4_000_000):
-    """Yield per level the pair lists (i < j) of everywhere-close orbits."""
-    lvl0 = tree.levels[0]
-    pi, pj = _close_seed_pairs(lvl0["xyz"], lvl0["valid"], eps, strict)
-    yield 0, pi, pj, False
+def _close_children(lvl, d1: int, e2: float, pi, pj, bits, combos):
+    """Child pairs (pi*d1 + u, pj*d1 + v) with combos[u, v] that stay close, and their bits.
+
+    Each parent's d1 children are gathered once, as one row of the level seen
+    as (parents, d1); a sibling block has pi == pj and combos u < v.
+    """
+    xyz = lvl["xyz"].reshape(-1, d1, 3)
+    # row k, column u*d1 + v holds child u of pi[k] against child v of pj[k]
+    xi = np.repeat(xyz[pi], d1, axis=1)
+    xj = np.tile(xyz[pj], (1, d1, 1))
+    d2 = ((xi - xj) ** 2).sum(-1).reshape(-1)
+    near = np.flatnonzero(d2 <= e2)
+    k, uv = np.divmod(near, d1 * d1)
+    u, v = np.divmod(uv, d1)
+    ci, cj, d2 = pi[k] * d1 + u, pj[k] * d1 + v, d2[near]
+    valid, label = lvl["valid"], lvl["label"]
+    bits = bits[k] & (
+        np.where(d2 < e2, KT, 0) | np.where(label[ci] == label[cj], DS, 0)
+    ).astype(np.uint8)
+    kept = (bits != 0) & valid[ci] & valid[cj] & combos.reshape(-1)[uv]
+    return ci[kept], cj[kept], bits[kept]
+
+
+def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict):
+    """Yield per level the pairs (i < j) of orbits close in either convention.
+
+    One propagation serves both conventions: a pair is kept while it is within
+    eps at every level and still has a bit (KT or DS).  Before each yield,
+    `facts` holds "bits" (uint8, one per pair), "live" (the bits of the
+    conventions counted at this level), "candidates" (per convention live on
+    entry, its candidate pair count) and "stop" (convention -> the depth the
+    pair budget cut it at).  A convention whose candidates exceed the budget
+    stops there, so no deeper count comes from an incomplete graph; the item's
+    truncated flag is True once every convention has stopped.  Candidates are
+    built and filtered a chunk of parent pairs at a time.
+    """
     d1 = tree.d1
+    lvl0 = tree.levels[0]
+    pi, pj, bits = _close_seed_pairs(lvl0["xyz"], lvl0["valid"], eps)
+    seeds = int(lvl0["valid"].sum())
+    facts.update(bits=bits, live=KT | DS, stop={},
+                 candidates={name: seeds * (seeds - 1) // 2 for name, _ in CONVENTIONS})
+    yield 0, pi, pj, False
     e2 = eps * eps
+    every = np.ones((d1, d1), dtype=bool)
+    upper = np.triu(every, 1)  # sibling pairs u < v
+    step = max(1, _CHUNK // (d1 * d1))
     for ell in range(1, len(tree.levels)):
-        lvl = tree.levels[ell]
-        xyz, valid, label = lvl["xyz"], lvl["valid"], lvl["label"]
-        cand_i = []
-        cand_j = []
-        # descend pairs from the previous level (all d1 x d1 child combos)
-        if pi.size:
-            u = np.arange(d1)
-            shape = (pi.size, d1, d1)
-            ci = np.broadcast_to(pi[:, None, None] * d1 + u[None, :, None], shape)
-            cj = np.broadcast_to(pj[:, None, None] * d1 + u[None, None, :], shape)
-            cand_i.append(ci.reshape(-1))
-            cand_j.append(cj.reshape(-1))
-        # sibling pairs of every node at the previous level
         parents = np.nonzero(tree.levels[ell - 1]["valid"])[0]
-        if parents.size and d1 > 1:
-            combos = [(a, b) for b in range(d1) for a in range(b)]
-            ca = np.concatenate([parents * d1 + a for a, b in combos])
-            cb = np.concatenate([parents * d1 + b for a, b in combos])
-            cand_i.append(ca)
-            cand_j.append(cb)
-        if cand_i:
-            ci = np.concatenate(cand_i)
-            cj = np.concatenate(cand_j)
-            if ci.size > pair_budget:
-                # cannot certify rejection pairs at this depth: stop here so
-                # deeper counts are never reported from an incomplete graph
-                yield ell, None, None, True
-                return
-            ok = valid[ci] & valid[cj]
-            ci, cj = ci[ok], cj[ok]
-            d2 = ((xyz[ci] - xyz[cj]) ** 2).sum(-1)
-            keep = (d2 < e2) if strict else (d2 <= e2)
-            if use_labels:
-                keep &= label[ci] == label[cj]
-            pi, pj = ci[keep], cj[keep]
-            flip = pi > pj
-            pi2 = np.where(flip, pj, pi)
-            pj2 = np.where(flip, pi, pj)
-            pi, pj = pi2, pj2
+        # the budget is checked before any candidate is built
+        live, candidates = facts["live"], {}
+        for name, bit in CONVENTIONS:
+            if live & bit:
+                n_pairs = int(np.count_nonzero(bits & bit))
+                candidates[name] = n_pairs * d1 * d1 + parents.size * int(upper.sum())
+                if candidates[name] > pair_budget:
+                    live &= ~bit
+                    facts["stop"][name] = ell
+        facts.update(live=live, candidates=candidates)
+        if not live:
+            yield ell, None, None, True
+            return
+        # pairs whose every bit belongs to a stopped convention are dropped
+        bits = bits & live
+        nz = bits != 0
+        blocks = (
+            (pi[nz], pj[nz], bits[nz], every),
+            (parents, parents, np.full(parents.size, live, dtype=np.uint8), upper),
+        )
+        out = [
+            _close_children(tree.levels[ell], d1, e2, a[s : s + step], b[s : s + step],
+                            c[s : s + step], combos)
+            for a, b, c, combos in blocks if combos.any()
+            for s in range(0, a.size, step)
+        ]
+        if out:
+            pi, pj, bits = (np.concatenate(parts) for parts in zip(*out))
         else:
-            pi = np.zeros(0, dtype=np.int64)
-            pj = np.zeros(0, dtype=np.int64)
+            pi = pj = np.zeros(0, dtype=np.int64)
+            bits = np.zeros(0, dtype=np.uint8)
+        facts["bits"] = bits
         yield ell, pi, pj, False
 
 
 def _greedy_count(valid: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> int:
-    """Greedy maximal independent count in slot order on the close graph."""
-    kept = valid.copy()
-    if pi.size == 0:
-        return int(kept.sum())
-    order = np.lexsort((pi, pj))
-    pi, pj = pi[order], pj[order]
-    uniq = np.unique(pj)
-    starts = np.searchsorted(pj, uniq, side="left")
-    ends = np.searchsorted(pj, uniq, side="right")
-    for j, s, e in zip(uniq, starts, ends):
-        if kept[j] and kept[pi[s:e]].any():
-            kept[j] = False
-    return int(kept.sum())
+    """Size of the lexicographically-first maximal independent set in slot order.
+
+    A valid slot is kept unless a lower neighbour is kept.  Every pair has
+    pi < pj, so walking the tails in ascending order decides each slot before
+    it is read: a kept tail clears its higher neighbours.
+    """
+    kept = bytearray(valid.tobytes())
+    if pi.size:
+        clear = np.frombuffer(kept, dtype=np.uint8)
+        order = np.argsort(pi, kind="stable")
+        heads, tails = pj[order], pi[order]
+        first = np.empty(tails.size, dtype=bool)
+        first[0] = True
+        np.not_equal(tails[1:], tails[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], tails.size)
+        tails = tails[starts]
+        for b in range(0, tails.size, _TAIL_BLOCK):
+            block = slice(b, b + _TAIL_BLOCK)
+            for t, s, e in zip(tails[block].tolist(), starts[block].tolist(),
+                               ends[block].tolist()):
+                if kept[t]:
+                    clear[heads[s:e]] = 0
+    return kept.count(1)
+
+
+def _separated_counts(tree: _LevelTree, eps: float, pair_budget: int, n_min: int):
+    """Greedy separated counts of both conventions on one tree, in one propagation.
+
+    Returns the counts {convention: {level: count}} for levels >= max(1, n_min),
+    one row of facts per level (nodes, candidate and kept pairs per convention,
+    whether the two pair sets coincide), and {convention: depth} for each
+    convention the pair budget stopped.
+    """
+    counts, levels, facts = {"KT": {}, "DS": {}}, [], {}
+    for ell, pi, pj, truncated in _propagate_pairs(tree, eps, pair_budget, facts):
+        valid = tree.levels[ell]["valid"]
+        row = {"level": ell, "nodes": int(valid.sum()), "candidates": facts["candidates"]}
+        levels.append(row)
+        if truncated:
+            break
+        bits, live = facts["bits"], facts["live"]
+        row["kept"] = {
+            name: int(np.count_nonzero(bits & bit)) for name, bit in CONVENTIONS if live & bit
+        }
+        # the two conventions share one pair set: one greedy sweep serves both
+        row["coincide"] = live == (KT | DS) and bool(np.all(bits == (KT | DS)))
+        if ell < max(1, n_min):
+            continue
+        if row["coincide"]:
+            counts["KT"][ell] = counts["DS"][ell] = _greedy_count(valid, pi, pj)
+            continue
+        for name, bit in CONVENTIONS:
+            if live & bit:
+                sel = (bits & bit) != 0
+                counts[name][ell] = _greedy_count(valid, pi[sel], pj[sel])
+    return counts, levels, facts["stop"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +439,44 @@ class EntropyProtocol:
 
     @staticmethod
     def from_json(data) -> "EntropyProtocol":
+        """Protocol from its JSON form; a key or value it cannot run raises UsageError."""
+        if not isinstance(data, dict):
+            raise UsageError("protocol must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(EntropyProtocol)})
+        if unknown:
+            raise UsageError(f"protocol has unknown key(s): {', '.join(unknown)}")
         kwargs = dict(data)
         if "eps_grid" in kwargs:
-            kwargs["eps_grid"] = tuple(kwargs["eps_grid"])
-        return EntropyProtocol(**kwargs)
+            grid = kwargs["eps_grid"]
+            if not (isinstance(grid, list) and grid and all(_positive(e, float) for e in grid)):
+                raise UsageError(
+                    f"protocol.eps_grid must be a non-empty list of numbers > 0, got {grid!r}"
+                )
+            kwargs["eps_grid"] = tuple(grid)
+        for key, kind in (("n_max", int), ("n_min", int), ("budget", int), ("grid_size", int),
+                          ("pair_budget", int), ("resolution_factor", float)):
+            if key in kwargs and not _positive(kwargs[key], kind):
+                what = "an integer" if kind is int else "a number"
+                raise UsageError(f"protocol.{key} must be {what} > 0, got {kwargs[key]!r}")
+        protocol = EntropyProtocol(**kwargs)
+        if protocol.n_max < protocol.n_min:
+            raise UsageError(
+                f"protocol.n_max ({protocol.n_max}) must be >= protocol.n_min ({protocol.n_min})"
+            )
+        if protocol.seed_strategy not in ("net", "square_grid"):
+            raise UsageError(
+                "protocol.seed_strategy must be net or square_grid, "
+                f"got {protocol.seed_strategy!r}"
+            )
+        return protocol
+
+
+def _positive(value, kind) -> bool:
+    """A finite number > 0 (an integer when kind is int); booleans are not numbers here."""
+    types = (int,) if kind is int else (int, float)
+    if not isinstance(value, types) or isinstance(value, bool):
+        return False
+    return math.isfinite(value) and value > 0
 
 
 @dataclass
@@ -444,6 +567,7 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
     reports = {}
     all_flags = []
     usage = {}
+    counting = {}  # per eps: nodes, candidate and kept pairs of every level
     data = {"KT": {}, "DS": {}}
     for eps in protocol.eps_grid:
         if protocol.seed_strategy == "square_grid":
@@ -457,19 +581,16 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
         all_flags.extend(f"{f}@eps={eps:g}" for f in flags)
         tree = _LevelTree(C, seeds, protocol.n_max)
         usage[f"eps={eps:g}"] = {"seeds": len(seeds), "nodes": tree.node_count}
-        for variant, strict, labels in (("KT", True, False), ("DS", False, True)):
-            counts = {}
-            for ell, pi, pj, truncated in _propagate_pairs(
-                tree, eps, strict, labels, protocol.pair_budget
-            ):
-                if truncated:
-                    flag = f"pair_budget_truncated@eps={eps:g},depth={ell}"
-                    if flag not in all_flags:  # the KT and DS passes may stop at one depth
-                        all_flags.append(flag)
-                    break
-                if protocol.n_min <= ell <= protocol.n_max and ell >= 1:
-                    counts[ell] = _greedy_count(tree.levels[ell]["valid"], pi, pj)
-            data[variant][eps] = counts
+        counts, levels, stop = _separated_counts(tree, eps, protocol.pair_budget, protocol.n_min)
+        for name, _ in CONVENTIONS:
+            flag = f"pair_budget_truncated@eps={eps:g},depth={stop.get(name)}"
+            if name in stop and flag not in all_flags:  # KT and DS may stop at one depth
+                all_flags.append(flag)
+            data[name][eps] = counts[name]
+        counting[f"eps={eps:g}"] = {
+            "levels": levels,
+            "truncated_depth": {name: stop.get(name) for name, _ in CONVENTIONS},
+        }
     for variant in ("KT", "DS"):
         counts_rows = []
         slopes = []
@@ -501,6 +622,7 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
             diagnostics={
                 "budget_usage": usage,
                 "cap_violations": [s["eps"] for s in slopes if s["slope"] > cap + 0.05],
+                "counting": counting,
             },
         )
     return reports

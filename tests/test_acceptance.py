@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipping criterion, stated tolerances.
 
-Each criterion prints a `[criterion NN] PASS/FAIL` line (visible with
-`pytest -s`) and, when all 12 criteria ran, the collected lines are written
-to acceptance_summary.txt next to this file's package root.
+Each criterion prints a `[criterion NN] PASS/FAIL` line with its wall time
+(visible with `pytest -s`) and, when all 12 criteria ran, the collected lines
+without the times are written to acceptance_summary.txt next to this file's
+package root.
 """
 
 import json
@@ -62,10 +63,15 @@ N_CRITERIA = 12
 _LINES = {}  # criterion number -> summary line
 
 
-def record(num, ok, detail):
+def record(num, ok, detail, timing=None):
+    """Print the criterion's line with its timing; keep it for the summary without.
+
+    Wall-clock times change from run to run, so the tracked summary file holds
+    only the deterministic part and a clean run leaves it unchanged.
+    """
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}"
     _LINES[num] = line
-    print(line)
+    print(line if timing is None else f"{line}, {timing}")
     return ok
 
 
@@ -119,7 +125,8 @@ def test_criterion_01_involution_dictionary():
         1,
         ok,
         f"covering matches involution (worst {worst_match:.2e} < 1e-8), "
-        f"round trips projective identity, {elapsed:.1f}s < 10s",
+        "round trips projective identity",
+        f"{elapsed:.1f}s < 10s",
     )
     assert worst_match < 1e-8
     assert roundtrips_ok
@@ -152,7 +159,8 @@ def test_criterion_02_graph_algebra():
         2,
         ok,
         f"exact division, deg-1 fibers, symmetry {worst_sym:.2e} < 1e-8, "
-        f"branch invariant {worst_branch:.2e} < 1e-7, {elapsed:.1f}s < 30s",
+        f"branch invariant {worst_branch:.2e} < 1e-7",
+        f"{elapsed:.1f}s < 30s",
     )
     assert worst_sym < 1e-8
     assert worst_branch < 1e-7
@@ -183,7 +191,8 @@ def test_criterion_03_ramification():
         3,
         ok,
         f"ramification first coordinates match the critical set both ways "
-        f"on {checked} maps, {elapsed:.1f}s < 30s",
+        f"on {checked} maps",
+        f"{elapsed:.1f}s < 30s",
     )
     assert ok
 
@@ -298,7 +307,8 @@ def test_criterion_05_branch_taylor_data():
         5,
         ok,
         f"quadratic coefficient matches (a-7)/(3(a-1)) at a=4,5,10; a=7 quartic "
-        f"1/27; {elapsed:.1f}s < 5s",
+        "1/27",
+        f"{elapsed:.1f}s < 5s",
     )
     assert ok
 
@@ -355,7 +365,8 @@ def test_criterion_06_composition_bidegree():
         6,
         ok,
         f"chained fibers have (degR-1)(degS-1) points; resultant graph agrees "
-        f"with chained evaluation at {agree} points within 1e-6, {elapsed:.1f}s < 60s",
+        f"with chained evaluation at {agree} points within 1e-6",
+        f"{elapsed:.1f}s < 60s",
     )
     assert ok
 
@@ -385,7 +396,7 @@ def test_criterion_07_entropy_sanity_oracle():
     record(
         7,
         ok,
-        f"squaring-map estimate {est:.4f} in [0.55, 0.80] (target log 2 = 0.6931), "
+        f"squaring-map estimate {est:.4f} in [0.55, 0.80] (target log 2 = 0.6931)",
         f"{elapsed:.0f}s < 60s",
     )
     assert 0.55 <= est <= 0.80
@@ -444,7 +455,7 @@ def test_criterion_09_cubic_pair_entropy():
         9,
         ok,
         f"cubic-pair estimate {est:.4f} in [1.15, 1.45] against log 4 = 1.3863, "
-        f"cap enforced; Klein pair not certified (report notes present), "
+        f"cap enforced; Klein pair not certified (report notes present)",
         f"{elapsed:.0f}s < 900s",
     )
     assert 1.15 <= est <= 1.45
@@ -484,7 +495,8 @@ def test_criterion_10_equidistribution(capsys):
         ok,
         f"two-seed distances {['%.2e' % d for d in dists]} decreasing "
         f"(inversions {inversions} <= 1), final {dists[-1]:.2e} < 0.05; "
-        f"exceptional seed rejected at a=5, {elapsed:.0f}s < 300s",
+        "exceptional seed rejected at a=5",
+        f"{elapsed:.0f}s < 300s",
     )
     assert dists[-1] < 0.05
     assert inversions <= 1
@@ -526,7 +538,8 @@ def test_criterion_11_metric_entropy(fa4_entropy_reports):
         11,
         ok,
         f"uniform-split entropies exact to 1e-12; metric estimate {slope:.4f} "
-        f"<= topological {topo:.4f} + 0.1, {elapsed:.0f}s < 600s",
+        f"<= topological {topo:.4f} + 0.1",
+        f"{elapsed:.0f}s < 600s",
     )
     assert slope <= topo + 0.1
     assert elapsed < 600.0
@@ -590,7 +603,7 @@ def test_criterion_12_determinism(tmp_path):
     record(
         12,
         all_same,
-        f"entropy/equidist/limitset artifacts byte-identical for 1 vs 4 threads, "
+        f"entropy/equidist/limitset artifacts byte-identical for 1 vs 4 threads",
         f"{elapsed:.0f}s",
     )
     assert all_same

@@ -285,3 +285,35 @@ def test_equidist_on_quartic_covering(tmp_path):
     cloud = WeightedCloud.from_csv((tmp_path / "eq_seed0_n2.csv").read_text())
     assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
     assert len(json.loads((tmp_path / "eq_distances.json").read_text())) == 1
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "protocol.n_max=-1",
+        "protocol.bogus=1",
+        "protocol.eps_grid=[0]",
+        'protocol.seed_strategy="hex"',
+        'protocol.eps_grid="x"',
+        "protocol.n_min=8",
+        "protocol.pair_budget=0",
+    ],
+)
+def test_entropy_protocol_violation_is_a_usage_error(tmp_path, capsys, override):
+    out = tmp_path / "entropy_out.json"
+    code = main(
+        [
+            "entropy",
+            "--config",
+            str(CONFIGS / "accept_c07_entropy_z2.json"),
+            "--set",
+            override,
+            "--set",
+            f"out={out}",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: protocol")
+    assert "Traceback" not in err
+    assert not out.exists()

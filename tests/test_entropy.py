@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import corrdyn.entropy as entropy_mod
 from corrdyn.correspondence import (
     Correspondence,
     identity_correspondence,
@@ -23,6 +25,7 @@ from corrdyn.families import family_correspondence
 from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.rational import MobiusMap, polynomial_map
 from corrdyn.sphere import SpherePoint, chordal_distance, fibonacci_sphere_points
+from two_pass_counting import greedy_count as oracle_greedy_count, two_pass_counts
 
 
 def pt(z):
@@ -67,13 +70,17 @@ def test_budget_exceeded_carries_partial():
         enumerate_orbits(C, fibonacci_sphere_points(64), 10, budget=100)
 
 
-def test_orbit_labels_for_multicomponent():
-    # two components: identity and negation
+def identity_and_negation():
+    """Two components, identity and negation: the labels tell the branches apart."""
     comps = (
         (identity_graph(), 1),
         (mobius_graph(MobiusMap(-1, 0, 0, 1)), 1),
     )
-    C = Correspondence(components=comps)
+    return Correspondence(components=comps)
+
+
+def test_orbit_labels_for_multicomponent():
+    C = identity_and_negation()
     orbits = enumerate_orbits(C, [pt(0.5)], 2)
     assert len(orbits) == 4
     assert {o.labels for o in orbits} == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -182,9 +189,11 @@ def test_fast_counts_match_object_lane():
 
     tree = _LevelTree(C, seeds, 4)
     fast = {}
-    for ell, pi, pj, _tr in _propagate_pairs(tree, 0.25, True, False):
+    facts = {}
+    for ell, pi, pj, _tr in _propagate_pairs(tree, 0.25, prot.pair_budget, facts):
         if ell >= 1:
-            fast[ell] = _greedy_count(tree.levels[ell]["valid"], pi, pj)
+            kt = (facts["bits"] & entropy_mod.KT) != 0
+            fast[ell] = _greedy_count(tree.levels[ell]["valid"], pi[kt], pj[kt])
     for ell in (1, 2, 3, 4):
         orbits = enumerate_orbits(C, seeds, ell, budget=2 ** 18)
         assert fast[ell] == separated_count_KT(orbits, 0.25), f"level {ell}"
@@ -205,3 +214,108 @@ def test_pair_budget_truncation_flagged_once_per_report():
         truncated = [f for f in report.flags if f.startswith("pair_budget_truncated@")]
         assert truncated
         assert len(report.flags) == len(set(report.flags))
+
+
+# -- one-pass counting against the two-pass oracle ----------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_matches_oracle_on_random_graphs(data):
+    n = data.draw(st.integers(1, 60))
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    edges = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=250)
+    )
+    edges = [(min(e), max(e)) for e in edges if e[0] != e[1]]
+    pi = np.array([i for i, _ in edges], dtype=np.int64)
+    pj = np.array([j for _, j in edges], dtype=np.int64)
+    # small tail blocks make the walk cross block boundaries
+    block = data.draw(st.sampled_from([1, 3, entropy_mod._TAIL_BLOCK]))
+    saved, entropy_mod._TAIL_BLOCK = entropy_mod._TAIL_BLOCK, block
+    try:
+        got = entropy_mod._greedy_count(valid, pi, pj)
+    finally:
+        entropy_mod._TAIL_BLOCK = saved
+    assert got == oracle_greedy_count(valid, pi, pj)
+
+
+def _tie_eps(xi, xj):
+    """An eps at which some pair of rows sits exactly at d2 == eps**2 (a KT/DS tie)."""
+    d2 = ((xi - xj) ** 2).sum(-1)
+    for idx in zip(*np.nonzero((d2 > 0.01) & (d2 < 0.25))):
+        eps = math.sqrt(d2[idx])
+        if eps * eps == d2[idx]:
+            return eps
+    raise AssertionError("no pair distance squares back exactly")
+
+
+def _one_pass_matches_oracle(tree, eps, pair_budget, n_min=1):
+    counts, levels, stop = entropy_mod._separated_counts(tree, eps, pair_budget, n_min)
+    want = two_pass_counts(tree, eps, pair_budget, n_min)
+    for name in ("KT", "DS"):
+        assert (counts[name], stop.get(name)) == want[name], name
+    return counts, levels, stop
+
+
+@pytest.mark.parametrize("case", ["family", "two_components", "seed_tie", "sibling_tie"])
+def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
+    # a small chunk makes every level stream in several pieces
+    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    C = identity_and_negation() if case == "two_components" else family_correspondence(4)
+    tree = entropy_mod._LevelTree(C, fibonacci_sphere_points(60), 5)
+    eps = {"family": 0.2, "two_components": 0.5}.get(case)
+    if case == "seed_tie":
+        xyz = tree.levels[0]["xyz"]
+        eps = _tie_eps(xyz[:, None, :], xyz[None, :, :])
+    elif case == "sibling_tie":
+        children = tree.levels[1]["xyz"].reshape(-1, 2, 3)
+        eps = _tie_eps(children[:, 0], children[:, 1])
+    counts, levels, stop = _one_pass_matches_oracle(tree, eps, 10 ** 9, n_min=2)
+    assert stop == {}
+    assert sorted(counts["KT"]) == [2, 3, 4, 5]
+    facts = {}
+    for _ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, facts):
+        assert np.all(pi < pj)  # the greedy decides tails before their heads
+    coincide = [row["coincide"] for row in levels]
+    if case == "family":
+        # one label: the conventions differ only at exact ties, which this eps has none of
+        assert all(coincide)
+    elif case == "two_components":
+        assert counts["KT"] != counts["DS"] and not all(coincide)
+    else:
+        # the tied pair is DS-close but not KT-close
+        assert not coincide[0 if case == "seed_tie" else 1]
+
+
+def test_pair_budget_stops_each_convention_at_its_own_depth():
+    C = identity_and_negation()
+    tree = entropy_mod._LevelTree(C, fibonacci_sphere_points(100), 5)
+    counts, levels, stop = _one_pass_matches_oracle(tree, 0.5, 11000)
+    # KT keeps more pairs here (labels split DS), so it reaches the budget first
+    assert stop == {"KT": 4, "DS": 5}
+    assert sorted(counts["KT"]) == [1, 2, 3] and sorted(counts["DS"]) == [1, 2, 3, 4]
+    assert levels[4]["candidates"]["KT"] > 11000 >= levels[4]["candidates"]["DS"]
+    assert set(levels[4]["kept"]) == {"DS"}
+    # past its stop a convention's bit is dropped, and pairs held only by it go
+    facts = {}
+    for ell, _pi, _pj, truncated in entropy_mod._propagate_pairs(tree, 0.5, 11000, facts):
+        if ell >= 4 and not truncated:
+            assert np.all(facts["bits"] == entropy_mod.DS)
+
+
+def test_diagnostics_record_per_level_facts():
+    C = family_correspondence(4)
+    prot = EntropyProtocol(eps_grid=(0.3,), n_max=5, budget=2 ** 12, pair_budget=2000)
+    reports = entropy_estimate(C, prot)
+    counting = reports["KT"].diagnostics["counting"]
+    assert counting == reports["DS"].diagnostics["counting"]
+    facts = counting["eps=0.3"]
+    depth = facts["truncated_depth"]["KT"]
+    assert depth is not None and facts["truncated_depth"]["DS"] == depth
+    assert f"pair_budget_truncated@eps=0.3,depth={depth}" in reports["KT"].flags
+    levels = facts["levels"]
+    assert [row["level"] for row in levels] == list(range(depth + 1))
+    for row in levels[1:-1]:
+        assert row["kept"]["KT"] <= row["candidates"]["KT"] <= 2000
+        assert row["nodes"] > 0 and row["coincide"]
+    assert levels[-1]["candidates"]["KT"] > 2000 and "kept" not in levels[-1]
