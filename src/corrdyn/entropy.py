@@ -251,7 +251,7 @@ def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float):
     """
     n = xyz.shape[0]
     out_i, out_j, out_b = [], [], []
-    block = 1024
+    block = max(1, _CHUNK // max(1, n))  # rows of seeds compared with all seeds at once
     e2 = eps * eps
     for s in range(0, n, block):
         d2 = ((xyz[s : s + block, None, :] - xyz[None, :, :]) ** 2).sum(-1)
@@ -538,7 +538,7 @@ def _fit_slope(ns: np.ndarray, counts: np.ndarray):
     good = counts > 0
     ns, counts = ns[good], counts[good]
     if ns.size < 2:
-        return 0.0, list(ns), ["degenerate_fit"]
+        return 0.0, [int(x) for x in ns], ["degenerate_fit"]
     cut = ns.size
     for k in range(1, ns.size):
         if counts[k] < counts[k - 1] * 1.05:
@@ -547,7 +547,7 @@ def _fit_slope(ns: np.ndarray, counts: np.ndarray):
             break
     ns_f, cs_f = ns[:cut], np.log(counts[:cut].astype(float))
     if ns_f.size < 2:
-        return 0.0, list(ns_f), flags + ["degenerate_fit"]
+        return 0.0, [int(x) for x in ns_f], flags + ["degenerate_fit"]
     if ns_f.size < 3:
         flags.append("short_fit_window")
     A = np.vstack([ns_f, np.ones_like(ns_f, dtype=float)]).T

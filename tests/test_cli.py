@@ -248,6 +248,17 @@ def test_entropy_on_quartic_covering(tmp_path):
     assert report["estimate"] <= report["cap"] + 0.05
 
 
+def test_entropy_with_one_level_writes_a_degenerate_fit(tmp_path):
+    # one count per eps cannot be fitted; the report says so instead of crashing
+    out = tmp_path / "entropy_out.json"
+    protocol = {**TINY_PROTOCOL, "n_max": 1}
+    cfg = {"correspondence": QUARTIC_COV, "protocol": protocol, "out": str(out)}
+    assert _run_config(tmp_path, "entropy", cfg) == 0
+    report = json.loads(out.read_text())["KT"]
+    assert report["slopes"][0]["window"] == [1]
+    assert "degenerate_fit@eps=0.5" in report["flags"]
+
+
 def test_entropy_on_quartic_composition_above_six_children(tmp_path):
     # cov(R4) o cov(R4) has d1 = 9 children per node
     out = tmp_path / "entropy_out.json"
