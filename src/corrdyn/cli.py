@@ -3,19 +3,19 @@
     corrdyn <cov|orbit|entropy|equidist|limitset|verify> --config FILE [--set k=v ...]
 
 Exit codes: 0 success, 1 math/runtime error, 2 usage or parse error.  The
-CORRDYN_THREADS environment variable caps parallelism; outputs are byte
-identical for identical configs regardless of the thread count.
+CORRDYN_THREADS environment variable sets the limitset raster's thread
+count; outputs are byte identical for identical configs regardless of it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import verify as verify_mod
 from .config import (
     build_correspondence,
+    int_field,
     load_config,
     require,
     thread_count,
@@ -27,12 +27,7 @@ from .correspondence import cov_graph
 from .entropy import EntropyProtocol, entropy_estimate, enumerate_orbits
 from .errors import CorrdynError, SeedRejected, UsageError
 from .families import RegionSpec, exceptional_seeds
-from .measures import (
-    WeightedCloud,
-    energy_distance,
-    pullback_dirac_mc,
-    pullback_dirac_tree_levels,
-)
+from .measures import energy_distance, pullback_dirac_mc, pullback_dirac_tree_levels
 from .rational import RationalMap
 from .raster import Viewport, render_survival_set
 from .sphere import SpherePoint, chordal_distance
@@ -182,10 +177,10 @@ def cmd_limitset(cfg: dict) -> int:
         C,
         region,
         viewport,
-        width=int(cfg.get("width", 256)),
-        height=int(cfg.get("height", 256)),
-        depth=int(cfg.get("depth", 18)),
-        frontier_cap=int(cfg.get("frontier_cap", 64)),
+        width=int_field(cfg, "width", 256, 1),
+        height=int_field(cfg, "height", 256, 1),
+        depth=int_field(cfg, "depth", 18, 0),
+        frontier_cap=int_field(cfg, "frontier_cap", 64, 1),
         threads=thread_count(),
     )
     out = require(cfg, "out")

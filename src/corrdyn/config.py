@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .correspondence import Correspondence, compose, deleted_covering, map_graph, mobius_correspondence
 from .errors import UsageError
-from .families import composed_covering_pair, family_correspondence, family_involution
+from .families import composed_covering_pair, family_correspondence
 from .rational import MobiusMap, RationalMap
 
 
@@ -51,6 +51,14 @@ def require(cfg: dict, key: str):
     if key not in cfg:
         raise UsageError(f"config field {key!r} is required")
     return cfg[key]
+
+
+def int_field(cfg: dict, key: str, default: int, least: int) -> int:
+    """cfg[key] (default when absent), which must be an integer >= least."""
+    value = cfg.get(key, default)
+    if type(value) is not int or value < least:
+        raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def build_correspondence(spec) -> Correspondence:

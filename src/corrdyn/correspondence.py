@@ -8,7 +8,7 @@ count images/preimages of a generic point with multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ graph in the product of two spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,6 @@ relative to the whole coefficient matrix, not per polynomial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correspondence import Correspondence
+from .errors import UsageError
 from .families import RegionSpec
-from .sphere import SpherePoint
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,17 @@ class Viewport:
 
     @staticmethod
     def from_json(d) -> "Viewport":
-        return Viewport(**d)
+        """Viewport from its JSON form; an unknown key or a bad bound raises UsageError."""
+        keys = Viewport().to_json()
+        if not isinstance(d, dict) or set(d) - set(keys):
+            raise UsageError(f"viewport must be an object with keys among {', '.join(keys)}")
+        for key, value in d.items():
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise UsageError(f"viewport.{key} must be a finite number, got {value!r}")
+        vp = Viewport(**d)
+        if not (vp.re_min < vp.re_max and vp.im_min < vp.im_max):
+            raise UsageError("viewport needs re_min < re_max and im_min < im_max")
+        return vp
 
 
 def _region_mask(region: RegionSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -85,6 +95,10 @@ def _region_mask(region: RegionSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     return inside & finite
 
 
+# Pixels whose branches one frontier step moves together (whole rows).
+_BLOCK_PIXELS = 4096
+
+
 def render_survival_set(
     C: Correspondence,
     region: RegionSpec,
@@ -97,10 +111,14 @@ def render_survival_set(
 ) -> RasterImage:
     """Mark pixels whose forward orbit admits a branch staying in the region.
 
-    Branches are pruned on leaving the region and deduplicated on a quarter
-    pixel grid; at most frontier_cap branches per pixel are kept (canonical
-    order), so the render cost is linear in depth.  Deterministic for fixed
-    arguments regardless of the thread count.
+    The image is cut into blocks of whole rows (about _BLOCK_PIXELS pixels);
+    each step moves the frontier of a whole block with one forward_batch
+    call, every branch tagged with its pixel index.  Branches are pruned on
+    leaving the region and deduplicated per pixel on a quarter-pixel grid;
+    at most frontier_cap branches per pixel are kept (canonical order), so
+    the render cost is linear in depth.  A pixel's branches do not depend on
+    the block it shares, and the thread pool maps over the fixed blocks in
+    order, so the image is identical for any thread count.
     """
     xs = viewport.re_min + (np.arange(width) + 0.5) * (viewport.re_max - viewport.re_min) / width
     ys = viewport.im_min + (np.arange(height) + 0.5) * (viewport.im_max - viewport.im_min) / height
@@ -109,61 +127,45 @@ def render_survival_set(
         (viewport.im_max - viewport.im_min) / height,
     ) / 4.0
 
-    def do_rows(row_block):
-        depths = np.zeros((len(row_block), width), dtype=np.int32)
-        for i, row in enumerate(row_block):
-            z = xs + 1j * ys[row]
-            pix = np.arange(width)
-            z1 = z.astype(complex)
-            z2 = np.ones_like(z1)
-            alive = _region_mask(region, z1, z2)
-            pix, z1, z2 = pix[alive], z1[alive], z2[alive]
-            depths[i, :] = 0
-            reached = np.zeros(width, dtype=np.int32)
-            reached[pix] = 0
-            for step in range(1, depth + 1):
-                if pix.size == 0:
-                    break
-                W1, W2, _ = C.forward_batch(z1, z2)
-                d1 = W1.shape[-1]
-                npix = np.repeat(pix, d1)
-                c1, c2 = W1.ravel(), W2.ravel()
-                good = np.isfinite(c1.real) & np.isfinite(c2.real)
-                inside = np.zeros_like(good)
-                inside[good] = _region_mask(region, c1[good], c2[good])
-                keep = good & inside
-                npix, c1, c2 = npix[keep], c1[keep], c2[keep]
-                if npix.size:
-                    # dedupe per pixel on a quarter-pixel grid, canonical order
-                    finite = np.abs(c2) > 1e-15 * np.abs(c1)
-                    w = np.where(finite, c1 / np.where(finite, c2, 1.0), np.inf)
-                    qx = np.where(finite, np.round(w.real / quantum), 2 ** 31).astype(np.int64)
-                    qy = np.where(finite, np.round(w.imag / quantum), 2 ** 31).astype(np.int64)
-                    order = np.lexsort((qy, qx, npix))
-                    npix, c1, c2, qx, qy = (
-                        npix[order], c1[order], c2[order], qx[order], qy[order]
-                    )
-                    first = np.ones(npix.size, dtype=bool)
-                    first[1:] = (
-                        (npix[1:] != npix[:-1])
-                        | (qx[1:] != qx[:-1])
-                        | (qy[1:] != qy[:-1])
-                    )
-                    npix, c1, c2 = npix[first], c1[first], c2[first]
-                    # cap branches per pixel (running index within each group)
-                    idx = np.arange(npix.size)
-                    start = np.ones(npix.size, dtype=bool)
-                    start[1:] = npix[1:] != npix[:-1]
-                    group_start = np.maximum.accumulate(np.where(start, idx, 0))
-                    under = (idx - group_start) < frontier_cap
-                    npix, c1, c2 = npix[under], c1[under], c2[under]
-                survivors = np.unique(npix)
-                reached[survivors] = step
-                pix, z1, z2 = npix, c1, c2
-            depths[i, :] = reached
-        return depths
+    def do_rows(rows):
+        z1 = np.concatenate([xs + 1j * ys[row] for row in rows])
+        z2 = np.ones_like(z1)
+        reached = np.zeros(z1.size, dtype=np.int32)
+        pix = np.flatnonzero(_region_mask(region, z1, z2))
+        z1, z2 = z1[pix], z2[pix]
+        for step in range(1, depth + 1):
+            if pix.size == 0:
+                break
+            W1, W2, _ = C.forward_batch(z1, z2)
+            npix = np.repeat(pix, W1.shape[-1])
+            c1, c2 = W1.ravel(), W2.ravel()
+            keep = np.isfinite(c1.real) & np.isfinite(c2.real)
+            keep[keep] = _region_mask(region, c1[keep], c2[keep])
+            npix, c1, c2 = npix[keep], c1[keep], c2[keep]
+            if npix.size:
+                # dedupe per pixel on a quarter-pixel grid, canonical order
+                finite = np.abs(c2) > 1e-15 * np.abs(c1)
+                w = np.where(finite, c1 / np.where(finite, c2, 1.0), np.inf)
+                qx = np.where(finite, np.round(w.real / quantum), 2 ** 31).astype(np.int64)
+                qy = np.where(finite, np.round(w.imag / quantum), 2 ** 31).astype(np.int64)
+                order = np.lexsort((qy, qx, npix))
+                npix, c1, c2, qx, qy = npix[order], c1[order], c2[order], qx[order], qy[order]
+                first = np.ones(npix.size, dtype=bool)
+                first[1:] = (npix[1:] != npix[:-1]) | (qx[1:] != qx[:-1]) | (qy[1:] != qy[:-1])
+                npix, c1, c2 = npix[first], c1[first], c2[first]
+                # cap branches per pixel (running index within each group)
+                idx = np.arange(npix.size)
+                start = np.ones(npix.size, dtype=bool)
+                start[1:] = npix[1:] != npix[:-1]
+                group_start = np.maximum.accumulate(np.where(start, idx, 0))
+                under = (idx - group_start) < frontier_cap
+                npix, c1, c2 = npix[under], c1[under], c2[under]
+            reached[npix] = step
+            pix, z1, z2 = npix, c1, c2
+        return reached.reshape(len(rows), width)
 
-    blocks = [list(range(r, min(r + 16, height))) for r in range(0, height, 16)]
+    rows = max(1, _BLOCK_PIXELS // width)
+    blocks = [range(r, min(r + rows, height)) for r in range(0, height, rows)]
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(do_rows, blocks))
@@ -172,7 +174,7 @@ def render_survival_set(
     depth_map = np.vstack(results)
 
     # grayscale: survivors black, immediate escapes white
-    frac = np.clip(depth_map.astype(float) / depth, 0.0, 1.0)
+    frac = np.clip(depth_map.astype(float) / depth, 0.0, 1.0) if depth else np.ones(depth_map.shape)
     gray = np.round(255.0 * (1.0 - frac)).astype(np.uint8)
     pixels = np.stack([gray, gray, gray], axis=-1)
     meta = {

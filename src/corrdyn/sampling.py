@@ -6,8 +6,6 @@ caller-supplied numpy Generator so runs are reproducible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CorrdynError
 from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap

@@ -9,7 +9,6 @@ maximum distance 2) is the only metric used in the package.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

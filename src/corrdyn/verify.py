@@ -9,39 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correspondence import (
-    Correspondence,
-    compose,
-    cov_graph,
-    deleted_covering,
-    identity_correspondence,
-    is_on_graph,
-    map_graph,
-    mobius_correspondence,
-    ramification_pairs,
-)
+from .correspondence import compose, deleted_covering, map_graph, ramification_pairs
 from .entropy import (
     EntropyProtocol,
-    OrbitTuple,
     entropy_estimate,
     enumerate_orbits,
     separated_count_DS,
     separated_count_KT,
 )
 from .families import (
-    exceptional_seeds,
     family_correspondence,
     family_involution,
     involution_to_quadratic,
     quadratic_to_involution,
 )
-from .measures import (
-    GridPartition,
-    partition_entropy,
-    pullback_dirac_tree,
-    pushforward_mobius,
-    WeightedCloud,
-)
+from .measures import GridPartition, pullback_dirac_tree, pushforward_mobius
 from .rational import (
     MobiusMap,
     critical_points,
@@ -51,7 +33,7 @@ from .rational import (
     rational_eval,
 )
 from .roots import poly_roots
-from .polynomials import ComplexPolynomial, poly_from_roots
+from .polynomials import poly_from_roots
 from .sampling import random_complex, random_involution, random_points, random_rational_map
 from .sphere import SpherePoint, chordal_distance, embed_projective, uniform_sphere_points
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,3 +329,55 @@ def test_entropy_protocol_violation_is_a_usage_error(tmp_path, capsys, override)
     assert len(err.splitlines()) == 1 and err.startswith("usage error: protocol")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "width=0",
+        "height=-3",
+        'width="x"',
+        "depth=-1",
+        "frontier_cap=0",
+        "viewport.bogus=1",
+        "viewport.re_min=9",
+        'viewport.im_max="a"',
+        'region={"kind": "disk", "radius": 1}',
+        'region.kind="disc"',
+    ],
+)
+def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
+    out = tmp_path / "ls.ppm"
+    code = main(
+        [
+            "limitset",
+            "--config",
+            str(CONFIGS / "accept_c12_det_limitset.json"),
+            "--set",
+            override,
+            "--set",
+            f"out={out}",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_limitset_depth_zero_renders_without_warnings(tmp_path, capsys):
+    out = tmp_path / "ls.ppm"
+    cfg = {
+        "correspondence": QUARTIC_COV,
+        "region": {"kind": "disk", "center": [0, 0], "radius": 2.0},
+        "width": 8,
+        "height": 6,
+        "depth": 0,
+        "out": str(out),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_config(tmp_path, "limitset", cfg) == 0
+    assert capsys.readouterr().err == ""
+    assert not RasterImage.from_ppm(out.read_bytes()).pixels.any()
