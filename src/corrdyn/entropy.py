@@ -15,6 +15,7 @@ coincide and once per convention where they differ.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -472,11 +473,11 @@ class EntropyProtocol:
 
 
 def _positive(value, kind) -> bool:
-    """A finite number > 0 (an integer when kind is int); booleans are not numbers here."""
+    """A number > 0 within the float range (an integer when kind is int); not a boolean."""
     types = (int,) if kind is int else (int, float)
     if not isinstance(value, types) or isinstance(value, bool):
         return False
-    return math.isfinite(value) and value > 0
+    return abs(value) <= sys.float_info.max and value > 0
 
 
 @dataclass

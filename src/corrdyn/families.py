@@ -251,7 +251,7 @@ class RegionSpec:
 
     @staticmethod
     def from_json(data) -> "RegionSpec":
-        """Region from its JSON form; a missing key or an unknown kind raises UsageError."""
+        """Region from its JSON form; a missing key, bad value or unknown kind raises UsageError."""
         try:
             kind = data["kind"]
             if kind == "disk":
@@ -268,8 +268,8 @@ class RegionSpec:
                 return RegionSpec("complement", of=RegionSpec.from_json(data["of"]))
         except KeyError as exc:
             raise UsageError(f"region is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"region has a malformed value: {exc}") from exc
+        except (TypeError, ValueError, BadParameter) as exc:
+            raise UsageError(f"region has a bad value: {exc}") from exc
         raise UsageError(f"unknown region kind {kind!r}")
 
 

@@ -9,7 +9,7 @@ gray levels, survivors in black, like a classical escape-time renderer.
 from __future__ import annotations
 
 import concurrent.futures
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +74,7 @@ class Viewport:
         if not isinstance(d, dict) or set(d) - set(keys):
             raise UsageError(f"viewport must be an object with keys among {', '.join(keys)}")
         for key, value in d.items():
-            if type(value) not in (int, float) or not math.isfinite(value):
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise UsageError(f"viewport.{key} must be a finite number, got {value!r}")
         vp = Viewport(**d)
         if not (vp.re_min < vp.re_max and vp.im_min < vp.im_max):
@@ -95,7 +95,9 @@ def _region_mask(region: RegionSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     return inside & finite
 
 
-# Pixels whose branches one frontier step moves together (whole rows).
+# Pixels whose branches one frontier step moves together (whole rows, at
+# least one).  Larger blocks cut per-call overhead but hold a larger
+# frontier: at 640 wide, 8,192 ran slower than 4,096 and peaked 2.8 MB higher.
 _BLOCK_PIXELS = 4096
 
 

@@ -309,6 +309,7 @@ def test_equidist_on_quartic_covering(tmp_path):
         'protocol.eps_grid="x"',
         "protocol.n_min=8",
         "protocol.pair_budget=0",
+        "protocol.n_max=1" + "0" * 400,
     ],
 )
 def test_entropy_protocol_violation_is_a_usage_error(tmp_path, capsys, override):
@@ -341,9 +342,12 @@ def test_entropy_protocol_violation_is_a_usage_error(tmp_path, capsys, override)
         "frontier_cap=0",
         "viewport.bogus=1",
         "viewport.re_min=9",
+        "viewport.re_max=1" + "0" * 400,
         'viewport.im_max="a"',
         'region={"kind": "disk", "radius": 1}',
         'region.kind="disc"',
+        "region.radius=0",
+        'region.center="x"',
     ],
 )
 def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
