@@ -16,6 +16,7 @@ from . import verify as verify_mod
 from .config import (
     build_correspondence,
     int_field,
+    list_field,
     load_config,
     require,
     thread_count,
@@ -110,9 +111,17 @@ def cmd_equidist(cfg: dict) -> int:
     """Pullback clouds from one or more seeds, plus an energy-distance table."""
     spec = require(cfg, "correspondence")
     C = build_correspondence(spec)
-    seeds = [_parse_point(p) for p in require(cfg, "seeds")]
-    generations = [int(n) for n in require(cfg, "generations")]
+    seeds = [_parse_point(p) for p in list_field(cfg, "seeds")]
+    generations = list_field(cfg, "generations")
+    if any(type(n) is not int or n < 0 for n in generations):
+        raise UsageError(f"generations must be integers >= 0, got {generations!r}")
     method = cfg.get("method", "full_tree")
+    if method not in ("full_tree", "monte_carlo"):
+        raise UsageError(f"unknown method {method!r}")
+    budget = int_field(cfg, "budget", 2 ** 20, 1)
+    n_paths = int_field(cfg, "n_paths", 10000, 1)
+    if method == "monte_carlo" and "rng_seed" not in cfg:
+        raise UsageError("rng_seed is mandatory for monte_carlo runs")
     out_prefix = require(cfg, "out_prefix")
     if spec.get("kind") == "family_a":
         a = spec["a"]
@@ -128,20 +137,12 @@ def cmd_equidist(cfg: dict) -> int:
     clouds: dict = {}
     for si, seed in enumerate(seeds):
         if method == "full_tree":
-            levels = pullback_dirac_tree_levels(
-                C, seed, generations, budget=int(cfg.get("budget", 2 ** 20))
-            )
-        elif method == "monte_carlo":
-            if "rng_seed" not in cfg:
-                raise UsageError("rng_seed is mandatory for monte_carlo runs")
+            levels = pullback_dirac_tree_levels(C, seed, generations, budget=budget)
+        else:
             levels = {
-                n: pullback_dirac_mc(
-                    C, seed, n, int(cfg.get("n_paths", 10000)), int(cfg["rng_seed"])
-                )
+                n: pullback_dirac_mc(C, seed, n, n_paths, int(cfg["rng_seed"]))
                 for n in generations
             }
-        else:
-            raise UsageError(f"unknown method {method!r}")
         for n, cloud in levels.items():
             base = f"{out_prefix}_seed{si}_n{n}"
             write_text(base + ".csv", cloud.to_csv())

@@ -61,6 +61,14 @@ def int_field(cfg: dict, key: str, default: int, least: int) -> int:
     return value
 
 
+def list_field(cfg: dict, key: str) -> list:
+    """cfg[key], which must be a non-empty list."""
+    value = require(cfg, key)
+    if type(value) is not list or not value:
+        raise UsageError(f"{key} must be a non-empty list, got {value!r}")
+    return value
+
+
 def build_correspondence(spec) -> Correspondence:
     """Correspondence from its config description.
 

@@ -76,7 +76,9 @@ def _merge_atoms(items: list[tuple[SpherePoint, float]]) -> tuple:
     straddle a grid boundary stay split, which only fragments weights at the
     merge scale and leaves every measure statistic unchanged).
     """
-    items = sorted(items, key=lambda t: t[0].sort_key())
+    xyz = np.array([p.embed_r3() for p, _ in items], dtype=float).reshape(-1, 3)
+    order = np.lexsort(xyz.T[::-1])  # stable, so the same order as sort_key
+    items = [items[i] for i in order]
     if len(items) <= 64:
         merged: list[list] = []
         for p, w in items:
@@ -87,18 +89,16 @@ def _merge_atoms(items: list[tuple[SpherePoint, float]]) -> tuple:
             else:
                 merged.append([p, w])
         return tuple((p, w) for p, w in merged)
-    xyz = np.array([p.embed_r3() for p, _ in items])
     weights = np.array([w for _, w in items], dtype=float)
-    keys = np.round(xyz / ATOM_MERGE_TOL).astype(np.int64)
+    keys = np.round(xyz[order] / ATOM_MERGE_TOL).astype(np.int64)
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
     n_groups = int(inverse.max()) + 1
     sums = np.zeros(n_groups)
     np.add.at(sums, inverse, weights)
     first = np.full(n_groups, len(items), dtype=np.int64)
     np.minimum.at(first, inverse, np.arange(len(items)))
-    order = np.sort(first)
-    lookup = {f: g for g, f in enumerate(first)}
-    return tuple((items[f][0], float(sums[lookup[f]])) for f in order)
+    groups = np.argsort(first)
+    return tuple((items[f][0], float(w)) for f, w in zip(first[groups], sums[groups]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +213,25 @@ def pushforward_mobius(cloud: WeightedCloud, M: MobiusMap) -> WeightedCloud:
 # ---------------------------------------------------------------------------
 
 def _stratified_subsample(cloud: WeightedCloud, max_atoms: int):
-    """Deterministic stratified reduction to at most max_atoms atoms."""
-    atoms = sorted(cloud.atoms, key=lambda t: t[0].sort_key())
-    if len(atoms) <= max_atoms:
-        pts = np.array([p.embed_r3() for p, _ in atoms])
-        wts = np.array([w for _, w in atoms])
-        return pts, wts / wts.sum()
-    weights = np.array([w for _, w in atoms])
-    cum = np.cumsum(weights) / weights.sum()
-    edges = np.linspace(0, 1, max_atoms + 1)
-    idx = np.searchsorted(cum, edges[1:-1], side="left")
-    starts = np.concatenate([[0], idx])
-    ends = np.concatenate([idx, [len(atoms)]])
-    pts, wts = [], []
-    for s, e in zip(starts, ends):
-        if e <= s:
-            continue
-        block = range(s, e)
-        rep = max(block, key=lambda i: (weights[i], -i))
-        pts.append(atoms[rep][0].embed_r3())
-        wts.append(weights[s:e].sum())
-    pts = np.array(pts)
-    wts = np.array(wts)
-    return pts, wts / wts.sum()
+    """Deterministic stratified reduction to at most max_atoms atoms.
+
+    Atoms are taken in sort_key order; each stratum of equal cumulative mass
+    is represented by its first heaviest atom.  Returns the (3, N) embedding
+    rows and the normalized weights.
+    """
+    xyz = cloud.embedded().reshape(-1, 3)
+    weights = cloud.weights()
+    order = np.lexsort(xyz.T[::-1])  # stable, so the same order as sort_key
+    xyz, weights = xyz[order], weights[order]
+    if len(weights) > max_atoms:
+        cum = np.cumsum(weights) / weights.sum()
+        edges = np.linspace(0, 1, max_atoms + 1)
+        idx = np.searchsorted(cum, edges[1:-1], side="left")
+        bounds = [(s, e) for s, e in zip([0, *idx], [*idx, len(weights)]) if e > s]
+        reps = [s + int(np.argmax(weights[s:e])) for s, e in bounds]
+        xyz = xyz[reps]
+        weights = np.array([weights[s:e].sum() for s, e in bounds])
+    return np.ascontiguousarray(xyz.T), weights / weights.sum()
 
 
 def energy_distance(c1: WeightedCloud, c2: WeightedCloud, max_atoms: int = 4096) -> float:
@@ -243,21 +239,31 @@ def energy_distance(c1: WeightedCloud, c2: WeightedCloud, max_atoms: int = 4096)
 
     Computed exactly over atom pairs after deterministic stratified
     subsampling to max_atoms.  Zero iff the (subsampled) clouds agree as
-    measures; a proxy for weak convergence on the sphere.
+    measures; a proxy for weak convergence on the sphere.  The pair
+    distances of a block of rows are formed in two preallocated
+    (block, N) buffers, never as a (block, N, 3) difference tensor.
     """
     x, wx = _stratified_subsample(c1, max_atoms)
     y, wy = _stratified_subsample(c2, max_atoms)
+    step = 2048
+    size = min(step, max(x.shape[1], y.shape[1])) * max(x.shape[1], y.shape[1])
+    dist_buf, term_buf = np.empty(size), np.empty(size)
 
     def avg_dist(a, wa, b, wb):
         total = 0.0
-        step = 2048
-        for i in range(0, a.shape[0], step):
-            d = np.sqrt(
-                np.maximum(
-                    0.0,
-                    ((a[i : i + step, None, :] - b[None, :, :]) ** 2).sum(-1),
-                )
-            )
+        for i in range(0, a.shape[1], step):
+            rows = a[:, i : i + step]
+            shape = (rows.shape[1], b.shape[1])
+            d = dist_buf[: shape[0] * shape[1]].reshape(shape)
+            t = term_buf[: d.size].reshape(shape)
+            # ((dx^2 + dy^2) + dz^2): the sum order of the (x, y, z) axis
+            np.subtract(rows[0][:, None], b[0], out=d)
+            np.multiply(d, d, out=d)
+            for k in (1, 2):
+                np.subtract(rows[k][:, None], b[k], out=t)
+                np.multiply(t, t, out=t)
+                np.add(d, t, out=d)
+            np.sqrt(d, out=d)
             total += float(wa[i : i + step] @ d @ wb)
         return total
 

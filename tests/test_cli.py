@@ -370,6 +370,42 @@ def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "generations=[-1]",
+        'generations="x"',
+        "generations=[]",
+        "generations=[2.5]",
+        "generations=8",
+        "seeds=[]",
+        'seeds="x"',
+        "budget=0",
+        "n_paths=0",
+        'n_paths="x"',
+        'method="grid"',
+    ],
+)
+def test_equidist_config_violation_is_a_usage_error(tmp_path, capsys, override):
+    prefix = tmp_path / "eq"
+    code = main(
+        [
+            "equidist",
+            "--config",
+            str(CONFIGS / "accept_c12_det_equidist.json"),
+            "--set",
+            override,
+            "--set",
+            f"out_prefix={prefix}",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_limitset_depth_zero_renders_without_warnings(tmp_path, capsys):
     out = tmp_path / "ls.ppm"
     cfg = {

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrdyn.correspondence import compose, deleted_covering, identity_correspondence, map_graph
 from corrdyn.errors import BudgetExceeded, ExceptionalStart
@@ -10,6 +12,7 @@ from corrdyn.measures import (
     GridPartition,
     WeightedCloud,
     _merge_atoms,
+    _stratified_subsample,
     brolin_cloud,
     energy_distance,
     metric_entropy_estimate,
@@ -21,6 +24,8 @@ from corrdyn.measures import (
 )
 from corrdyn.rational import polynomial_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance
+from difference_tensor_energy import energy_distance as oracle_energy_distance
+from difference_tensor_energy import stratified_subsample as oracle_subsample
 
 
 def pt(z):
@@ -182,6 +187,75 @@ def test_energy_distance_subsampling():
     d = energy_distance(big, big)
     assert d == pytest.approx(0.0, abs=1e-12)  # deterministic subsample
     assert energy_distance(big, small) < 0.05
+
+
+# the two clouds of a pair draw from one pool, so atoms coincide across them
+POOL = [pt(0), pt(complex(-0.0, 0.0)), INF, pt(1), pt(-1), pt(0.5j), pt(2 + 1j), pt(-0.3 + 0.7j)]
+_points = st.one_of(
+    st.sampled_from(POOL),
+    st.builds(
+        lambda re, im: pt(complex(re, im)),
+        st.floats(-3, 3, allow_nan=False),
+        st.floats(-3, 3, allow_nan=False),
+    ),
+)
+# repeated weights make strata whose heaviest atom is a tie
+_weights = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0))
+_clouds = st.lists(st.tuples(_points, _weights), min_size=1, max_size=40).map(
+    lambda atoms: WeightedCloud(tuple(atoms))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds, _clouds, st.integers(1, 48))
+def test_energy_distance_matches_difference_tensor_oracle(a, b, max_atoms):
+    # atoms arrive in any order, not sort_key order; small max_atoms subsample
+    assert energy_distance(a, b, max_atoms) == oracle_energy_distance(a, b, max_atoms)
+
+
+def _random_cloud(rng, n):
+    pts = rng.normal(size=(n, 2)) * 0.8
+    weights = rng.choice([1.0, 2.0, 3.0], size=n) * rng.choice([1.0, rng.random()], size=n)
+    return WeightedCloud(
+        tuple((pt(complex(x, y)), float(w)) for (x, y), w in zip(pts, weights / weights.sum()))
+    )
+
+
+def test_energy_distance_matches_oracle_over_several_blocks():
+    rng = np.random.default_rng(5)
+    a, b = _random_cloud(rng, 2100), _random_cloud(rng, 2300)
+    assert energy_distance(a, b) == oracle_energy_distance(a, b)
+
+
+def test_subsample_of_a_large_cloud_matches_oracle():
+    cloud = _random_cloud(np.random.default_rng(6), 4500)
+    xyz, w = _stratified_subsample(cloud, 4096)
+    want_xyz, want_w = oracle_subsample(cloud, 4096)
+    assert np.array_equal(xyz, want_xyz.T) and np.array_equal(w, want_w)
+
+
+def test_energy_distance_of_shuffled_csv_clouds_matches_oracle(f4):
+    rng = np.random.default_rng(7)
+    clouds = []
+    for seed in (pt(0.3 + 0.2j), pt(-3)):
+        header, *rows = pullback_dirac_tree(f4, seed, 9).to_csv().splitlines()
+        rng.shuffle(rows)
+        clouds.append(WeightedCloud.from_csv("\n".join([header, *rows]) + "\n"))
+    assert energy_distance(*clouds) == oracle_energy_distance(*clouds)
+
+
+def test_energy_distance_memory_is_two_row_buffers(f4):
+    a = pullback_dirac_tree(f4, pt(0.3 + 0.2j), 12)
+    b = pullback_dirac_tree(f4, pt(-3), 12)
+    assert len(a.atoms) == len(b.atoms) == 4096
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two 2048 x 4096 float64 buffers are 134 MB; the difference tensor was 320 MB
+    assert peak < 160e6
 
 
 # -- backward iteration of rational maps -------------------------------------------

@@ -61,6 +61,18 @@ CASES = {
         "depth": 10,
         "frontier_cap": 1,
     },
+    # the middle row lies on the real axis, where F_4 maps real points to
+    # real branches: they share a quarter-pixel row (qy = 0) and only their
+    # column qx keeps them apart in the per-pixel dedupe
+    "family_a4_real_axis_dedupe": {
+        "correspondence": FAMILY_A4,
+        "region": {"kind": "disk", "center": [0, 0], "radius": 1.8},
+        "viewport": {"re_min": -2.5, "re_max": 2.5, "im_min": -1, "im_max": 1},
+        "width": 48,
+        "height": 5,
+        "depth": 10,
+        "frontier_cap": 2,
+    },
 }
 
 
