@@ -254,7 +254,7 @@ def test_energy_distance_memory_is_two_row_buffers(f4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two 2048 x 4096 float64 buffers are 134 MB; the difference tensor was 320 MB
+    # two 2048 x 4096 float64 buffers are 134 MB; the oracle's difference tensor peaks at 336 MB
     assert peak < 160e6
 
 
