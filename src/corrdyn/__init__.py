@@ -9,7 +9,8 @@ Core surfaces:
 * families: the one-parameter involution-covering family, compositions of
   two coverings, the involution/quadratic dictionary, Klein pair checking;
 * measures: Dirac pullback clouds, energy distance, partition entropy;
-* entropy: separated-orbit counting and entropy estimation;
+* entropy: orbit level trees, separated-orbit counting (both conventions
+  from one pair propagation) and entropy estimation;
 * cli: the `corrdyn` command.
 """
 
@@ -27,16 +28,7 @@ from .correspondence import (
     mobius_correspondence,
     ramification_points,
 )
-from .entropy import (
-    EntropyProtocol,
-    EntropyReport,
-    OrbitTuple,
-    entropy_estimate,
-    enumerate_orbits,
-    gromov_cap,
-    separated_count_DS,
-    separated_count_KT,
-)
+from .entropy import EntropyProtocol, EntropyReport, entropy_estimate, enumerate_orbits, gromov_cap
 from .errors import CorrdynError
 from .families import (
     FamilyParameterA,

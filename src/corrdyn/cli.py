@@ -45,21 +45,19 @@ def cmd_cov(cfg: dict) -> int:
 
 
 def cmd_orbit(cfg: dict) -> int:
-    """Enumerate forward orbit tuples from explicit seeds."""
+    """Enumerate forward orbit tuples from explicit seeds, in tree slot order."""
     C = build_correspondence(require(cfg, "correspondence"))
-    seeds = [_parse_point(p) for p in require(cfg, "seeds")]
-    n = int(require(cfg, "n"))
-    budget = int(cfg.get("budget", 2 ** 20))
+    seeds = [_parse_point(p) for p in list_field(cfg, "seeds")]
+    n = int_field(cfg, "n", None, 0)
+    budget = int_field(cfg, "budget", 2 ** 20, 1)
     orbits = enumerate_orbits(C, seeds, n, budget)
     data = {
         "n": n,
         "count": len(orbits),
         "orbits": [
-            {
-                "points": [[p.value.real, p.value.imag, p.chart] for p in o.points],
-                "labels": list(o.labels) if o.labels is not None else None,
-            }
-            for o in orbits
+            {"points": [[p.value.real, p.value.imag, p.chart] for p in points],
+             "labels": list(labels)}
+            for points, labels in orbits
         ],
     }
     write_json(require(cfg, "out"), data)
@@ -122,6 +120,7 @@ def cmd_equidist(cfg: dict) -> int:
     n_paths = int_field(cfg, "n_paths", 10000, 1)
     if method == "monte_carlo" and "rng_seed" not in cfg:
         raise UsageError("rng_seed is mandatory for monte_carlo runs")
+    rng_seed = int_field(cfg, "rng_seed", 0, 0, below=2 ** 63)
     out_prefix = require(cfg, "out_prefix")
     if spec.get("kind") == "family_a":
         a = spec["a"]
@@ -140,7 +139,7 @@ def cmd_equidist(cfg: dict) -> int:
             levels = pullback_dirac_tree_levels(C, seed, generations, budget=budget)
         else:
             levels = {
-                n: pullback_dirac_mc(C, seed, n, n_paths, int(cfg["rng_seed"]))
+                n: pullback_dirac_mc(C, seed, n, n_paths, rng_seed)
                 for n in generations
             }
         for n, cloud in levels.items():
@@ -193,7 +192,9 @@ def cmd_limitset(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     """Run the module invariant suites; exit 1 when any suite fails."""
     names = cfg.get("suites", "all")
-    rng_seed = int(cfg.get("rng_seed", 0))
+    if names != "all" and (type(names) is not list or not names):
+        raise UsageError(f'suites must be "all" or a non-empty list of suite names, got {names!r}')
+    rng_seed = int_field(cfg, "rng_seed", 0, 0)
     report = verify_mod.run_suites(names, rng_seed)
     if "out" in cfg:
         write_json(cfg["out"], report)

@@ -53,11 +53,13 @@ def require(cfg: dict, key: str):
     return cfg[key]
 
 
-def int_field(cfg: dict, key: str, default: int, least: int) -> int:
-    """cfg[key] (default when absent), which must be an integer >= least."""
-    value = cfg.get(key, default)
-    if type(value) is not int or value < least:
-        raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
+def int_field(cfg: dict, key: str, default: int | None, least: int, below: int | None = None) -> int:
+    """cfg[key] (default when absent; required when default is None), which
+    must be an integer >= least (and < below when given)."""
+    value = require(cfg, key) if default is None else cfg.get(key, default)
+    if type(value) is not int or value < least or (below is not None and value >= below):
+        bound = "" if below is None else f" and < {below}"
+        raise UsageError(f"{key} must be an integer >= {least}{bound}, got {value!r}")
     return value
 
 

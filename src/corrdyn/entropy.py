@@ -1,11 +1,12 @@
 """Orbit-tree enumeration and separated counting for entropy estimation.
 
-Orbits are enumerated as full forward trees from a seed net.  Separated
-counting follows the greedy-insertion rule in the canonical order (orbits
-sorted lexicographically by coordinates).  The fast lane exploits that two
-orbit tuples can fail to separate only if their prefixes also fail: the set
-of "everywhere-close" pairs is propagated level by level, and the greedy
-sweep over that pair graph reproduces the sequential greedy result exactly.
+Orbits are enumerated as full forward level trees from a seed net; the
+orbits themselves are the tree's valid leaves.  Separated counting follows
+the greedy-insertion rule in the canonical order (orbits sorted
+lexicographically by coordinates).  It exploits that two orbit tuples can
+fail to separate only if their prefixes also fail: the set of
+"everywhere-close" pairs is propagated level by level, and the greedy sweep
+over that pair graph reproduces the sequential greedy result exactly.
 One propagation serves both conventions (KT: distance < eps at every level;
 DS: distance <= eps and equal labels at every level), each pair carrying one
 bit per convention; the greedy runs once per level when the two pair sets
@@ -21,120 +22,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .correspondence import Correspondence
-from .errors import BudgetExceeded, MissingLabels, UsageError
-from .sphere import SpherePoint, chordal_distance, embed_projective, fibonacci_sphere_points
+from .errors import BudgetExceeded, UsageError
+from .sphere import SpherePoint, embed_projective, fibonacci_sphere_points
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
-
-
-# ---------------------------------------------------------------------------
-# object-lane orbit tuples
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrbitTuple:
-    """An orbit (x_0, ..., x_n) with optional per-step component labels."""
-
-    points: tuple  # tuple[SpherePoint, ...]
-    labels: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(self.points) - 1:
-                raise ValueError("labels must have one entry per step")
-
-    def sort_key(self):
-        return tuple(p.sort_key() for p in self.points)
-
-
-def enumerate_orbits(
-    C: Correspondence, seeds, n: int, budget: int = 2 ** 20
-) -> list[OrbitTuple]:
-    """All forward n-step orbit tuples from the seeds, multiplicity collapsed.
-
-    Children closer than 1e-7 chordal are enumerated once.  Raises
-    BudgetExceeded (with partial results attached) when |seeds| d1^n exceeds
-    the budget.
-    """
-    seeds = sorted(seeds, key=lambda p: p.sort_key())
-    if len(seeds) * max(1, C.d1) ** n > budget:
-        raise BudgetExceeded(
-            f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
-        )
-    orbits: list[OrbitTuple] = []
-    for seed in seeds:
-        stack = [((seed,), ())]
-        for _ in range(n):
-            nxt = []
-            for path, labs in stack:
-                fib = C.forward(path[-1])
-                children = []
-                for idx, ((q, _m), _r) in enumerate(zip(fib.points, fib.residuals)):
-                    if any(chordal_distance(q, c) <= DEDUP_TOL for c, _ in children):
-                        continue
-                    children.append((q, _component_of(C, path[-1], q)))
-                children.sort(key=lambda t: t[0].sort_key())
-                for q, lab in children:
-                    nxt.append((path + (q,), labs + (lab,)))
-            stack = nxt
-        orbits.extend(OrbitTuple(path, labs) for path, labs in stack)
-    return orbits
-
-
-def _component_of(C: Correspondence, z: SpherePoint, w: SpherePoint) -> int:
-    if not C.is_direct:
-        return 0
-    best, best_res = 0, math.inf
-    for idx, (gp, _n) in enumerate(C.components):
-        r = gp.residual(z, w)
-        if r < best_res:
-            best, best_res = idx, r
-    return best
-
-
-def _separated_strict(a: OrbitTuple, b: OrbitTuple, eps: float) -> bool:
-    return any(chordal_distance(p, q) > eps for p, q in zip(a.points, b.points))
-
-
-def _separated_weak(a: OrbitTuple, b: OrbitTuple, eps: float) -> bool:
-    return any(chordal_distance(p, q) >= eps for p, q in zip(a.points, b.points))
-
-
-def separated_count_KT(orbits, eps: float) -> int:
-    """Greedy maximal count of point-separated orbits (some dist >= eps).
-
-    Deterministic: orbits are processed in lexicographic coordinate order.
-    A lower bound for the true maximum separated cardinality.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    kept: list[OrbitTuple] = []
-    for o in sorted(orbits, key=lambda t: t.sort_key()):
-        if all(_separated_weak(o, k, eps) for k in kept):
-            kept.append(o)
-    return len(kept)
-
-
-def separated_count_DS(orbits, eps: float) -> int:
-    """Greedy maximal count where label mismatches also separate (dist > eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    orbits = list(orbits)
-    if any(o.labels is None for o in orbits):
-        raise MissingLabels("labeled separation needs labels on every orbit")
-    groups: dict = {}
-    for o in sorted(orbits, key=lambda t: t.sort_key()):
-        groups.setdefault(o.labels, []).append(o)
-    total = 0
-    for labs in sorted(groups):
-        kept: list[OrbitTuple] = []
-        for o in groups[labs]:
-            if all(_separated_strict(o, k, eps) for k in kept):
-                kept.append(o)
-        total += len(kept)
-    return total
 
 
 def gromov_cap(C: Correspondence) -> float:
@@ -143,7 +34,7 @@ def gromov_cap(C: Correspondence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast lane: fixed-width level tree
+# fixed-width level tree
 # ---------------------------------------------------------------------------
 
 def _lex_less(x1, x2):
@@ -235,6 +126,36 @@ def _transposition_pairs(k: int):
     """Odd-even transposition network on k slots: k rounds of adjacent
     compare-swaps.  With a strict compare, equal keys keep slot order."""
     return [(i, i + 1) for r in range(k) for i in range(r % 2, k - 1, 2)]
+
+
+def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) -> list[tuple]:
+    """All forward n-step orbits from the seeds as (points, labels) pairs, in tree slot order.
+
+    The orbits are the valid leaves of the level tree, each walked back to its
+    seed through the parent links k // d1; labels[l] is the component of the
+    step from points[l] to points[l + 1], as the tree labels level l + 1.  Siblings closer than 1e-7 chordal
+    are enumerated once.  Raises BudgetExceeded, before anything is built,
+    when |seeds| d1^n exceeds the budget.
+    """
+    seeds = list(seeds)
+    if len(seeds) * max(1, C.d1) ** n > budget:
+        raise BudgetExceeded(
+            f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
+        )
+    if not seeds:
+        return []
+    tree = _LevelTree(C, seeds, n)
+    leaves = np.flatnonzero(tree.levels[n]["valid"])
+    points, labels = [], []  # per level, the ancestor of every leaf
+    for ell, lvl in enumerate(tree.levels):
+        slots = leaves // tree.d1 ** (n - ell)
+        pairs = zip(lvl["z1"][slots].tolist(), lvl["z2"][slots].tolist())
+        points.append([SpherePoint.from_projective(z1, z2) for z1, z2 in pairs])
+        labels.append(lvl["label"][slots].tolist())
+    return [
+        (tuple(pts[k] for pts in points), tuple(labs[k] for labs in labels[1:]))
+        for k in range(leaves.size)
+    ]
 
 
 # Per-pair bits: KT while the pair is strictly closer than eps at every level,

@@ -69,10 +69,6 @@ class BudgetExceeded(CorrdynError):
         self.partial = partial
 
 
-class MissingLabels(CorrdynError):
-    """Labeled separation counting received unlabeled orbits."""
-
-
 class BadParameter(CorrdynError):
     """Family parameter outside its admissible set."""
 

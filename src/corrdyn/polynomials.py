@@ -90,11 +90,6 @@ class ComplexPolynomial:
             k -= 1
         return ComplexPolynomial(c[: k + 1])
 
-    def monic(self) -> "ComplexPolynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic form")
-        return ComplexPolynomial(self.coefficients / self.leading)
-
     def __add__(self, other):
         other = _coerce(other)
         n = max(self.coefficients.size, other.coefficients.size)

@@ -176,11 +176,6 @@ class MobiusMap:
         m = self.matrix() @ other.matrix()
         return MobiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
-    def to_rational(self) -> RationalMap:
-        return RationalMap(
-            ComplexPolynomial([self.b, self.a]), ComplexPolynomial([self.d, self.c])
-        )
-
 
 def mobius_apply(M: MobiusMap, p: SpherePoint) -> SpherePoint:
     """Projective action of M on a sphere point; total on the sphere."""

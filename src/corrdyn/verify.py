@@ -10,13 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .correspondence import compose, deleted_covering, map_graph, ramification_pairs
-from .entropy import (
-    EntropyProtocol,
-    entropy_estimate,
-    enumerate_orbits,
-    separated_count_DS,
-    separated_count_KT,
-)
+from .entropy import EntropyProtocol, _LevelTree, _separated_counts, entropy_estimate
+from .errors import UsageError
 from .families import (
     family_correspondence,
     family_involution,
@@ -328,22 +323,20 @@ def suite_invariance_inequality(rng_seed: int) -> dict:
 
 
 def suite_separation_monotonicity(rng_seed: int) -> dict:
-    """Separated counts are nonincreasing in eps; labeled counts dominate."""
+    """Separated counts at depth 4 grow as eps falls; labeled counts dominate."""
     rng = np.random.default_rng(rng_seed)
-    C = family_correspondence(4)
-    seeds = uniform_sphere_points(20, rng)
-    orbits = enumerate_orbits(C, seeds, 4, budget=2 ** 16)
+    tree = _LevelTree(family_correspondence(4), uniform_sphere_points(20, rng), 4)
     bad = []
-    prev = None
+    rows = []  # [eps, KT, DS]
     for eps in (0.4, 0.2, 0.1, 0.05):
-        kt = separated_count_KT(orbits, eps)
-        ds = separated_count_DS(orbits, eps)
-        if ds + 1e-9 < kt:
+        counts, _, _ = _separated_counts(tree, eps, EntropyProtocol.pair_budget, 4)
+        kt, ds = counts["KT"][4], counts["DS"][4]
+        if ds < kt:
             bad.append({"eps": eps, "kt": kt, "ds": ds})
-        if prev is not None and kt < prev:
-            bad.append({"eps": eps, "kt": kt, "prev": prev})
-        prev = kt
-    return _result("separation_monotonicity", not bad, bad)
+        if rows and kt < rows[-1][1]:
+            bad.append({"eps": eps, "kt": kt, "prev": rows[-1][1]})
+        rows.append([eps, kt, ds])
+    return _result("separation_monotonicity", not bad, bad, info={"counts": rows})
 
 
 def suite_estimator_determinism(rng_seed: int) -> dict:
@@ -386,9 +379,9 @@ def run_suites(names=None, rng_seed: int = 0) -> dict:
     if names in (None, "all"):
         chosen = list(available)
     else:
-        unknown = [n for n in names if n not in available]
+        unknown = [n for n in names if not (isinstance(n, str) and n in available)]
         if unknown:
-            raise ValueError(f"unknown suites: {unknown}")
+            raise UsageError(f"unknown suite(s): {unknown}")
         chosen = list(names)
     results = [available[n](rng_seed) for n in chosen]
     return {

@@ -6,10 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn.cli import main
-from corrdyn.graphpoly import GraphPolynomial
+from corrdyn.cli import _parse_point, main
+from corrdyn.config import build_correspondence
+from corrdyn.correspondence import Correspondence
+from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.measures import WeightedCloud
+from corrdyn.rational import MobiusMap
 from corrdyn.raster import RasterImage
+from corrdyn.sphere import SpherePoint, fibonacci_sphere_points
+from object_lane_orbits import enumerate_orbits as oracle_orbits
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -384,6 +389,11 @@ def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
         "n_paths=0",
         'n_paths="x"',
         'method="grid"',
+        'rng_seed="x"',
+        "rng_seed=-1",
+        "rng_seed=2.5",
+        f"rng_seed={2 ** 63}",
+        f"rng_seed={2 ** 64}",
     ],
 )
 def test_equidist_config_violation_is_a_usage_error(tmp_path, capsys, override):
@@ -421,3 +431,116 @@ def test_limitset_depth_zero_renders_without_warnings(tmp_path, capsys):
         assert _run_config(tmp_path, "limitset", cfg) == 0
     assert capsys.readouterr().err == ""
     assert not RasterImage.from_ppm(out.read_bytes()).pixels.any()
+
+
+def test_equidist_runs_the_largest_rng_seed(tmp_path, capsys):
+    prefix = tmp_path / "eq"
+    overrides = [f"rng_seed={2 ** 63 - 1}", "n_paths=50", "generations=[2]", f"out_prefix={prefix}"]
+    args = ["equidist", "--config", str(CONFIGS / "accept_c12_det_equidist.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + [x for o in overrides for x in ("--set", o)]) == 0
+    assert capsys.readouterr().err == ""
+    sidecar = json.loads((tmp_path / "eq_seed0_n2.json").read_text())
+    assert sidecar["rng_seed"] == 2 ** 63 - 1
+
+
+# -- orbit: the level-tree leaves against the object-lane oracle -----------------
+
+CUBIC = {"num": [[0, 0], [-3, 0], [0, 0], [1, 0]], "den": [[1, 0]]}
+Z3 = {"num": [[0, 0], [0, 0], [0, 0], [1, 0]], "den": [[1, 0]]}
+Z2 = {"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]}
+
+
+def _net(count):
+    return [[p.to_complex().real, p.to_complex().imag] for p in fibonacci_sphere_points(count)]
+
+
+def _identity_and_negation_spec():
+    comps = ((identity_graph(), 1), (mobius_graph(MobiusMap(-1, 0, 0, 1)), 1))
+    return {"kind": "explicit", "data": Correspondence(components=comps).to_json()}
+
+
+ORBIT_CASES = {
+    "family_fixed_point": ({"kind": "family_a", "a": 4}, [[1, 0]], 2, 3),
+    "family_net": ({"kind": "family_a", "a": 4}, _net(30), 4, 480),
+    "family_net_with_infinity": ({"kind": "family_a", "a": 4}, _net(30) + ["inf"], 3, 244),
+    "identity_and_negation": (_identity_and_negation_spec(), [0.5, [0, 1], 0], 2, 9),
+    "cubic_pair": ({"kind": "covering_pair", "R": CUBIC, "S": Z3}, _net(20), 2, 320),
+    "quartic_covering": (QUARTIC_COV, _net(20), 2, 180),
+    "squaring": ({"kind": "map_graph", "map": Z2}, _net(20), 3, 20),
+}
+
+
+def _embedded(points):
+    return [p.embed_r3() for p in points]
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_matches_object_lane(tmp_path, case):
+    # same count and labels; points within 1e-9 chordal when matched as multisets
+    # (the order may differ where conjugate children tie in the last bit)
+    spec, seeds, n, count = ORBIT_CASES[case]
+    out = tmp_path / "orbits.json"
+    cfg = {"correspondence": spec, "seeds": seeds, "n": n, "out": str(out)}
+    assert _run_config(tmp_path, "orbit", cfg) == 0
+    data = json.loads(out.read_text())
+    got = [
+        ([SpherePoint(complex(re, im), chart) for re, im, chart in o["points"]], o["labels"])
+        for o in data["orbits"]
+    ]
+    want = oracle_orbits(build_correspondence(spec), [_parse_point(p) for p in seeds], n)
+    assert data["n"] == n and data["count"] == len(got) == len(want) == count
+    xg = np.array([_embedded(points) for points, _ in got])
+    xw = np.array([_embedded(o.points) for o in want])
+    # chordal distance is the distance of the embeddings; an orbit's is its worst point's
+    dist = np.sqrt(((xg[:, None] - xw[None]) ** 2).sum(-1)).max(-1)
+    labels = [tuple(o.labels) for o in want]
+    used = np.zeros(len(want), dtype=bool)
+    for i, (_, labs) in enumerate(got):
+        same = np.array([tuple(labs) == w for w in labels])
+        match = np.flatnonzero(same & (dist[i] <= 1e-9) & ~used)
+        assert match.size, f"orbit {i} has no oracle match"
+        used[match[0]] = True
+
+
+@pytest.mark.parametrize(
+    "override", ["n=-1", 'n="x"', "n=2.5", "seeds=[]", 'seeds="x"', "budget=0", 'budget="x"']
+)
+def test_orbit_config_violation_is_a_usage_error(tmp_path, capsys, override):
+    out = tmp_path / "orbits.json"
+    cfg = tmp_path / "orbit.json"
+    cfg.write_text(
+        json.dumps(
+            {"correspondence": {"kind": "family_a", "a": 4}, "seeds": [[1, 0]], "n": 2, "out": str(out)}
+        )
+    )
+    code = main(["orbit", "--config", str(cfg), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        'suites="chordal_metric"',
+        "suites=[]",
+        'suites=["chordal_metric", "nope"]',
+        "suites=[1]",
+        "suites=[[1]]",
+        'rng_seed="x"',
+        "rng_seed=-1",
+        "rng_seed=2.5",
+    ],
+)
+def test_verify_config_violation_is_a_usage_error(tmp_path, capsys, override):
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--set", override, "--set", f"out={out}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()

@@ -11,20 +11,19 @@ from corrdyn.correspondence import (
     map_graph,
     mobius_correspondence,
 )
-from corrdyn.entropy import (
-    EntropyProtocol,
-    OrbitTuple,
-    entropy_estimate,
-    enumerate_orbits,
-    gromov_cap,
-    separated_count_DS,
-    separated_count_KT,
-)
-from corrdyn.errors import BudgetExceeded, MissingLabels
+from corrdyn.entropy import EntropyProtocol, entropy_estimate, enumerate_orbits, gromov_cap
+from corrdyn.errors import BudgetExceeded
 from corrdyn.families import family_correspondence
 from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.rational import MobiusMap, polynomial_map
 from corrdyn.sphere import SpherePoint, chordal_distance, fibonacci_sphere_points
+from object_lane_orbits import (
+    MissingLabels,
+    OrbitTuple,
+    enumerate_orbits as oracle_orbits,
+    separated_count_DS,
+    separated_count_KT,
+)
 from two_pass_counting import greedy_count as oracle_greedy_count, two_pass_counts
 
 
@@ -38,15 +37,16 @@ def test_depth_zero_returns_seeds():
     seeds = [pt(0.1), pt(2), pt(-1j)]
     orbits = enumerate_orbits(identity_correspondence(), seeds, 0)
     assert len(orbits) == 3
-    assert all(len(o.points) == 1 for o in orbits)
+    assert all(len(points) == 1 and labels == () for points, labels in orbits)
 
 
 def test_fixed_point_of_squaring():
     C = map_graph(polynomial_map([0, 0, 1]))
     orbits = enumerate_orbits(C, [pt(1)], 3)
     assert len(orbits) == 1
-    assert all(chordal_distance(p, pt(1)) < 1e-12 for p in orbits[0].points)
-    assert len(orbits[0].points) == 4
+    points, _labels = orbits[0]
+    assert all(chordal_distance(p, pt(1)) < 1e-12 for p in points)
+    assert len(points) == 4
 
 
 def test_family_orbits_from_fixed_point():
@@ -55,7 +55,7 @@ def test_family_orbits_from_fixed_point():
     C = family_correspondence(4)
     orbits = enumerate_orbits(C, [pt(1)], 2)
     tuples = sorted(
-        tuple(round(p.to_complex().real, 6) for p in o.points) for o in orbits
+        tuple(round(p.to_complex().real, 6) for p in points) for points, _ in orbits
     )
     assert tuples == [
         (1.0, 1.0, 1.0),
@@ -83,13 +83,13 @@ def test_orbit_labels_for_multicomponent():
     C = identity_and_negation()
     orbits = enumerate_orbits(C, [pt(0.5)], 2)
     assert len(orbits) == 4
-    assert {o.labels for o in orbits} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {labels for _, labels in orbits} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-# -- separated counting ----------------------------------------------------------
+# -- separated counting: the object-lane oracle ------------------------------------
 
 def test_eps_above_diameter_counts_one():
-    orbits = enumerate_orbits(identity_correspondence(), [pt(0), pt(1), pt(-1)], 2)
+    orbits = oracle_orbits(identity_correspondence(), [pt(0), pt(1), pt(-1)], 2)
     assert separated_count_KT(orbits, 2.5) == 1
     assert separated_count_DS(orbits, 2.5) == 1
 
@@ -123,21 +123,21 @@ def test_identity_net_counts_constant_in_depth():
     seeds = fibonacci_sphere_points(100)
     counts = []
     for n in range(1, 7):
-        orbits = enumerate_orbits(identity_correspondence(), seeds, n)
+        orbits = oracle_orbits(identity_correspondence(), seeds, n)
         counts.append(separated_count_KT(orbits, 0.5))
     assert len(set(counts)) == 1  # constant implies slope zero
 
 
 def test_monotone_in_eps():
     C = family_correspondence(4)
-    orbits = enumerate_orbits(C, fibonacci_sphere_points(30), 4, budget=2 ** 16)
+    orbits = oracle_orbits(C, fibonacci_sphere_points(30), 4, budget=2 ** 16)
     counts = [separated_count_KT(orbits, e) for e in (0.4, 0.2, 0.1, 0.05)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
 def test_ds_dominates_kt_on_identical_tuples():
     C = family_correspondence(4)
-    orbits = enumerate_orbits(C, fibonacci_sphere_points(30), 4, budget=2 ** 16)
+    orbits = oracle_orbits(C, fibonacci_sphere_points(30), 4, budget=2 ** 16)
     for e in (0.3, 0.1):
         assert separated_count_DS(orbits, e) >= separated_count_KT(orbits, e) - 1e-9
 
@@ -181,22 +181,24 @@ def test_report_shape_and_determinism():
 
 
 def test_fast_counts_match_object_lane():
-    # the level-tree greedy must reproduce the object-lane greedy exactly
-    C = family_correspondence(4)
-    seeds = fibonacci_sphere_points(25)
-    prot = EntropyProtocol(eps_grid=(0.25,), n_max=4, budget=2 ** 16)
-    from corrdyn.entropy import _LevelTree, _greedy_count, _propagate_pairs
-
-    tree = _LevelTree(C, seeds, 4)
-    fast = {}
-    facts = {}
-    for ell, pi, pj, _tr in _propagate_pairs(tree, 0.25, prot.pair_budget, facts):
-        if ell >= 1:
-            kt = (facts["bits"] & entropy_mod.KT) != 0
-            fast[ell] = _greedy_count(tree.levels[ell]["valid"], pi[kt], pj[kt])
-    for ell in (1, 2, 3, 4):
-        orbits = enumerate_orbits(C, seeds, ell, budget=2 ** 18)
-        assert fast[ell] == separated_count_KT(orbits, 0.25), f"level {ell}"
+    # the level-tree greedy must reproduce the object-lane greedy exactly, in both
+    # conventions: on the family (one label) and on identity + negation from seeds
+    # clustered near 0, where every orbit is KT-close and only labels separate
+    near_zero = [pt(complex(x, y)) for x in (-0.02, 0, 0.02) for y in (-0.02, 0, 0.02)]
+    cases = [
+        (family_correspondence(4), fibonacci_sphere_points(25)),
+        (identity_and_negation(), near_zero),
+    ]
+    for C, seeds in cases:
+        tree = entropy_mod._LevelTree(C, seeds, 4)
+        fast, _levels, stop = entropy_mod._separated_counts(tree, 0.25, 10 ** 9, 1)
+        assert stop == {}
+        for ell in (1, 2, 3, 4):
+            orbits = oracle_orbits(C, seeds, ell, budget=2 ** 18)
+            assert fast["KT"][ell] == separated_count_KT(orbits, 0.25), f"KT level {ell}"
+            assert fast["DS"][ell] == separated_count_DS(orbits, 0.25), f"DS level {ell}"
+    assert fast["KT"] == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert fast["DS"] == {1: 2, 2: 4, 3: 8, 4: 16}
 
 
 def test_protocol_json_round_trip_keeps_pair_budget():

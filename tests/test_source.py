@@ -1,11 +1,13 @@
 """Static checks on the source tree."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "corrdyn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "corrdyn"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -31,3 +33,55 @@ def test_no_unused_imports(module):
 def test_unused_import_is_found():
     tree = ast.parse("import math\nimport numpy as np\nfrom os import path, sep\nnp.zeros(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 3)"]
+
+
+def _dead_definitions(defining: ast.Module, everywhere: list[ast.Module]) -> list[str]:
+    """Functions and methods of `defining` whose name is used in none of `everywhere`.
+
+    A use is a name, an attribute, or a component of a dotted-name string (such
+    as "Class.method"); dunders are exempt.
+    """
+    used = set()
+    for tree in everywhere:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                    used.update(node.value.split("."))
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(defining)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+
+
+def test_no_dead_definitions():
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    dead = [
+        f"{p.name}: {name}"
+        for p in sorted(SRC.glob("*.py"))
+        for name in _dead_definitions(trees[p], list(trees.values()))
+    ]
+    assert dead == []
+
+
+def test_dead_definition_is_found():
+    defining = ast.parse(
+        "def used():\n    pass\n"
+        "def unused():\n    pass\n"
+        "class A:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def method(self):\n        pass\n"
+        "    def named_in_string(self):\n        pass\n"
+        "    def dead_method(self):\n        pass\n"
+    )
+    user = ast.parse('used()\nA().method()\nTARGET = "A.named_in_string"\n"""dead_method is unused"""\n')
+    assert _dead_definitions(defining, [defining, user]) == [
+        "unused (line 3)", "dead_method (line 12)",
+    ]
