@@ -50,6 +50,7 @@ def cmd_orbit(cfg: dict) -> int:
     seeds = [_parse_point(p) for p in list_field(cfg, "seeds")]
     n = int_field(cfg, "n", None, 0)
     budget = int_field(cfg, "budget", 2 ** 20, 1)
+    out = require(cfg, "out")
     orbits = enumerate_orbits(C, seeds, n, budget)
     data = {
         "n": n,
@@ -60,7 +61,7 @@ def cmd_orbit(cfg: dict) -> int:
             for points, labels in orbits
         ],
     }
-    write_json(require(cfg, "out"), data)
+    write_json(out, data)
     print(f"orbits={len(orbits)} depth={n}")
     return 0
 
