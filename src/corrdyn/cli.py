@@ -14,6 +14,7 @@ import sys
 
 from . import verify as verify_mod
 from .config import (
+    _complex_field,
     build_correspondence,
     int_field,
     list_field,
@@ -72,6 +73,7 @@ def cmd_entropy(cfg: dict) -> int:
     An optional "metric" section adds a preimage-refined partition-entropy
     estimate computed on a pullback cloud of the same correspondence.
     """
+    out = require(cfg, "out")
     C = build_correspondence(require(cfg, "correspondence"))
     protocol = EntropyProtocol.from_json(cfg.get("protocol", {}))
     reports = entropy_estimate(C, protocol)
@@ -97,7 +99,7 @@ def cmd_entropy(cfg: dict) -> int:
         }
     if "report_notes" in cfg:
         payload["notes"] = cfg["report_notes"]
-    write_json(require(cfg, "out"), payload)
+    write_json(out, payload)
     flags = sorted({f.split("@")[0] for r in reports.values() for f in r.flags})
     print(
         f"estimate KT={reports['KT'].estimate:.6f} DS={reports['DS'].estimate:.6f} "
@@ -108,6 +110,7 @@ def cmd_entropy(cfg: dict) -> int:
 
 def cmd_equidist(cfg: dict) -> int:
     """Pullback clouds from one or more seeds, plus an energy-distance table."""
+    out_prefix = require(cfg, "out_prefix")
     spec = require(cfg, "correspondence")
     C = build_correspondence(spec)
     seeds = [_parse_point(p) for p in list_field(cfg, "seeds")]
@@ -122,10 +125,8 @@ def cmd_equidist(cfg: dict) -> int:
     if method == "monte_carlo" and "rng_seed" not in cfg:
         raise UsageError("rng_seed is mandatory for monte_carlo runs")
     rng_seed = int_field(cfg, "rng_seed", 0, 0, below=2 ** 63)
-    out_prefix = require(cfg, "out_prefix")
     if spec.get("kind") == "family_a":
-        a = spec["a"]
-        a = complex(a) if isinstance(a, (int, float)) else complex(a[0], a[1])
+        a = _complex_field(spec["a"])
         for bad in exceptional_seeds(a):
             for s in seeds:
                 if chordal_distance(s, SpherePoint.from_complex(bad)) < 1e-9:
@@ -171,6 +172,7 @@ def cmd_equidist(cfg: dict) -> int:
 
 def cmd_limitset(cfg: dict) -> int:
     """Render the region-survival set of the forward multivalued orbit."""
+    out = require(cfg, "out")
     C = build_correspondence(require(cfg, "correspondence"))
     region = RegionSpec.from_json(require(cfg, "region"))
     viewport = Viewport.from_json(cfg.get("viewport", {}))
@@ -184,7 +186,6 @@ def cmd_limitset(cfg: dict) -> int:
         frontier_cap=int_field(cfg, "frontier_cap", 64, 1),
         threads=thread_count(),
     )
-    out = require(cfg, "out")
     write_bytes(out, img.to_ppm())
     print(f"raster {img.width}x{img.height} depth={img.metadata['depth']} -> {out}")
     return 0
@@ -206,13 +207,9 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def _parse_point(p) -> SpherePoint:
-    if isinstance(p, (int, float)):
-        return SpherePoint.from_complex(complex(p))
     if isinstance(p, str) and p in ("inf", "infinity"):
         return SpherePoint.infinity()
-    if isinstance(p, (list, tuple)) and len(p) == 2:
-        return SpherePoint.from_complex(complex(p[0], p[1]))
-    raise UsageError(f"cannot parse point {p!r}")
+    return SpherePoint.from_complex(_complex_field(p))
 
 
 COMMANDS = {

@@ -118,10 +118,10 @@ def build_correspondence(spec) -> Correspondence:
 
 
 def _complex_field(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
+    """A number or an [re, im] pair of numbers; a JSON boolean is not a number."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v, 0]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        return complex(*parts)
     raise UsageError(f"expected a number or [re, im] pair, got {v!r}")
 
 

@@ -175,7 +175,7 @@ def fixed_point_branch_coefficients(
             cands.extend([p.to_complex()] * mult)
         if not cands:
             raise BranchAmbiguity("fiber escaped to infinity during tracking")
-        dists = sorted((abs(c - prev), c) for c in cands)
+        dists = sorted(((abs(c - prev), c) for c in cands), key=lambda t: t[0])
         if len(dists) > 1 and dists[1][0] < 4.0 * max(dists[0][0], fit_radius / 4):
             raise BranchAmbiguity(
                 f"fiber points {dists[0][1]:.6g} and {dists[1][1]:.6g} too close "

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiberDegenerate
-from .polynomials import ComplexPolynomial
 from .roots import projective_roots_batch, roots_with_clusters
-from .sphere import INF, SpherePoint
+from .sphere import SpherePoint
 
 MERGE_TOL = 1e-9
 
@@ -87,12 +86,11 @@ class GraphPolynomial:
         v = self.eval_homogeneous(z1 / nz, z2 / nz, w1 / nw, w2 / nw)
         return float(abs(v)) / self.scale
 
-    def w_polynomial_at(self, p: SpherePoint) -> ComplexPolynomial:
-        """Specialized polynomial in w over the base point p (z-homogenized)."""
-        z1, z2 = p.projective()
+    def _w_coefficients(self, Z1, Z2) -> np.ndarray:
+        """Specialized w-coefficients over homogeneous base pairs, shape (..., deg_w + 1)."""
         m = self.deg_z
-        zp = np.array([z1 ** i * z2 ** (m - i) for i in range(m + 1)])
-        return ComplexPolynomial(zp @ self.coeffs)
+        zp = np.stack([Z1 ** i * Z2 ** (m - i) for i in range(m + 1)], axis=-1)
+        return zp @ self.coeffs
 
     def fiber(self, p: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
         """w-roots over p with multiplicity; degree drops become roots at inf.
@@ -100,16 +98,12 @@ class GraphPolynomial:
         Raises FiberDegenerate when the specialized polynomial vanishes
         identically (a vertical line over p).
         """
-        poly = self.w_polynomial_at(p).trimmed(1e-11)
-        n = self.deg_w
-        if poly.is_zero:
+        z1, z2 = p.projective()
+        cw = self._w_coefficients(np.asarray(z1), np.asarray(z2))
+        if not np.any(cw):
             raise FiberDegenerate(f"graph polynomial vanishes identically over {p}")
-        clusters = roots_with_clusters(poly.coefficients, cluster_radius)
-        out = [(SpherePoint.from_complex(r), mult) for r, mult in clusters]
-        drop = n - int(poly.degree) if poly.degree != float("-inf") else n
-        if drop > 0:
-            out.append((INF, drop))
-        return out
+        clusters = roots_with_clusters(cw, cluster_radius)
+        return [(SpherePoint.from_complex(r), mult) for r, mult in clusters]
 
     # -- vectorized lane ----------------------------------------------------
 
@@ -124,11 +118,8 @@ class GraphPolynomial:
         or whose base pair is NaN (a dead entry of an earlier chain stage),
         are returned as NaN pairs for the caller to prune.
         """
-        m, n = self.deg_z, self.deg_w
-        Z1 = np.asarray(Z1, dtype=complex)
-        Z2 = np.asarray(Z2, dtype=complex)
-        zp = np.stack([Z1 ** i * Z2 ** (m - i) for i in range(m + 1)], axis=-1)
-        cw = zp @ self.coeffs  # (N, n+1) specialized w-coefficients
+        n = self.deg_w
+        cw = self._w_coefficients(np.asarray(Z1, dtype=complex), np.asarray(Z2, dtype=complex))
         scale = np.max(np.abs(cw), axis=-1)
         dead = ~(scale >= 1e-250)
         scale = np.where(dead, 1.0, scale)

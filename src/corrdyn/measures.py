@@ -400,7 +400,6 @@ def metric_entropy_estimate(
     per_n = []
     hs = []
     for N in range(1, N_max + 1):
-        keys = {}
         masses = {}
         for i in range(n_atoms):
             key = tuple(labels[i, :N])

@@ -2,8 +2,8 @@
 
 The zero polynomial carries the degree flag -inf.  Coefficients are kept
 exactly as given; trimming of numerically negligible leading coefficients is
-an explicit operation because fiber extraction needs to decide degree drops
-relative to the whole coefficient matrix, not per polynomial.
+an explicit operation, because root extraction decides degree drops against
+a nominal degree that the polynomial alone does not know (see roots.py).
 """
 
 from __future__ import annotations

@@ -112,14 +112,9 @@ def rational_preimages(
     c = np.zeros(d + 1, dtype=complex)
     c[: num.coefficients.size] = w2 * num.coefficients
     c[: den.coefficients.size] -= w1 * den.coefficients
-    poly = ComplexPolynomial(c).trimmed(1e-14)
-    if poly.is_zero:
+    if not np.any(c):
         raise Indeterminate("preimage polynomial vanished identically")
-    finite = poly_roots(poly, cluster_radius)
-    drop = d - int(poly.degree)
-    if drop > 0:
-        finite = finite + [(INF, drop)]
-    return finite
+    return poly_roots(c, cluster_radius)
 
 
 def critical_points(R: RationalMap, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
@@ -130,16 +125,13 @@ def critical_points(R: RationalMap, cluster_radius: float = 1e-6) -> list[tuple[
     """
     if R.degree < 2:
         raise DegreeTooLow("critical points require degree >= 2")
-    w = R.derivative_wronskian().trimmed(1e-13)
-    total = 2 * R.degree - 2
-    if w.is_zero:
+    # p'q - pq' has formal degree 2d - 1, but that coefficient cancels
+    w = np.zeros(2 * R.degree - 1, dtype=complex)
+    wc = R.derivative_wronskian().coefficients[: w.size]
+    w[: wc.size] = wc
+    if not np.any(w):
         raise DegreeTooLow("Wronskian vanished identically; map is degenerate")
-    finite = poly_roots(w, cluster_radius)
-    mult_inf = total - int(w.degree)
-    out = list(finite)
-    if mult_inf > 0:
-        out.append((INF, mult_inf))
-    return out
+    return poly_roots(w, cluster_radius)
 
 
 @dataclass(frozen=True)

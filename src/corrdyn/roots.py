@@ -1,10 +1,12 @@
 """Polynomial root extraction with multiplicity clustering.
 
-Simultaneous Aberth-Ehrlich iteration, falling back to the companion matrix
-(numpy.roots) when the iteration stalls.  Roots closer than cluster_radius
-are merged into a single root at their centroid with summed multiplicity.
-projective_roots_batch solves many polynomials at once, unclustered, for the
-batched fibers of GraphPolynomial.fiber_batch.
+projective_roots_batch is the one root finder: companion-matrix eigenvalues,
+in the chart where each root lies in the unit disk, polished by Newton.  A
+coefficient array's length fixes the nominal degree; top coefficients at or
+below DROP_TOL of the largest are a degree drop, and the dropped degree is a
+root at infinity.  roots_with_clusters solves one polynomial that way and
+merges roots closer than cluster_radius into a single root at their centroid
+with summed multiplicity; poly_roots adds a residual check.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from .sphere import SpherePoint, chordal_from_complex
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 
+#: coefficients at or below this share of the row maximum count as zero
+DROP_TOL = 1e-11
+
 
 def _projective_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """|p(z)| / max(1, |z|)^deg, bounded for arbitrarily large roots."""
@@ -27,44 +32,6 @@ def _projective_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     if zo.size:
         out[~inside] = np.abs(np.polyval(coeffs, 1.0 / zo))
     return out
-
-
-def _aberth(coeffs: np.ndarray, max_iter: int = 80, tol: float = 1e-14) -> np.ndarray | None:
-    """Aberth-Ehrlich on a max-normalized coefficient array (ascending)."""
-    n = coeffs.size - 1
-    if n == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    c = coeffs / coeffs[-1]
-    # Cauchy bound for the initial circle
-    bound = 1.0 + float(np.max(np.abs(c[:-1])))
-    if not np.isfinite(bound) or bound > 1e8:
-        return None  # huge dynamic range: leave it to the companion matrix
-    k = np.arange(n)
-    z = bound * np.exp(2j * np.pi * (k + 0.25) / n) * (0.7 + 0.3 * (k % 2))
-    dp = np.arange(1, n + 1) * c[1:]
-    converged = False
-    for _ in range(max_iter):
-        pv = np.polyval(c[::-1], z)
-        dv = np.polyval(dp[::-1], z)
-        with np.errstate(all="ignore"):
-            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * s
-            step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom == 0, 1, denom), newton)
-        if not np.all(np.isfinite(step)):
-            return None
-        z = z - step
-        if np.max(np.abs(step)) < tol * (1.0 + np.max(np.abs(z))):
-            converged = True
-            break
-    if not converged:
-        return None
-    # validate: scale-free residual on the original (max-normalized) input
-    if np.max(_projective_residuals(coeffs, z)) > 1e-8:
-        return None
-    return z
 
 
 def _polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np.ndarray:
@@ -84,27 +51,23 @@ def _polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np.ndarra
 def roots_with_clusters(
     coefficients, cluster_radius: float = DEFAULT_CLUSTER_RADIUS
 ) -> list[tuple[complex, int]]:
-    """All complex roots grouped into (centroid, multiplicity) clusters.
+    """All roots of the ascending coefficients, as (centroid, multiplicity).
 
-    Clustering is chordal so near-infinite roots merge sensibly too.
+    The array's length fixes the nominal degree: a degree drop (top
+    coefficients at or below DROP_TOL of the largest) comes last, as one
+    cluster (inf, drop).  Clustering is chordal so near-infinite roots merge
+    sensibly too.
     """
     coeffs = np.atleast_1d(np.asarray(coefficients, dtype=complex))
-    k = coeffs.size - 1
-    while k > 0 and coeffs[k] == 0:
-        k -= 1
-    coeffs = coeffs[: k + 1]
-    if coeffs.size == 1:
-        if coeffs[0] == 0:
-            raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-        return []
-    coeffs = coeffs / np.max(np.abs(coeffs))  # scale-free iteration
-    raw = _aberth(coeffs)
-    if raw is None:
-        try:
-            raw = np.roots(coeffs[::-1])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NonConvergence("companion-matrix fallback failed", partial=[]) from exc
-    raw = _polish(coeffs, raw)
+    scale = np.max(np.abs(coeffs))
+    if scale == 0:
+        raise ZeroPolynomial("cannot extract roots of the zero polynomial")
+    if not np.isfinite(scale):
+        raise NonConvergence("polynomial coefficients must be finite", partial=[])
+    coeffs = coeffs / scale  # max-normalized, as projective_roots_batch expects
+    k = int(np.nonzero(np.abs(coeffs) > DROP_TOL)[0][-1])  # degree after the drop
+    W1, W2 = projective_roots_batch(coeffs[None, : k + 1])
+    raw = _polish(coeffs[: k + 1], W1[0] / W2[0])
     # greedy chordal clustering in a deterministic order
     order = np.lexsort((raw.imag, raw.real))
     raw = raw[order]
@@ -124,11 +87,9 @@ def roots_with_clusters(
         if len(cl) == 1:
             centroid = complex(cl[0])
         out.append((centroid, len(cl)))
+    if k < coeffs.size - 1:
+        out.append((complex(np.inf), coeffs.size - 1 - k))
     return out
-
-
-#: coefficients at or below this share of the row maximum count as zero
-DROP_TOL = 1e-11
 
 
 def projective_roots_batch(coeffs: np.ndarray):
@@ -193,29 +154,33 @@ def _horner(P: np.ndarray, t: np.ndarray):
 
 
 def poly_roots(
-    p: ComplexPolynomial, cluster_radius: float = DEFAULT_CLUSTER_RADIUS
+    p: ComplexPolynomial | np.ndarray, cluster_radius: float = DEFAULT_CLUSTER_RADIUS
 ) -> list[tuple[SpherePoint, int]]:
     """Roots of p with multiplicity, as sphere points.
 
-    Raises ZeroPolynomial for p identically zero and NonConvergence when
-    neither the simultaneous iteration nor the companion matrix produced
-    roots with acceptable residuals.
+    p is a ComplexPolynomial or an ascending coefficient array, whose length
+    fixes the nominal degree (see roots_with_clusters); a degree drop is
+    returned last as a root at infinity.  Raises ZeroPolynomial for p
+    identically zero and NonConvergence when a simple finite root fails the
+    residual check.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    clusters = roots_with_clusters(p.coefficients, cluster_radius)
-    # residual contract for simple roots; evaluated scale-free (coefficients
-    # max-normalized, the reversed polynomial used beyond the unit disk) so
-    # far roots are not penalized by |z|^deg roundoff amplification
-    cn = p.coefficients / np.max(np.abs(p.coefficients))
+    coeffs = p.coefficients if isinstance(p, ComplexPolynomial) else np.asarray(p, dtype=complex)
+    clusters = roots_with_clusters(coeffs, cluster_radius)
+    finite = [(r, m) for r, m in clusters if np.isfinite(r)]
+    # residual contract for simple finite roots, on the polynomial left after
+    # the degree drop; evaluated scale-free (coefficients max-normalized, the
+    # reversed polynomial used beyond the unit disk) so far roots are not
+    # penalized by |z|^deg roundoff amplification
+    cn = coeffs[: 1 + sum(m for _, m in finite)]
+    cn = cn / np.max(np.abs(cn))
     bad = []
-    for root, mult in clusters:
+    for root, mult in finite:
         if mult != 1:
             continue
         # nearly-multiple roots (just outside the cluster radius) get slack
         near_other = any(
             o_root != root and chordal_from_complex(root, o_root) < 10 * cluster_radius
-            for o_root, _ in clusters
+            for o_root, _ in finite
         )
         res = float(_projective_residuals(cn, np.array([root]))[0]) / (1.0 + abs(cn[-1]))
         if not np.isfinite(res) or res > (1e-6 if near_other else 1e-8):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrdyn import cli
 from corrdyn.cli import _parse_point, main
 from corrdyn.config import build_correspondence
 from corrdyn.correspondence import Correspondence
@@ -385,6 +386,7 @@ def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
         "generations=8",
         "seeds=[]",
         'seeds="x"',
+        "seeds=[[0.3, false]]",
         "budget=0",
         "n_paths=0",
         'n_paths="x"',
@@ -505,7 +507,19 @@ def test_orbit_matches_object_lane(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "override", ["n=-1", 'n="x"', "n=2.5", "seeds=[]", 'seeds="x"', "budget=0", 'budget="x"']
+    "override",
+    [
+        "n=-1",
+        'n="x"',
+        "n=2.5",
+        "seeds=[]",
+        'seeds="x"',
+        "seeds=[true]",
+        "seeds=[[true, 0]]",
+        'seeds=[["a", 0]]',
+        "budget=0",
+        'budget="x"',
+    ],
 )
 def test_orbit_config_violation_is_a_usage_error(tmp_path, capsys, override):
     out = tmp_path / "orbits.json"
@@ -544,3 +558,24 @@ def test_verify_config_violation_is_a_usage_error(tmp_path, capsys, override):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
     assert "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, key, worker",
+    [
+        ("entropy", "accept_c07_entropy_z2.json", "out", "entropy_estimate"),
+        ("limitset", "demo_limitset_fa4.json", "out", "render_survival_set"),
+        ("equidist", "accept_c12_det_equidist.json", "out_prefix", "pullback_dirac_mc"),
+    ],
+)
+def test_missing_output_path_is_a_usage_error_before_any_work(
+    tmp_path, capsys, monkeypatch, command, config, key, worker
+):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, worker, never)
+    cfg = json.loads((CONFIGS / config).read_text())
+    del cfg[key]
+    assert _run_config(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err == f"usage error: config field {key!r} is required\n"

@@ -84,7 +84,7 @@ def test_graph_json_round_trip():
     assert np.allclose(gp.coeffs, gp2.coeffs)
 
 
-# -- batched fibers against the per-point fiber ---------------------------------
+# -- per-point and batched fibers against np.roots --------------------------------
 
 def _fiber_drop_graph(rng, deg_z, deg_w, drop, drop_row, zero_root):
     """Random graph whose fiber over 0 (drop_row 0) or inf (drop_row -1)
@@ -95,6 +95,29 @@ def _fiber_drop_graph(rng, deg_z, deg_w, drop, drop_row, zero_root):
     if zero_root and drop < deg_w:
         c[drop_row, 0] = 0
     return GraphPolynomial(c)
+
+
+def _oracle_fiber(gp, p):
+    """np.roots of the dehomogenized specialized polynomial over p, plus one
+    root at infinity per degree it loses against deg_w."""
+    z1, z2 = p.projective()
+    cw = sum(gp.coeffs[i] * z1 ** i * z2 ** (gp.deg_z - i) for i in range(gp.deg_z + 1))
+    finite = [SpherePoint.from_complex(r) for r in np.roots(cw[::-1])]
+    return finite + [INF] * (gp.deg_w - len(finite))
+
+
+def _assert_fiber_matches(found, want):
+    """Each point of `found` (with multiplicity) takes the nearest point of
+    `want`; simple and infinite points must lie within 1e-8 of it."""
+    want = list(want)
+    for q, mult in found:
+        for _ in range(mult):
+            dists = [chordal_distance(q, g) for g in want]
+            k = int(np.argmin(dists))
+            if mult == 1 or q.is_infinity:
+                assert dists[k] <= 1e-8, (q, dists[k])
+            want.pop(k)
+    assert not want
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,12 +140,7 @@ def test_fiber_batch_matches_fiber(seed, deg_z, deg_w, drop, drop_row, zero_root
     W1, W2 = gp.fiber_batch(z1, z2)
     assert W1.shape == W2.shape == (len(bases), gp.deg_w)
     for p, w1, w2 in zip(bases, W1, W2):
-        got = [SpherePoint.from_projective(a, b) for a, b in zip(w1, w2)]
-        for q, mult in gp.fiber(p):
-            for _ in range(mult):
-                dists = [chordal_distance(q, g) for g in got]
-                k = int(np.argmin(dists))
-                if mult == 1 or q.is_infinity:
-                    assert dists[k] <= 1e-8, (p, q, dists[k])
-                got.pop(k)
-        assert not got
+        want = _oracle_fiber(gp, p)
+        _assert_fiber_matches(gp.fiber(p), want)
+        batch = [(SpherePoint.from_projective(a, b), 1) for a, b in zip(w1, w2)]
+        _assert_fiber_matches(batch, want)

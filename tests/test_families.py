@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from corrdyn import families
 from corrdyn.correspondence import compose_graph_poly
 from corrdyn.errors import BadParameter, BranchAmbiguity, DegreeMismatch, NotAnInvolution
 from corrdyn.families import (
@@ -218,6 +221,15 @@ def test_branch_a7_quartic():
 def test_branch_ambiguity_when_radius_too_large():
     with pytest.raises(BranchAmbiguity):
         fixed_point_branch_coefficients(4, fit_radius=1.2)
+
+
+def test_branch_ambiguity_on_an_exact_distance_tie(monkeypatch):
+    # a fiber whose two points lie at exactly the same distance from z = 1
+    tied = [(pt(1 + 0.01j), 1), (pt(1 - 0.01j), 1)]
+    stub = SimpleNamespace(forward=lambda z: SimpleNamespace(points=tied))
+    monkeypatch.setattr(families, "family_correspondence", lambda a: stub)
+    with pytest.raises(BranchAmbiguity):
+        fixed_point_branch_coefficients(4)
 
 
 # -- exceptional seeds ---------------------------------------------------------

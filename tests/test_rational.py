@@ -103,6 +103,28 @@ def test_preimages_count_and_values():
     assert sum(m for _, m in pres) == 2
 
 
+def test_preimages_with_a_degree_drop():
+    # (z^3 + 1)/z = inf has the pole 0 once and inf twice (R ~ z^2 there)
+    R = RationalMap(ComplexPolynomial([1, 0, 0, 1]), ComplexPolynomial([0, 1]))
+    pres = rational_preimages(R, INF)
+    assert [(p.is_infinity, m) for p, m in pres] == [(False, 1), (True, 2)]
+    assert abs(pres[0][0].to_complex()) < 1e-12
+
+
+def test_critical_points_with_a_degree_drop():
+    # (0.1 z^3 + 0.5 z + 1)/(0.6 z^3 + 2 z + 0.3) is 1/6 + O(z^-2) at inf, so inf
+    # is critical once; in floats the Wronskian keeps a z^5 coefficient of 3e-17
+    R = RationalMap(ComplexPolynomial([1, 0.5, 0, 0.1]), ComplexPolynomial([0.3, 2, 0, 0.6]))
+    assert R.derivative_wronskian().coefficients.size == 6
+    got = critical_points(R)
+    assert [m for p, m in got if p.is_infinity] == [1]
+    assert sum(m for p, m in got if not p.is_infinity) == 3
+    w = R.derivative_wronskian()
+    for p, _ in got[:-1]:
+        z = p.to_complex()
+        assert abs(w(z)) / max(1.0, abs(z)) ** 3 < 1e-12
+
+
 def test_json_round_trip():
     R = RationalMap(ComplexPolynomial([1j, 2]), ComplexPolynomial([3, 0, 1]))
     S = RationalMap.from_json(R.to_json())

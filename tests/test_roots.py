@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrdyn.errors import ZeroPolynomial
+from corrdyn.errors import NonConvergence, ZeroPolynomial
 from corrdyn.polynomials import ComplexPolynomial, poly_from_roots
 from corrdyn.roots import poly_roots
 from corrdyn.sphere import chordal_distance, SpherePoint
@@ -47,6 +47,22 @@ def test_cubic_fiber_quotient_oracle():
 def test_zero_polynomial_raises():
     with pytest.raises(ZeroPolynomial):
         poly_roots(ComplexPolynomial([0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_raise(bad):
+    with pytest.raises(NonConvergence):
+        poly_roots(np.array([1, bad, 1]))
+
+
+@pytest.mark.parametrize("top, at_inf", [(0.0, 1), (1e-12, 1), (1e-10, 0)])
+def test_degree_drop_is_a_root_at_infinity(top, at_inf):
+    # 2 - z + top z^2 with nominal degree 2: a top at or below 1e-11 of the
+    # largest coefficient is a degree drop, so its root sits exactly at inf
+    found = poly_roots(np.array([2, -1, top]))
+    assert sum(m for _, m in found) == 2
+    assert sum(m for p, m in found if p.is_infinity) == at_inf
+    assert abs(found[0][0].to_complex() - 2) < 1e-9
 
 
 def test_random_recovery_in_disk_of_radius_five():

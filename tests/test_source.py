@@ -85,3 +85,44 @@ def test_dead_definition_is_found():
     assert _dead_definitions(defining, [defining, user]) == [
         "unused (line 3)", "dead_method (line 12)",
     ]
+
+
+#: numpy root and eigenvalue finders; numpy.polynomial holds more of them
+ROOT_FINDERS = {"roots", "eig", "eigh", "eigvals", "eigvalsh", "polyroots", "polynomial"}
+
+
+def _root_finders(tree: ast.Module) -> list[str]:
+    """Uses of ROOT_FINDERS as attributes (np.roots, np.linalg.eigvals) or as
+    names and modules imported from numpy."""
+    found = [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ROOT_FINDERS
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")[1:]]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in ROOT_FINDERS]
+    return found
+
+
+# roots.projective_roots_batch is the one root finder
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "roots.py")
+)
+def test_no_second_root_finder(module):
+    assert _root_finders(ast.parse((SRC / module).read_text(encoding="utf-8"))) == []
+
+
+def test_root_finder_is_found():
+    tree = ast.parse(
+        "import numpy.polynomial\nfrom numpy.linalg import eigvals, solve\n"
+        "np.roots(c)\nnp.linalg.eig(A)\nnp.linalg.solve(A, b)\nfrom .roots import poly_roots\n"
+    )
+    assert _root_finders(tree) == [
+        "roots (line 3)", "eig (line 4)", "polynomial (line 1)", "eigvals (line 2)",
+    ]
