@@ -29,7 +29,8 @@ from .correspondence import cov_graph
 from .entropy import EntropyProtocol, entropy_estimate, enumerate_orbits
 from .errors import CorrdynError, SeedRejected, UsageError
 from .families import RegionSpec, exceptional_seeds
-from .measures import energy_distance, pullback_dirac_mc, pullback_dirac_tree_levels
+from .measures import GridPartition, energy_distance, metric_entropy_estimate, pullback_dirac_mc
+from .measures import pullback_dirac_tree, pullback_dirac_tree_levels
 from .rational import RationalMap
 from .raster import Viewport, render_survival_set
 from .sphere import SpherePoint, chordal_distance
@@ -74,6 +75,7 @@ def cmd_entropy(cfg: dict) -> int:
     estimate computed on a pullback cloud of the same correspondence.
     """
     out = require(cfg, "out")
+    metric = _metric_section(cfg)
     C = build_correspondence(require(cfg, "correspondence"))
     protocol = EntropyProtocol.from_json(cfg.get("protocol", {}))
     reports = entropy_estimate(C, protocol)
@@ -81,17 +83,10 @@ def cmd_entropy(cfg: dict) -> int:
     if cfg.get("estimate_inverse", False):
         inv = entropy_estimate(C.transpose(), protocol)
         payload.update({f"{v}_inverse": r.to_json() for v, r in inv.items()})
-    if "metric" in cfg:
-        m = cfg["metric"]
-        from .measures import GridPartition, metric_entropy_estimate, pullback_dirac_tree
-
-        cloud = pullback_dirac_tree(
-            C, _parse_point(require(m, "cloud_seed")), int(require(m, "cloud_generation"))
-        )
-        part = GridPartition(*[int(x) for x in m.get("partition", [4, 4])])
-        per_n, slope = metric_entropy_estimate(
-            C, cloud, part, int(m.get("N_max", 6)), int(m.get("budget", 2 ** 18))
-        )
+    if metric is not None:
+        seed, generation, part, N_max, budget = metric
+        cloud = pullback_dirac_tree(C, seed, generation)
+        per_n, slope = metric_entropy_estimate(C, cloud, part, N_max, budget)
         payload["metric_entropy"] = {
             "per_N": [[n, h] for n, h in per_n],
             "estimate": slope,
@@ -106,6 +101,26 @@ def cmd_entropy(cfg: dict) -> int:
         f"cap={reports['KT'].cap:.6f} flags={','.join(flags) if flags else 'none'}"
     )
     return 0
+
+
+def _metric_section(cfg: dict):
+    """The entropy config's optional "metric" section, checked: None or
+    (cloud seed, cloud generation, partition, N_max, budget)."""
+    if "metric" not in cfg:
+        return None
+    m = cfg["metric"]
+    if type(m) is not dict:
+        raise UsageError(f"metric must be an object, got {m!r}")
+    partition = list_field(m, "partition") if "partition" in m else [4, 4]
+    if len(partition) != 2 or any(type(k) is not int or k < 1 for k in partition):
+        raise UsageError(f"partition must be two integers >= 1, got {partition!r}")
+    return (
+        _parse_point(require(m, "cloud_seed")),
+        int_field(m, "cloud_generation", None, 0),
+        GridPartition(*partition),
+        int_field(m, "N_max", 6, 1),
+        int_field(m, "budget", 2 ** 18, 1),
+    )
 
 
 def cmd_equidist(cfg: dict) -> int:

@@ -8,6 +8,7 @@ are parsed as JSON when possible, otherwise kept as strings.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -22,7 +23,7 @@ def load_config(path: str | None, overrides=()) -> dict:
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except FileNotFoundError as exc:
             raise UsageError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
@@ -34,7 +35,7 @@ def load_config(path: str | None, overrides=()) -> dict:
             raise UsageError(f"override must look like key=value: {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError:
             value = raw
         node = cfg
@@ -45,6 +46,14 @@ def load_config(path: str | None, overrides=()) -> dict:
                 raise UsageError(f"cannot override through non-object field {part!r}")
         node[parts[-1]] = value
     return cfg
+
+
+def _finite(token: str) -> float:
+    """JSON number hook: NaN, Infinity and literals that overflow are refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise UsageError(f"config numbers must be finite, got {token}")
+    return value
 
 
 def require(cfg: dict, key: str):

@@ -23,7 +23,7 @@ from .graphpoly import MERGE_TOL, GraphPolynomial, identity_graph, mobius_graph
 from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap
 from .roots import roots_with_clusters
-from .sphere import INF, SpherePoint, chordal_distance
+from .sphere import INF, SpherePoint, chordal_distance, greedy_groups
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +106,10 @@ class FiberResult:
 def _merge_weighted(items: list[tuple[SpherePoint, int, float]]) -> FiberResult:
     """Merge points within MERGE_TOL chordal; multiplicities add."""
     items = sorted(items, key=lambda t: t[0].sort_key())
-    merged: list[list] = []
-    for p, m, r in items:
-        for slot in merged:
-            if chordal_distance(p, slot[0]) <= MERGE_TOL:
-                slot[1] += m
-                slot[2] = max(slot[2], r)
-                break
-        else:
-            merged.append([p, m, r])
+    groups = greedy_groups([p for p, _, _ in items], MERGE_TOL)
     return FiberResult(
-        tuple((p, m) for p, m, _ in merged), tuple(r for _, _, r in merged)
+        tuple((items[g[0]][0], sum(items[i][1] for i in g)) for g in groups),
+        tuple(max(items[i][2] for i in g) for g in groups),
     )
 
 
@@ -492,39 +485,31 @@ def _confirmed_pairs(gp: GraphPolynomial, cluster_radius: float = 1e-5):
     only approximate, near-double fiber points are polished by Newton on
     (B, dB/dw) before being accepted.
     """
-    pairs = []
-    seen: list[SpherePoint] = []
-
-    def push(z0, w0, mult):
-        for (pz, pw), _m in pairs:
-            if chordal_distance(pz, z0) <= 1e-7 and chordal_distance(pw, w0) <= 1e-7:
-                return
-        pairs.append(((z0, w0), mult))
-
-    for z0 in _branch_base_candidates(gp):
-        if any(chordal_distance(z0, s) <= 1e-9 for s in seen):
-            continue
-        seen.append(z0)
+    candidates = _branch_base_candidates(gp)
+    found = []
+    for group in greedy_groups(candidates, 1e-9):
+        z0 = candidates[group[0]]
         try:
             fib = gp.fiber(z0, cluster_radius)
         except Exception:
             continue
         for idx, (w0, mult) in enumerate(fib):
             if mult >= 2:
-                polished = _polish_branch_pair(gp, z0, w0)
-                if polished is not None:
-                    push(polished[0], polished[1], mult)
-                else:
-                    push(z0, w0, mult)
+                found.append((_polish_branch_pair(gp, z0, w0) or (z0, w0), mult))
                 continue
             # near-double split by candidate error: polish and confirm
             for w1, m1 in fib[idx + 1 :]:
                 if m1 == 1 and chordal_distance(w0, w1) < 5e-3:
-                    mid = _midpoint(w0, w1)
-                    polished = _polish_branch_pair(gp, z0, mid)
+                    polished = _polish_branch_pair(gp, z0, _midpoint(w0, w1))
                     if polished is not None:
-                        push(polished[0], polished[1], 2)
-    return pairs
+                        found.append((polished, 2))
+    # one pair per group of pairs within 1e-7 in both coordinates
+    groups = greedy_groups([pair for pair, _ in found], 1e-7, _pair_distance)
+    return [found[g[0]] for g in groups]
+
+
+def _pair_distance(p, q) -> float:
+    return max(chordal_distance(p[0], q[0]), chordal_distance(p[1], q[1]))
 
 
 def _midpoint(p: SpherePoint, q: SpherePoint) -> SpherePoint:
@@ -575,13 +560,5 @@ def critical_values(C: Correspondence, side: int, degree_bound: int = 16):
     """Critical values: side=1 those of the inverse (pi_1 of A1), side=2 of
     the correspondence (pi_2 of A2).  Returns [(SpherePoint, count)]."""
     pairs = ramification_pairs(C, side=side, degree_bound=degree_bound)
-    values: list[list] = []
-    for (z0, w0), mult in pairs:
-        v = z0 if side == 1 else w0
-        for slot in values:
-            if chordal_distance(v, slot[0]) <= 1e-7:
-                slot[1] += 1
-                break
-        else:
-            values.append([v, 1])
-    return [(v, c) for v, c in values]
+    values = [z0 if side == 1 else w0 for (z0, w0), _ in pairs]
+    return [(values[g[0]], len(g)) for g in greedy_groups(values, 1e-7)]

@@ -11,94 +11,104 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correspondence import Correspondence
+from .correspondence import Correspondence, map_graph
 from .errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
 from .rational import MobiusMap, RationalMap, mobius_apply, rational_preimages
-from .sphere import SpherePoint, chordal_distance, embed_projective
+from .sphere import RECIPROCAL, STANDARD, SpherePoint, chart_pairs, chart_values, chordal_distance
+from .sphere import embed_chart, embed_projective
 
 ATOM_MERGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedCloud:
-    """Finite weighted atom list with total mass 1."""
+    """Finite weighted atom list with total mass 1, held as aligned arrays.
 
-    atoms: tuple  # tuple[(SpherePoint, float weight), ...]
+    values are the atoms' chart coordinates and reciprocal flags those stored
+    in the reciprocal chart, as in SpherePoint; weights are the atom masses.
+    """
+
+    values: np.ndarray
+    reciprocal: np.ndarray
+    weights: np.ndarray
     generation: int = 0
     provenance: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+    @staticmethod
+    def from_atoms(atoms, generation: int = 0, provenance=None) -> "WeightedCloud":
+        """Cloud of (SpherePoint, weight) pairs, in their order."""
+        atoms = tuple(atoms)
+        values = np.array([p.value for p, _ in atoms], dtype=complex)
+        reciprocal = np.array([p.chart == RECIPROCAL for p, _ in atoms], dtype=bool)
+        weights = np.array([w for _, w in atoms], dtype=float)
+        return WeightedCloud(values, reciprocal, weights, generation, provenance or {})
+
+    def _rows(self):
+        """(value, chart name, weight) per atom, as Python scalars."""
+        charts = np.where(self.reciprocal, RECIPROCAL, STANDARD).tolist()
+        return zip(self.values.tolist(), charts, self.weights.tolist())
+
+    @property
+    def atoms(self) -> tuple:
+        """(SpherePoint, weight) pairs in atom order, built on each access."""
+        return tuple((SpherePoint(v, chart), w) for v, chart, w in self._rows())
 
     @property
     def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
+        return float(self.weights.sum())
 
-    def points(self) -> list[SpherePoint]:
-        return [p for p, _ in self.atoms]
-
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
+    def projective(self):
+        """Homogeneous pairs (z1, z2) of the atoms, as SpherePoint.projective."""
+        return chart_pairs(self.values, self.reciprocal)
 
     def embedded(self) -> np.ndarray:
         """(N, 3) array of unit-sphere embeddings in atom order."""
-        return np.array([p.embed_r3() for p, _ in self.atoms], dtype=float)
+        return embed_chart(self.values, self.reciprocal)
 
     def to_csv(self) -> str:
         """CSV with header re,im,chart,weight (LF endings, UTF-8 friendly)."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["re", "im", "chart", "weight"])
-        for p, wt in self.atoms:
-            w.writerow(
-                [repr(float(p.value.real)), repr(float(p.value.imag)), p.chart, repr(float(wt))]
-            )
+        for v, chart, wt in self._rows():
+            w.writerow([repr(v.real), repr(v.imag), chart, repr(wt)])
         return buf.getvalue()
 
     @staticmethod
     def from_csv(text: str, generation: int = 0, provenance=None) -> "WeightedCloud":
-        rows = list(csv.reader(io.StringIO(text)))
-        atoms = []
-        for re_, im_, chart, wt in rows[1:]:
-            atoms.append((SpherePoint(complex(float(re_), float(im_)), chart), float(wt)))
-        return WeightedCloud(tuple(atoms), generation, provenance or {})
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        if any(chart not in (STANDARD, RECIPROCAL) for _, _, chart, _ in rows):
+            raise ValueError("cloud CSV chart must be standard or reciprocal")
+        return WeightedCloud.from_atoms(
+            ((SpherePoint(complex(float(re_), float(im_)), chart), float(wt))
+             for re_, im_, chart, wt in rows),
+            generation,
+            provenance,
+        )
 
 
-def _merge_atoms(items: list[tuple[SpherePoint, float]]) -> tuple:
-    """Sum weights of atoms within ATOM_MERGE_TOL, in a deterministic order.
+def _merge_atoms(z1, z2, weights, generation: int = 0, provenance=None) -> WeightedCloud:
+    """Cloud of the points z1/z2, summing the weights of atoms within ATOM_MERGE_TOL.
 
-    Small lists are merged by exact pairwise distances; large ones by
-    quantizing the sphere embedding on an ATOM_MERGE_TOL grid (pairs that
-    straddle a grid boundary stay split, which only fragments weights at the
-    merge scale and leaves every measure statistic unchanged).
+    Atoms are sorted by their sphere embedding (the sort_key order) and
+    grouped by quantizing it on an ATOM_MERGE_TOL grid (pairs that straddle a
+    grid boundary stay split, which only fragments weights at the merge scale
+    and leaves every measure statistic unchanged).  A group is its first atom
+    with the weights summed in order; groups keep the order of first atoms.
     """
-    xyz = np.array([p.embed_r3() for p, _ in items], dtype=float).reshape(-1, 3)
+    values, reciprocal = chart_values(z1, z2)
+    xyz = embed_chart(values, reciprocal)
     order = np.lexsort(xyz.T[::-1])  # stable, so the same order as sort_key
-    items = [items[i] for i in order]
-    if len(items) <= 64:
-        merged: list[list] = []
-        for p, w in items:
-            for slot in merged:
-                if chordal_distance(p, slot[0]) <= ATOM_MERGE_TOL:
-                    slot[1] += w
-                    break
-            else:
-                merged.append([p, w])
-        return tuple((p, w) for p, w in merged)
-    weights = np.array([w for _, w in items], dtype=float)
     keys = np.round(xyz[order] / ATOM_MERGE_TOL).astype(np.int64)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    n_groups = int(inverse.max()) + 1
-    sums = np.zeros(n_groups)
-    np.add.at(sums, inverse, weights)
-    first = np.full(n_groups, len(items), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(items)))
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     groups = np.argsort(first)
-    return tuple((items[f][0], float(w)) for f, w in zip(first[groups], sums[groups]))
+    keep = order[first[groups]]
+    sums = np.bincount(inverse, weights[order])[groups]
+    return WeightedCloud(values[keep], reciprocal[keep], sums, generation, provenance or {})
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +137,10 @@ def pullback_dirac_tree_levels(
     n_max = ns[-1] if ns else 0
     if C.d1 ** n_max > budget or C.d2 ** n_max > budget:
         raise BudgetExceeded(f"preimage tree at depth {n_max} exceeds budget {budget}")
-    prov = {
-        "seed_point": _point_json(z0),
-        "correspondence": C.name or "correspondence",
-        "method": "full_tree",
-        "rng_seed": None,
-    }
+    prov = _provenance(C, z0, "full_tree", None)
     out = {}
     if 0 in ns:
-        out[0] = WeightedCloud(((z0, 1.0),), 0, dict(prov))
+        out[0] = WeightedCloud.from_atoms(((z0, 1.0),), 0, dict(prov))
     CT = C.transpose()
     a, b = z0.projective()
     z1 = np.array([a], dtype=complex)
@@ -146,11 +151,7 @@ def pullback_dirac_tree_levels(
             raise FiberDegenerate(f"degenerate fiber at level {step - 1}")
         z1, z2 = W1.ravel(), W2.ravel()
         if step in ns:
-            w = 1.0 / z1.size
-            atoms = _merge_atoms(
-                [(SpherePoint.from_projective(p, q), w) for p, q in zip(z1, z2)]
-            )
-            out[step] = WeightedCloud(atoms, step, dict(prov))
+            out[step] = _merge_atoms(z1, z2, np.full(z1.size, 1.0 / z1.size), step, dict(prov))
     return out
 
 
@@ -169,23 +170,17 @@ def pullback_dirac_mc(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    prov = {
-        "seed_point": _point_json(z0),
-        "correspondence": C.name or "correspondence",
-        "method": "monte_carlo",
-        "rng_seed": rng_seed,
-    }
+    prov = _provenance(C, z0, "monte_carlo", rng_seed)
     if n == 0:
-        return WeightedCloud(((z0, 1.0),), generation=0, provenance=prov)
+        return WeightedCloud.from_atoms(((z0, 1.0),), 0, prov)
     CT = C.transpose()
-    d2 = C.d2
     # per-path choice tables from counter-based streams
     choices = np.empty((n_paths, n), dtype=np.int64)
     for k in range(n_paths):
         g = np.random.Generator(np.random.Philox(key=(rng_seed, k)))
-        choices[k] = g.integers(0, d2, size=n)
-    z1 = np.full(n_paths, complex(z0.projective()[0]), dtype=complex)
-    z2 = np.full(n_paths, complex(z0.projective()[1]), dtype=complex)
+        choices[k] = g.integers(0, C.d2, size=n)
+    a, b = z0.projective()
+    z1, z2 = np.full(n_paths, a, dtype=complex), np.full(n_paths, b, dtype=complex)
     rows = np.arange(n_paths)
     for step in range(n):
         W1, W2, _ = CT.forward_batch(z1, z2)
@@ -193,19 +188,22 @@ def pullback_dirac_mc(
             raise FiberDegenerate(f"degenerate fiber at step {step} of a walk")
         pick = choices[:, step]
         z1, z2 = W1[rows, pick], W2[rows, pick]
-    endpoints = [SpherePoint.from_projective(a, b) for a, b in zip(z1, z2)]
-    atoms = _merge_atoms([(p, 1.0 / n_paths) for p in endpoints])
-    return WeightedCloud(atoms, generation=n, provenance=prov)
+    return _merge_atoms(z1, z2, np.full(n_paths, 1.0 / n_paths), n, prov)
 
 
-def _point_json(p: SpherePoint):
-    return [p.value.real, p.value.imag, p.chart]
+def _provenance(C: Correspondence, z0: SpherePoint, method: str, rng_seed) -> dict:
+    return {
+        "seed_point": [z0.value.real, z0.value.imag, z0.chart],
+        "correspondence": C.name or "correspondence",
+        "method": method,
+        "rng_seed": rng_seed,
+    }
 
 
 def pushforward_mobius(cloud: WeightedCloud, M: MobiusMap) -> WeightedCloud:
     """Image cloud under a Moebius map; weights unchanged."""
-    atoms = tuple((mobius_apply(M, p), w) for p, w in cloud.atoms)
-    return WeightedCloud(atoms, cloud.generation, dict(cloud.provenance))
+    atoms = ((mobius_apply(M, p), w) for p, w in cloud.atoms)
+    return WeightedCloud.from_atoms(atoms, cloud.generation, dict(cloud.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +217,9 @@ def _stratified_subsample(cloud: WeightedCloud, max_atoms: int):
     is represented by its first heaviest atom.  Returns the (3, N) embedding
     rows and the normalized weights.
     """
-    xyz = cloud.embedded().reshape(-1, 3)
-    weights = cloud.weights()
+    xyz = cloud.embedded()
     order = np.lexsort(xyz.T[::-1])  # stable, so the same order as sort_key
-    xyz, weights = xyz[order], weights[order]
+    xyz, weights = xyz[order], cloud.weights[order]
     if len(weights) > max_atoms:
         cum = np.cumsum(weights) / weights.sum()
         edges = np.linspace(0, 1, max_atoms + 1)
@@ -302,12 +299,8 @@ def brolin_cloud(
             break
     if collapsed == 3:
         raise ExceptionalStart(f"seed {z0} is exceptional for backward iteration")
-    from .correspondence import map_graph
-
     cloud = pullback_dirac_mc(map_graph(f, name="map"), z0, n, n_paths, rng_seed)
-    prov = dict(cloud.provenance)
-    prov["correspondence"] = "rational-map-backward"
-    return WeightedCloud(cloud.atoms, cloud.generation, prov)
+    return replace(cloud, provenance={**cloud.provenance, "correspondence": "rational-map-backward"})
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +328,6 @@ class GridPartition:
     def k(self) -> int:
         return self.n_lat * self.n_lon
 
-    def cell_of(self, p: SpherePoint) -> int:
-        x, y, u = p.embed_r3()
-        band = min(self.n_lat - 1, int((u + 1.0) / 2.0 * self.n_lat))
-        az = math.atan2(y, x)  # in [-pi, pi]
-        sector = min(self.n_lon - 1, int((az + math.pi) / (2 * math.pi) * self.n_lon))
-        return band * self.n_lon + sector
-
     def cells_of_embedded(self, xyz: np.ndarray) -> np.ndarray:
         u = xyz[..., 2]
         band = np.minimum(self.n_lat - 1, ((u + 1.0) / 2.0 * self.n_lat).astype(int))
@@ -354,9 +340,10 @@ class GridPartition:
 
 def partition_entropy(cloud: WeightedCloud, part: GridPartition) -> float:
     """Shannon entropy - sum m log m of the cell masses (natural log)."""
-    masses = np.zeros(part.k)
-    for p, w in cloud.atoms:
-        masses[part.cell_of(p)] += w
+    return _shannon(np.bincount(part.cells_of_embedded(cloud.embedded()), cloud.weights, part.k))
+
+
+def _shannon(masses: np.ndarray) -> float:
     m = masses[masses > 0]
     return float(-(m * np.log(m)).sum())
 
@@ -378,37 +365,29 @@ def metric_entropy_estimate(
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    n_atoms = len(cloud.atoms)
+    n_atoms = cloud.weights.size
     cost = n_atoms * sum(C.d1 ** i for i in range(N_max))
     if cost > budget:
         raise BudgetExceeded(f"orbit budget {cost} exceeds {budget}")
-    pts = cloud.atoms
-    z1 = np.array([p.projective()[0] for p, _ in pts], dtype=complex)
-    z2 = np.array([p.projective()[1] for p, _ in pts], dtype=complex)
-    weights = np.array([w for _, w in pts])
     labels = np.empty((n_atoms, N_max), dtype=np.int64)
-    cur1, cur2 = z1.copy(), z2.copy()
+    cur1, cur2 = cloud.projective()
     for nlev in range(N_max):
         # cells met by the level-n points of each atom; first-match = min id
         width = cur1.size // n_atoms
         xyz = embed_projective(cur1, cur2).reshape(n_atoms, width, 3)
-        cells = part.cells_of_embedded(xyz)
-        labels[:, nlev] = cells.min(axis=1)
+        labels[:, nlev] = part.cells_of_embedded(xyz).min(axis=1)
         if nlev < N_max - 1:
             W1, W2, _ = C.forward_batch(cur1, cur2)
             cur1, cur2 = W1.ravel(), W2.ravel()
-    per_n = []
     hs = []
+    ids = np.zeros(n_atoms, dtype=np.int64)
     for N in range(1, N_max + 1):
-        masses = {}
-        for i in range(n_atoms):
-            key = tuple(labels[i, :N])
-            masses[key] = masses.get(key, 0.0) + weights[i]
-        m = np.array(list(masses.values()))
-        m = m[m > 0]
-        H = float(-(m * np.log(m)).sum())
-        hs.append(H)
-        per_n.append((N, H / N))
+        # atoms with equal labels 1..N share a class; masses in first-seen order
+        _, first, ids = np.unique(
+            ids * part.k + labels[:, N - 1], return_index=True, return_inverse=True
+        )
+        hs.append(_shannon(np.bincount(ids, cloud.weights)[np.argsort(first)]))
+    per_n = [(N, H / N) for N, H in enumerate(hs, 1)]
     ns = np.arange(1, N_max + 1, dtype=float)
     if N_max == 1:
         slope = hs[0]

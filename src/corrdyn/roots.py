@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonConvergence, ZeroPolynomial
 from .polynomials import ComplexPolynomial
-from .sphere import SpherePoint, chordal_from_complex
+from .sphere import SpherePoint, chordal_from_complex, greedy_groups
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 
@@ -69,24 +69,11 @@ def roots_with_clusters(
     W1, W2 = projective_roots_batch(coeffs[None, : k + 1])
     raw = _polish(coeffs[: k + 1], W1[0] / W2[0])
     # greedy chordal clustering in a deterministic order
-    order = np.lexsort((raw.imag, raw.real))
-    raw = raw[order]
-    clusters: list[list[complex]] = []
-    for r in raw:
-        placed = False
-        for cl in clusters:
-            if chordal_from_complex(r, cl[0]) <= cluster_radius:
-                cl.append(r)
-                placed = True
-                break
-        if not placed:
-            clusters.append([complex(r)])
+    raw = raw[np.lexsort((raw.imag, raw.real))]
     out = []
-    for cl in clusters:
-        centroid = complex(np.mean(cl))
-        if len(cl) == 1:
-            centroid = complex(cl[0])
-        out.append((centroid, len(cl)))
+    for group in greedy_groups(raw, cluster_radius, chordal_from_complex):
+        cl = raw[group]
+        out.append((complex(np.mean(cl)) if len(cl) > 1 else complex(cl[0]), len(cl)))
     if k < coeffs.size - 1:
         out.append((complex(np.inf), coeffs.size - 1 - k))
     return out

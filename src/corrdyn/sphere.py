@@ -97,9 +97,10 @@ class SpherePoint:
         their embeddings.
         """
         z1, z2 = self.projective()
-        n = abs(z1) ** 2 + abs(z2) ** 2
+        a1, a2 = abs(z1), abs(z2)
+        n = a1 * a1 + a2 * a2
         w = 2.0 * z1 * z2.conjugate() / n
-        return (w.real, w.imag, (abs(z1) ** 2 - abs(z2) ** 2) / n)
+        return (w.real, w.imag, (a1 * a1 - a2 * a2) / n)
 
     def sort_key(self) -> tuple[float, float, float]:
         """Canonical total order key (used for deterministic enumeration)."""
@@ -112,8 +113,6 @@ class SpherePoint:
 
 
 INF = SpherePoint(0j, RECIPROCAL)
-ZERO = SpherePoint(0j, STANDARD)
-ONE = SpherePoint(1 + 0j, STANDARD)
 
 
 def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
@@ -140,13 +139,66 @@ def chordal_from_complex(z: complex, w: complex) -> float:
 def embed_projective(z1, z2):
     """Stereographic embedding of homogeneous pairs, shape (..., 3).
 
-    The array form of SpherePoint.embed_r3; a (0, 0) pair maps to (0, 0, 0)
-    instead of dividing by zero.
+    The same formula as SpherePoint.embed_r3 but not bit-identical to it:
+    numpy's complex abs is not a hypot and its complex division is not
+    Python's, so the last bit can differ.  embed_chart is the bit-identical
+    array form.  A (0, 0) pair maps to (0, 0, 0) instead of dividing by zero.
     """
     n = np.abs(z1) ** 2 + np.abs(z2) ** 2
     n = np.where(n == 0, 1.0, n)
     w = 2.0 * z1 * np.conj(z2) / n
     return np.stack([w.real, w.imag, (np.abs(z1) ** 2 - np.abs(z2) ** 2) / n], axis=-1)
+
+
+def chart_values(z1, z2):
+    """Chart coordinates (values, reciprocal flags) of homogeneous pairs.
+
+    The array form of SpherePoint.from_projective, bit for bit: the chart
+    compares hypot moduli (what abs does on a numpy complex scalar) and the
+    value is numpy's complex division.
+    """
+    a1, a2 = np.hypot(z1.real, z1.imag), np.hypot(z2.real, z2.imag)
+    if np.any((a1 == 0.0) & (a2 == 0.0)):
+        raise ValueError("projective pair (0, 0) does not define a point")
+    reciprocal = ~(a1 <= a2)
+    return np.where(reciprocal, z2, z1) / np.where(reciprocal, z1, z2), reciprocal
+
+
+def chart_pairs(values, reciprocal):
+    """Homogeneous pairs (z1, z2) of chart coordinates: SpherePoint.projective."""
+    one = np.ones_like(values)
+    return np.where(reciprocal, one, values), np.where(reciprocal, values, one)
+
+
+def embed_chart(values, reciprocal):
+    """Embeddings (N, 3) of chart coordinates: SpherePoint.embed_r3, bit for bit.
+
+    Python's complex arithmetic spelled out on real arrays: 2 * z1 and the
+    product with conj(z2) are complex products, and dividing by the real n
+    is complex division by (n, 0), so zero signs come out the same too.
+    """
+    z1, z2 = chart_pairs(values, reciprocal)
+    a1, a2 = np.hypot(z1.real, z1.imag), np.hypot(z2.real, z2.imag)
+    n = a1 * a1 + a2 * a2
+    p, q = 2.0 * z1.real - 0.0 * z1.imag, 2.0 * z1.imag + 0.0 * z1.real
+    c, d = z2.real, -z2.imag
+    wr, wi = p * c - q * d, p * d + q * c
+    x, y = (wr + wi * 0.0) / n, (wi - wr * 0.0) / n
+    return np.stack([x, y, (a1 * a1 - a2 * a2) / n], axis=-1)
+
+
+def greedy_groups(items, tol: float, dist=chordal_distance) -> list[list[int]]:
+    """Indices of items in greedy groups: in item order, each item joins the
+    first group whose first item lies within tol (<=), else starts a group."""
+    groups: list[list[int]] = []
+    for i, item in enumerate(items):
+        for group in groups:
+            if dist(item, items[group[0]]) <= tol:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def uniform_sphere_points(n: int, rng) -> list[SpherePoint]:

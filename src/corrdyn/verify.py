@@ -288,11 +288,10 @@ def suite_mu_plus_consistency(rng_seed: int) -> dict:
     n = 8
     left = pushforward_mobius(pullback_dirac_tree(C, z0, n), J)
     right = pullback_dirac_tree(C.transpose(), mobius_apply(J, z0), n)
+    targets = right.atoms  # built once: the atoms property makes new points
     bad = []
     for p, w in left.atoms:
-        best = min(
-            (chordal_distance(p, q), abs(w - v)) for q, v in right.atoms
-        )
+        best = min((chordal_distance(p, q), abs(w - v)) for q, v in targets)
         if best[0] > 1e-8 or best[1] > 1e-9:
             bad.append({"atom": str(p), "gap": best[0]})
     return _result("pushforward_conjugacy", not bad, bad)
@@ -304,13 +303,10 @@ def suite_invariance_inequality(rng_seed: int) -> dict:
     C = family_correspondence(4)
     cloud = pullback_dirac_tree(C, SpherePoint.from_complex(0.3 + 0.2j), 12)
     part = GridPartition(8, 8)
-    atoms = cloud.atoms
-    cells = np.array([part.cell_of(p) for p, _ in atoms])
-    weights = np.array([w for _, w in atoms])
+    cells = part.cells_of_embedded(cloud.embedded())
+    weights = cloud.weights
     # one-step forward images of each atom
-    z1 = np.array([p.projective()[0] for p, _ in atoms])
-    z2 = np.array([p.projective()[1] for p, _ in atoms])
-    W1, W2, _ = C.forward_batch(z1, z2)
+    W1, W2, _ = C.forward_batch(*cloud.projective())
     img_cells = part.cells_of_embedded(embed_projective(W1, W2))
     bad = []
     for cell in rng.choice(part.k, size=50, replace=True):

@@ -522,7 +522,7 @@ def test_criterion_11_metric_entropy(fa4_entropy_reports):
                 atoms.append(
                     (SpherePoint.from_complex(complex(x, y) / (1 - u)), 1.0 / part.k)
                 )
-        H = partition_entropy(WeightedCloud(tuple(atoms)), part)
+        H = partition_entropy(WeightedCloud.from_atoms(tuple(atoms)), part)
         assert abs(H - math.log(part.k)) < 1e-12
     # family metric entropy against the topological estimate
     cfg = load_config("accept_c11_metric_fa4.json")

@@ -579,3 +579,75 @@ def test_missing_output_path_is_a_usage_error_before_any_work(
     del cfg[key]
     assert _run_config(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err == f"usage error: config field {key!r} is required\n"
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "metric=3",
+        "metric=null",
+        "metric.partition=[0, 4]",
+        "metric.partition=[4]",
+        'metric.partition="x"',
+        "metric.N_max=0",
+        "metric.N_max=2.5",
+        "metric.cloud_generation=-1",
+        'metric.cloud_seed="x"',
+        "metric.budget=0",
+    ],
+)
+def test_entropy_metric_violation_is_a_usage_error_before_any_work(
+    tmp_path, capsys, monkeypatch, override
+):
+    def never(*args, **kwargs):
+        raise AssertionError("entropy_estimate ran before the metric section was checked")
+
+    monkeypatch.setattr(cli, "entropy_estimate", never)
+    out = tmp_path / "metric.json"
+    code = main(
+        [
+            "entropy",
+            "--config",
+            str(CONFIGS / "accept_c11_metric_fa4.json"),
+            "--set",
+            override,
+            "--set",
+            f"out={out}",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_non_finite_number_in_a_config_file_is_a_usage_error(tmp_path, capsys, literal):
+    text = (CONFIGS / "demo_cov_cubic.json").read_text()
+    path = tmp_path / "cov.json"
+    path.write_text(text.replace('"num": [[0, 0]', f'"num": [[{literal}, 0]', 1))
+    assert literal in path.read_text()
+    out = tmp_path / "cov_out.json"
+    assert main(["cov", "--config", str(path), "--set", f"out={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: config numbers must be finite, got {literal}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_in_an_override_is_a_usage_error(tmp_path, capsys, literal):
+    prefix = tmp_path / "eq"
+    code = main(
+        [
+            "equidist",
+            "--config",
+            str(CONFIGS / "accept_c12_det_equidist.json"),
+            "--set",
+            f"seeds=[[{literal}, 0]]",
+            "--set",
+            f"out_prefix={prefix}",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: config numbers must be finite, got {literal}\n"
+    assert not list(tmp_path.iterdir())

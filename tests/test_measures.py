@@ -11,7 +11,6 @@ from corrdyn.families import family_correspondence, family_involution
 from corrdyn.measures import (
     GridPartition,
     WeightedCloud,
-    _merge_atoms,
     _stratified_subsample,
     brolin_cloud,
     energy_distance,
@@ -26,6 +25,7 @@ from corrdyn.rational import polynomial_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance
 from difference_tensor_energy import energy_distance as oracle_energy_distance
 from difference_tensor_energy import stratified_subsample as oracle_subsample
+import object_lane_clouds
 
 
 def pt(z):
@@ -69,30 +69,52 @@ def test_tree_levels_match_single_calls(f4):
     assert energy_distance(levels[4], single) < 1e-12
 
 
-def _object_lane_pullback(C, z0, n):
-    """Per-point reference: merged backward fibers, weight = multiplicity share."""
-    CT = C.transpose()
-    level = [(z0, 1.0)]
-    for _ in range(n):
-        level = _merge_atoms(
-            [(q, mult * m) for p, mult in level for q, m in CT.forward(p).points]
-        )
-    total = sum(m for _, m in level)
-    return [(p, m / total) for p, m in level]
+def _quartic_composition():
+    # cov(R4) o cov(z^3 - 3z): stage fibers of degree 3 and 2, six preimages
+    R4 = polynomial_map([0.1, -1, 0, 0.3 + 0.2j, 1])
+    return compose(deleted_covering(R4), deleted_covering(polynomial_map([0, -3, 0, 1])))
 
 
 def test_tree_levels_match_object_lane_on_quartic_composition():
-    # cov(R4) o cov(z^3 - 3z): stage fibers of degree 3 and 2, six preimages
-    R4 = polynomial_map([0.1, -1, 0, 0.3 + 0.2j, 1])
-    C = compose(deleted_covering(R4), deleted_covering(polynomial_map([0, -3, 0, 1])))
+    C = _quartic_composition()
     z0 = pt(0.3 + 0.2j)
     levels = pullback_dirac_tree_levels(C, z0, (1, 2, 3))
     for n, cloud in levels.items():
-        want = _object_lane_pullback(C, z0, n)
+        want = object_lane_clouds.per_point_pullback(C, z0, n)
         assert len(cloud.atoms) == len(want), n
         for p, w in cloud.atoms:
             d, v = min((chordal_distance(p, q), v) for q, v in want)
             assert d <= 1e-9 and abs(w - v) <= 1e-12, (n, p, d, w, v)
+
+
+@pytest.mark.parametrize("seed", [-3, 0.3 + 0.2j])
+def test_tree_csv_matches_object_lane_oracle(f4, seed):
+    ns = tuple(range(11))
+    levels = pullback_dirac_tree_levels(f4, pt(seed), ns)
+    want = object_lane_clouds.tree_levels(f4, pt(seed), ns)
+    for n in ns:
+        assert levels[n].to_csv() == object_lane_clouds.to_csv(want[n]), n
+
+
+def test_quartic_composition_csv_matches_object_lane_oracle():
+    C, z0 = _quartic_composition(), pt(0.3 + 0.2j)
+    levels = pullback_dirac_tree_levels(C, z0, (1, 2, 3))
+    want = object_lane_clouds.tree_levels(C, z0, (1, 2, 3))
+    for n in (1, 2, 3):
+        assert levels[n].to_csv() == object_lane_clouds.to_csv(want[n]), n
+
+
+def test_monte_carlo_csv_matches_object_lane_oracle(f4):
+    cloud = pullback_dirac_mc(f4, pt(0.3 + 0.2j), 8, 500, rng_seed=7)
+    want = object_lane_clouds.monte_carlo(f4, pt(0.3 + 0.2j), 8, 500, 7)
+    assert cloud.to_csv() == object_lane_clouds.to_csv(want)
+
+
+def test_cloud_arrays_round_trip_through_atoms(f4):
+    cloud = pullback_dirac_tree(f4, pt(-3), 7)
+    again = WeightedCloud.from_atoms(cloud.atoms)
+    assert again.to_csv() == cloud.to_csv()
+    assert np.array_equal(again.embedded(), cloud.embedded())
 
 
 # -- monte carlo ---------------------------------------------------------------
@@ -141,7 +163,7 @@ def test_pushforward_involution_twice(f4):
 
 def test_pushforward_fixed_atom():
     J = family_involution(4)
-    cloud = WeightedCloud(((pt(1), 1.0),))
+    cloud = WeightedCloud.from_atoms(((pt(1), 1.0),))
     out = pushforward_mobius(cloud, J)
     assert chordal_distance(out.atoms[0][0], pt(1)) < 1e-12
 
@@ -154,8 +176,8 @@ def test_energy_distance_identical_is_zero(f4):
 
 
 def test_energy_distance_two_atoms():
-    c0 = WeightedCloud(((pt(0), 1.0),))
-    cinf = WeightedCloud(((INF, 1.0),))
+    c0 = WeightedCloud.from_atoms(((pt(0), 1.0),))
+    cinf = WeightedCloud.from_atoms(((INF, 1.0),))
     assert energy_distance(c0, cinf) == pytest.approx(4.0)
 
 
@@ -182,8 +204,8 @@ def test_energy_distance_subsampling():
         (pt(complex(x, y)), 1 / 6000.0)
         for x, y in rng.normal(size=(6000, 2)) * 0.3
     )
-    big = WeightedCloud(atoms)
-    small = WeightedCloud(atoms[:4096])
+    big = WeightedCloud.from_atoms(atoms)
+    small = WeightedCloud.from_atoms(atoms[:4096])
     d = energy_distance(big, big)
     assert d == pytest.approx(0.0, abs=1e-12)  # deterministic subsample
     assert energy_distance(big, small) < 0.05
@@ -202,7 +224,7 @@ _points = st.one_of(
 # repeated weights make strata whose heaviest atom is a tie
 _weights = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0))
 _clouds = st.lists(st.tuples(_points, _weights), min_size=1, max_size=40).map(
-    lambda atoms: WeightedCloud(tuple(atoms))
+    lambda atoms: WeightedCloud.from_atoms(tuple(atoms))
 )
 
 
@@ -216,7 +238,7 @@ def test_energy_distance_matches_difference_tensor_oracle(a, b, max_atoms):
 def _random_cloud(rng, n):
     pts = rng.normal(size=(n, 2)) * 0.8
     weights = rng.choice([1.0, 2.0, 3.0], size=n) * rng.choice([1.0, rng.random()], size=n)
-    return WeightedCloud(
+    return WeightedCloud.from_atoms(
         tuple((pt(complex(x, y)), float(w)) for (x, y), w in zip(pts, weights / weights.sum()))
     )
 
@@ -268,7 +290,7 @@ def test_brolin_squaring_unit_circle():
 
 def test_brolin_squaring_matches_uniform_circle():
     cloud = brolin_cloud(polynomial_map([0, 0, 1]), 12, 10_000, rng_seed=3, z0=pt(1))
-    circle = WeightedCloud(
+    circle = WeightedCloud.from_atoms(
         tuple(
             (pt(np.exp(2j * np.pi * k / 4096)), 1 / 4096) for k in range(4096)
         )
@@ -296,9 +318,9 @@ def test_brolin_exceptional_start():
 
 def test_partition_entropy_uniform_and_point():
     part = GridPartition(4, 4)
-    two = WeightedCloud(((pt(0.1), 0.5), (pt(-0.9), 0.5)))
+    two = WeightedCloud.from_atoms(((pt(0.1), 0.5), (pt(-0.9), 0.5)))
     assert partition_entropy(two, part) == pytest.approx(math.log(2), abs=1e-12)
-    one = WeightedCloud(((pt(0.1), 1.0),))
+    one = WeightedCloud.from_atoms(((pt(0.1), 1.0),))
     assert partition_entropy(one, part) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -311,7 +333,7 @@ def test_partition_entropy_uniform_over_cells():
         r = math.sqrt(1 - u * u)
         x, y = r * math.cos(az), r * math.sin(az)
         atoms.append((SpherePoint.from_complex(complex(x, y) / (1 - u)), 0.25))
-    cloud = WeightedCloud(tuple(atoms))
+    cloud = WeightedCloud.from_atoms(tuple(atoms))
     assert partition_entropy(cloud, part) == pytest.approx(math.log(4), abs=1e-12)
     assert partition_entropy(cloud, part) <= math.log(part.k) + 1e-12
 
@@ -321,9 +343,10 @@ def test_partition_cells_cover_and_disjoint():
     rng = np.random.default_rng(2)
     from corrdyn.sphere import uniform_sphere_points
 
-    for p in uniform_sphere_points(500, rng) + [INF, pt(0)]:
-        c = part.cell_of(p)
-        assert 0 <= c < part.k
+    points = uniform_sphere_points(500, rng) + [INF, pt(0)]
+    cells = part.cells_of_embedded(np.array([p.embed_r3() for p in points]))
+    assert cells.shape == (len(points),)
+    assert all(0 <= c < part.k for c in cells)
 
 
 # -- metric entropy --------------------------------------------------------------------

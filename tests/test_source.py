@@ -126,3 +126,13 @@ def test_root_finder_is_found():
     assert _root_finders(tree) == [
         "roots (line 3)", "eig (line 4)", "polynomial (line 1)", "eigvals (line 2)",
     ]
+
+
+def test_clouds_build_no_points_per_atom():
+    # clouds are chart arrays: atoms are embedded and charted by sphere.embed_chart
+    # and sphere.chart_values, never one SpherePoint at a time
+    text = (SRC / "measures.py").read_text(encoding="utf-8")
+    assert "embed_r3" not in text and "from_projective" not in text
+    from corrdyn.measures import GridPartition
+
+    assert not hasattr(GridPartition, "cell_of")

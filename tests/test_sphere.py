@@ -6,9 +6,14 @@ from hypothesis import given, strategies as st
 
 from corrdyn.sphere import (
     INF,
+    RECIPROCAL,
+    STANDARD,
     SpherePoint,
+    chart_values,
     chordal_distance,
+    embed_chart,
     fibonacci_sphere_points,
+    greedy_groups,
     uniform_sphere_points,
 )
 
@@ -113,3 +118,61 @@ def test_fibonacci_net_is_deterministic_and_spread():
         chordal_distance(a[i], a[j]) for i in range(0, 200, 9) for j in range(i + 1, 200, 13)
     )
     assert worst > 1e-3
+
+
+# -- array forms of from_projective and embed_r3, bit for bit -------------------------
+
+_SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1 + 0j,
+            1j, -1j, complex(0.6, 0.8), complex(-0.6, -0.8), complex(-0.5, 0.0), complex(-0.5, -0.0)]
+_values = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    st.builds(lambda t: complex(math.cos(t), math.sin(t)), st.floats(-4, 4)),  # |v| = 1
+)
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+@given(st.lists(st.tuples(_values, st.booleans()), min_size=1, max_size=30))
+def test_embed_chart_is_embed_r3_bitwise(atoms):
+    values = np.array([v for v, _ in atoms], dtype=complex)
+    reciprocal = np.array([r for _, r in atoms])
+    got = embed_chart(values, reciprocal)
+    for (v, r), row in zip(atoms, got):
+        want = SpherePoint(v, RECIPROCAL if r else STANDARD).embed_r3()
+        assert _bits(row) == _bits(want), (v, r)
+
+
+def test_embed_chart_of_zero_and_infinity():
+    got = embed_chart(np.array([0j, 0j]), np.array([False, True]))
+    assert _bits(got) == _bits([pt(0).embed_r3(), INF.embed_r3()])
+    assert got.tolist() == [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
+
+
+@given(st.lists(st.tuples(_values, _values), min_size=1, max_size=30))
+def test_chart_values_is_from_projective_bitwise(pairs):
+    pairs = [(a, b) for a, b in pairs if a != 0 or b != 0]
+    z1 = np.array([a for a, _ in pairs] + [1, 0, 1j], dtype=complex)  # infinity, zero, |z1| = |z2|
+    z2 = np.array([b for _, b in pairs] + [0, 1, -1], dtype=complex)
+    values, reciprocal = chart_values(z1, z2)
+    for a, b, v, r in zip(z1, z2, values, reciprocal):
+        want = SpherePoint.from_projective(a, b)
+        assert _bits([v.real, v.imag]) == _bits([want.value.real, want.value.imag]), (a, b)
+        assert r == (want.chart == RECIPROCAL), (a, b)
+
+
+def test_chart_values_rejects_the_zero_pair():
+    with pytest.raises(ValueError):
+        chart_values(np.array([1, 0], dtype=complex), np.array([1, 0], dtype=complex))
+
+
+def test_greedy_groups_join_the_first_group_in_reach():
+    dist = lambda a, b: abs(a - b)  # noqa: E731
+    assert greedy_groups([0, 0.5, 1.2, 0.4, 2.0], 0.5, dist) == [[0, 1, 3], [2], [4]]
+    # 0.3 lies within 0.35 of both first items and joins the earlier group
+    assert greedy_groups([0, 0.6, 0.3], 0.35, dist) == [[0, 2], [1]]
+    # members are compared with the group's first item only, not its last
+    assert greedy_groups([0, 0.3, 0.6], 0.35, dist) == [[0, 1], [2]]
+    assert greedy_groups([pt(1), pt(1 + 1e-10), INF], 1e-9) == [[0, 1], [2]]
