@@ -19,6 +19,7 @@ from .config import (
     int_field,
     list_field,
     load_config,
+    object_field,
     require,
     thread_count,
     write_bytes,
@@ -38,7 +39,7 @@ from .sphere import SpherePoint, chordal_distance
 
 def cmd_cov(cfg: dict) -> int:
     """Write the deleted-covering graph polynomial of a rational map."""
-    R = RationalMap.from_json(require(cfg, "map"))
+    R = RationalMap.from_json(object_field(cfg, "map"))
     gp = cov_graph(R)
     out = require(cfg, "out")
     write_json(out, gp.to_json())
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except CorrdynError as exc:
+    except (CorrdynError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,6 +80,14 @@ def list_field(cfg: dict, key: str) -> list:
     return value
 
 
+def object_field(cfg: dict, key: str) -> dict:
+    """cfg[key], which must be a JSON object."""
+    value = require(cfg, key)
+    if type(value) is not dict:
+        raise UsageError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def build_correspondence(spec) -> Correspondence:
     """Correspondence from its config description.
 
@@ -94,35 +102,36 @@ def build_correspondence(spec) -> Correspondence:
     if kind == "family_a":
         return family_correspondence(_complex_field(require(spec, "a")))
     if kind == "covering":
-        return deleted_covering(RationalMap.from_json(require(spec, "map")))
+        return deleted_covering(RationalMap.from_json(object_field(spec, "map")))
     if kind == "covering_pair":
         return composed_covering_pair(
-            RationalMap.from_json(require(spec, "R")),
-            RationalMap.from_json(require(spec, "S")),
+            RationalMap.from_json(object_field(spec, "R")),
+            RationalMap.from_json(object_field(spec, "S")),
         )
     if kind == "map_graph":
         orientation = spec.get("orientation", "forward")
         if orientation not in ("forward", "backward"):
             raise UsageError("orientation must be forward or backward")
         return map_graph(
-            RationalMap.from_json(require(spec, "map")),
+            RationalMap.from_json(object_field(spec, "map")),
             backward=orientation == "backward",
         )
     if kind == "mobius":
-        (a, b), (c, d) = require(spec, "matrix")
+        m = require(spec, "matrix")
+        if type(m) is not list or len(m) != 2 or any(type(r) is not list or len(r) != 2 for r in m):
+            raise UsageError(f"matrix must be 2x2, [[a, b], [c, d]], got {m!r}")
+        (a, b), (c, d) = m
         return mobius_correspondence(
             MobiusMap(_complex_field(a), _complex_field(b), _complex_field(c), _complex_field(d))
         )
     if kind == "compose":
-        factors = [build_correspondence(s) for s in require(spec, "factors")]
-        if not factors:
-            raise UsageError("compose needs at least one factor")
+        factors = [build_correspondence(s) for s in list_field(spec, "factors")]
         out = factors[-1]
         for f in reversed(factors[:-1]):
             out = compose(f, out)
         return out
     if kind == "explicit":
-        return Correspondence.from_json(require(spec, "data"))
+        return Correspondence.from_json(object_field(spec, "data"))
     raise UsageError(f"unknown correspondence kind {kind!r}")
 
 

@@ -45,37 +45,45 @@ def _lex_less(x1, x2):
 
 
 class _LevelTree:
-    """Forward orbit tree with fixed child width per level.
+    """Forward orbit tree with fixed child width per level, grown on demand.
 
     Level l holds n_seeds * d1^l slots; slot k has parent k // d1.  Children
     of each node are sorted lexicographically so slot order is the canonical
     lexicographic orbit order.  Invalid slots mark collapsed duplicates and
-    degenerate fibers.
+    degenerate fibers.  Only level 0 is built up front; `level(l)` grows the
+    levels up to l the first time they are asked for, so `levels` holds the
+    prefix grown so far and `node_count` its valid nodes.
     """
 
     def __init__(self, C: Correspondence, seeds, n_levels: int):
+        self.C = C
         self.d1 = max(1, C.d1)
+        self.n_levels = n_levels
         xyz = np.array([p.embed_r3() for p in seeds])
         order = np.lexsort((xyz[:, 2], xyz[:, 1], xyz[:, 0]))
         seeds = [seeds[i] for i in order]
         z1 = np.array([p.projective()[0] for p in seeds], dtype=complex)
         z2 = np.array([p.projective()[1] for p in seeds], dtype=complex)
-        self.levels = []
-        lvl = {
+        self.levels = [{
             "z1": z1,
             "z2": z2,
             "xyz": embed_projective(z1, z2),
             "valid": np.ones(z1.size, dtype=bool),
             "label": np.zeros(z1.size, dtype=np.int16),
-        }
-        self.levels.append(lvl)
+        }]
         self.node_count = z1.size
-        for _ in range(n_levels):
-            lvl = self._grow(C, lvl)
+
+    def level(self, ell: int) -> dict:
+        """Level ell (0 <= ell <= n_levels), growing the missing levels before it."""
+        if not 0 <= ell <= self.n_levels:
+            raise IndexError(f"level {ell} outside 0..{self.n_levels}")
+        while len(self.levels) <= ell:
+            lvl = self._grow(self.levels[-1])
             self.levels.append(lvl)
             self.node_count += int(lvl["valid"].sum())
+        return self.levels[ell]
 
-    def _grow(self, C: Correspondence, lvl):
+    def _grow(self, lvl):
         d1 = self.d1
         n = lvl["z1"].size
         W1 = np.zeros((n, d1), dtype=complex)
@@ -83,7 +91,7 @@ class _LevelTree:
         L = np.zeros((n, d1), dtype=np.int16)
         ok = lvl["valid"]
         if ok.any():
-            w1, w2, lab = C.forward_batch(lvl["z1"][ok], lvl["z2"][ok])
+            w1, w2, lab = self.C.forward_batch(lvl["z1"][ok], lvl["z2"][ok])
             W1[ok], W2[ok], L[ok] = w1, w2, lab
         valid = np.repeat(ok[:, None], d1, axis=1)
         bad = ~np.isfinite(W1.real) | ~np.isfinite(W2.real)
@@ -145,7 +153,7 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
     if not seeds:
         return []
     tree = _LevelTree(C, seeds, n)
-    leaves = np.flatnonzero(tree.levels[n]["valid"])
+    leaves = np.flatnonzero(tree.level(n)["valid"])
     points, labels = [], []  # per level, the ancestor of every leaf
     for ell, lvl in enumerate(tree.levels):
         slots = leaves // tree.d1 ** (n - ell)
@@ -219,11 +227,12 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
     entry, its candidate pair count) and "stop" (convention -> the depth the
     pair budget cut it at).  A convention whose candidates exceed the budget
     stops there, so no deeper count comes from an incomplete graph; the item's
-    truncated flag is True once every convention has stopped.  Candidates are
-    built and filtered a chunk of parent pairs at a time.
+    truncated flag is True once every convention has stopped, and that level is
+    never grown.  Candidates are built and filtered a chunk of parent pairs at
+    a time.
     """
     d1 = tree.d1
-    lvl0 = tree.levels[0]
+    lvl0 = tree.level(0)
     pi, pj, bits = _close_seed_pairs(lvl0["xyz"], lvl0["valid"], eps)
     seeds = int(lvl0["valid"].sum())
     facts.update(bits=bits, live=KT | DS, stop={},
@@ -233,9 +242,9 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
     every = np.ones((d1, d1), dtype=bool)
     upper = np.triu(every, 1)  # sibling pairs u < v
     step = max(1, _CHUNK // (d1 * d1))
-    for ell in range(1, len(tree.levels)):
-        parents = np.nonzero(tree.levels[ell - 1]["valid"])[0]
-        # the budget is checked before any candidate is built
+    for ell in range(1, tree.n_levels + 1):
+        parents = np.nonzero(tree.level(ell - 1)["valid"])[0]
+        # the budget is checked before level ell or any candidate is built
         live, candidates = facts["live"], {}
         for name, bit in CONVENTIONS:
             if live & bit:
@@ -251,13 +260,14 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
         # pairs whose every bit belongs to a stopped convention are dropped
         bits = bits & live
         nz = bits != 0
+        lvl = tree.level(ell)
         blocks = (
             (pi[nz], pj[nz], bits[nz], every),
             (parents, parents, np.full(parents.size, live, dtype=np.uint8), upper),
         )
         out = [
-            _close_children(tree.levels[ell], d1, e2, a[s : s + step], b[s : s + step],
-                            c[s : s + step], combos)
+            _close_children(lvl, d1, e2, a[s : s + step], b[s : s + step], c[s : s + step],
+                            combos)
             for a, b, c, combos in blocks if combos.any()
             for s in range(0, a.size, step)
         ]
@@ -303,15 +313,17 @@ def _separated_counts(tree: _LevelTree, eps: float, pair_budget: int, n_min: int
     Returns the counts {convention: {level: count}} for levels >= max(1, n_min),
     one row of facts per level (nodes, candidate and kept pairs per convention,
     whether the two pair sets coincide), and {convention: depth} for each
-    convention the pair budget stopped.
+    convention the pair budget stopped.  The level every convention stopped at
+    is never grown, so its row's nodes is None.
     """
     counts, levels, facts = {"KT": {}, "DS": {}}, [], {}
     for ell, pi, pj, truncated in _propagate_pairs(tree, eps, pair_budget, facts):
-        valid = tree.levels[ell]["valid"]
-        row = {"level": ell, "nodes": int(valid.sum()), "candidates": facts["candidates"]}
+        row = {"level": ell, "nodes": None, "candidates": facts["candidates"]}
         levels.append(row)
         if truncated:
             break
+        valid = tree.level(ell)["valid"]
+        row["nodes"] = int(valid.sum())
         bits, live = facts["bits"], facts["live"]
         row["kept"] = {
             name: int(np.count_nonzero(bits & bit)) for name, bit in CONVENTIONS if live & bit
@@ -502,8 +514,9 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
         seeds, flags = _plan_seeds(seeds, max(1, C.d1), protocol.n_max, protocol.budget)
         all_flags.extend(f"{f}@eps={eps:g}" for f in flags)
         tree = _LevelTree(C, seeds, protocol.n_max)
-        usage[f"eps={eps:g}"] = {"seeds": len(seeds), "nodes": tree.node_count}
         counts, levels, stop = _separated_counts(tree, eps, protocol.pair_budget, protocol.n_min)
+        # the nodes grown: levels past the pair budget's stop never exist
+        usage[f"eps={eps:g}"] = {"seeds": len(seeds), "nodes": tree.node_count}
         for name, _ in CONVENTIONS:
             flag = f"pair_budget_truncated@eps={eps:g},depth={stop.get(name)}"
             if name in stop and flag not in all_flags:  # KT and DS may stop at one depth

@@ -651,3 +651,65 @@ def test_non_finite_number_in_an_override_is_a_usage_error(tmp_path, capsys, lit
     assert code == 2
     assert capsys.readouterr().err == f"usage error: config numbers must be finite, got {literal}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "mobius", "matrix": [1, 2]}, "matrix must be 2x2, [[a, b], [c, d]]"),
+        ({"kind": "mobius", "matrix": [[1, 2], [3]]}, "matrix must be 2x2, [[a, b], [c, d]]"),
+        ({"kind": "compose", "factors": 3}, "factors must be a non-empty list"),
+        ({"kind": "covering", "map": 3}, "map must be an object"),
+        ({"kind": "covering_pair", "R": 3, "S": {"num": [[1, 0]], "den": [[1, 0]]}},
+         "R must be an object"),
+        ({"kind": "map_graph", "map": [1, 2]}, "map must be an object"),
+        ({"kind": "explicit", "data": 3}, "data must be an object"),
+    ],
+)
+def test_malformed_correspondence_spec_is_a_usage_error(tmp_path, capsys, monkeypatch, spec,
+                                                        message):
+    def never(*args, **kwargs):
+        raise AssertionError("entropy_estimate ran on a malformed correspondence")
+
+    monkeypatch.setattr(cli, "entropy_estimate", never)
+    out = tmp_path / "entropy.json"
+    code = main(
+        [
+            "entropy",
+            "--config",
+            str(CONFIGS / "accept_c07_entropy_z2.json"),
+            "--set",
+            f"correspondence={json.dumps(spec)}",
+            "--set",
+            f"out={out}",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {message}, got ")
+    assert not out.exists()
+
+
+def test_cov_map_not_an_object_is_a_usage_error(tmp_path, capsys):
+    assert main(["cov", "--set", "map=3", "--set", f"out={tmp_path / 'cov.json'}"]) == 2
+    assert capsys.readouterr().err == "usage error: map must be an object, got 3\n"
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(
+        [
+            "entropy",
+            "--config",
+            str(CONFIGS / "accept_c07_entropy_z2.json"),
+            "--set",
+            'protocol={"eps_grid": [0.5], "n_max": 2, "budget": 4096}',
+            "--set",
+            f"out={blocker / 'report.json'}",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(blocker) in err

@@ -3,6 +3,7 @@ import pytest
 
 from corrdyn.correspondence import (
     Correspondence,
+    _branch_base_candidates,
     compose,
     compose_graph_poly,
     cov_graph,
@@ -259,3 +260,16 @@ def test_correspondence_json_round_trip():
     b = sorted(p.sort_key() for p in C2.forward(z).support())
     for u, v in zip(a, b):
         assert max(abs(x - y) for x, y in zip(u, v)) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-10])
+def test_branch_base_candidates_trim_the_discriminant_at_1e_9(delta):
+    # B = w^2 - z + delta z^2 has discriminant 4z - 4 delta z^2, with roots 0 and
+    # 1 / delta: its top coefficient is kept above 1e-9 of the largest, trimmed below
+    gp = GraphPolynomial(np.array([[0, 0, 1], [-1, 0, 0], [delta, 0, 0]], dtype=complex))
+    cands = _branch_base_candidates(gp)
+    assert cands[0] == INF and chordal_distance(cands[1], pt(0)) < 1e-12
+    if delta > 1e-9:
+        assert len(cands) == 3 and chordal_distance(cands[2], pt(1 / delta)) < 1e-12
+    else:
+        assert len(cands) == 2

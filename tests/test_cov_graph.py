@@ -144,3 +144,15 @@ def test_fiber_batch_matches_fiber(seed, deg_z, deg_w, drop, drop_row, zero_root
         _assert_fiber_matches(gp.fiber(p), want)
         batch = [(SpherePoint.from_projective(a, b), 1) for a, b in zip(w1, w2)]
         _assert_fiber_matches(batch, want)
+
+
+@pytest.mark.parametrize("b, first", [(0.0, 1.0), (5e-15, 1.0), (5e-14, -1.0)])
+def test_fiber_batch_quadratic_sends_a_vanishing_root_to_infinity(b, first):
+    # over z = 1 the w-coefficients are 1 + b w + 0 w^2, and the closed form's first
+    # root is the pair (-b, 0): below 1e-14 in both components it becomes (1, 0)
+    gp = GraphPolynomial(np.array([[1, -1, -1], [0, 1 + b, 1]], dtype=complex))
+    assert gp.deg_w == 2
+    W1, W2 = gp.fiber_batch(np.ones(1, dtype=complex), np.ones(1, dtype=complex))
+    assert W1[0, 0] == first and W2[0, 0] == 0
+    # the second root, 1 / (-b), is at or near infinity
+    assert W1[0, 1] == 1 and abs(W2[0, 1]) < 1e-13

@@ -267,10 +267,10 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     tree = entropy_mod._LevelTree(C, fibonacci_sphere_points(60), 5)
     eps = {"family": 0.2, "two_components": 0.5}.get(case)
     if case == "seed_tie":
-        xyz = tree.levels[0]["xyz"]
+        xyz = tree.level(0)["xyz"]
         eps = _tie_eps(xyz[:, None, :], xyz[None, :, :])
     elif case == "sibling_tie":
-        children = tree.levels[1]["xyz"].reshape(-1, 2, 3)
+        children = tree.level(1)["xyz"].reshape(-1, 2, 3)
         eps = _tie_eps(children[:, 0], children[:, 1])
     counts, levels, stop = _one_pass_matches_oracle(tree, eps, 10 ** 9, n_min=2)
     assert stop == {}
@@ -321,3 +321,46 @@ def test_diagnostics_record_per_level_facts():
         assert row["kept"]["KT"] <= row["candidates"]["KT"] <= 2000
         assert row["nodes"] > 0 and row["coincide"]
     assert levels[-1]["candidates"]["KT"] > 2000 and "kept" not in levels[-1]
+
+
+# -- levels grown on demand ------------------------------------------------------------
+
+def test_fresh_tree_holds_only_level_zero():
+    tree = entropy_mod._LevelTree(family_correspondence(4), fibonacci_sphere_points(30), 5)
+    assert len(tree.levels) == 1 and tree.n_levels == 5
+    assert tree.node_count == 30
+    assert tree.level(2) is tree.levels[2] and len(tree.levels) == 3
+    assert tree.node_count == sum(int(lvl["valid"].sum()) for lvl in tree.levels)
+    with pytest.raises(IndexError):
+        tree.level(6)
+
+
+def test_pair_budget_stop_level_is_never_grown():
+    C = identity_and_negation()
+    seeds = fibonacci_sphere_points(100)
+    lazy = entropy_mod._LevelTree(C, seeds, 5)
+    counts, levels, stop = entropy_mod._separated_counts(lazy, 0.5, 11000, 1)
+    assert stop == {"KT": 4, "DS": 5}
+    # levels 0..4 exist; level 5, where the last convention stopped, does not
+    assert len(lazy.levels) == max(stop.values())
+    assert levels[-1]["level"] == 5 and levels[-1]["nodes"] is None
+    assert lazy.node_count == sum(row["nodes"] for row in levels[:-1])
+    # the same counts on a tree grown to the bottom first, and from the two-pass oracle
+    eager = entropy_mod._LevelTree(C, seeds, 5)
+    eager.level(eager.n_levels)
+    assert entropy_mod._separated_counts(eager, 0.5, 11000, 1) == (counts, levels, stop)
+    assert eager.node_count > lazy.node_count
+    want = two_pass_counts(entropy_mod._LevelTree(C, seeds, 5), 0.5, 11000)
+    for name in ("KT", "DS"):
+        assert (counts[name], stop.get(name)) == want[name], name
+
+
+def test_truncated_level_reports_no_nodes():
+    prot = EntropyProtocol(eps_grid=(0.3,), n_max=5, budget=2 ** 12, pair_budget=2000)
+    report = entropy_estimate(family_correspondence(4), prot)["KT"]
+    levels = report.diagnostics["counting"]["eps=0.3"]["levels"]
+    assert levels[-1]["nodes"] is None
+    assert all(row["nodes"] > 0 for row in levels[:-1])
+    # budget_usage counts the nodes grown: every level before the truncated one
+    usage = report.diagnostics["budget_usage"]["eps=0.3"]
+    assert usage["nodes"] == sum(row["nodes"] for row in levels[:-1])

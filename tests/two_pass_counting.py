@@ -30,13 +30,13 @@ def close_seed_pairs(xyz, valid, eps, strict):
 
 def propagate_pairs(tree, eps, strict, use_labels, pair_budget):
     """Yield per level the pair lists (i < j) of everywhere-close orbits."""
-    lvl0 = tree.levels[0]
+    lvl0 = tree.level(0)
     pi, pj = close_seed_pairs(lvl0["xyz"], lvl0["valid"], eps, strict)
     yield 0, pi, pj, False
     d1 = tree.d1
     e2 = eps * eps
-    for ell in range(1, len(tree.levels)):
-        lvl = tree.levels[ell]
+    for ell in range(1, tree.n_levels + 1):
+        lvl = tree.level(ell)
         xyz, valid, label = lvl["xyz"], lvl["valid"], lvl["label"]
         cand_i = []
         cand_j = []
@@ -47,7 +47,7 @@ def propagate_pairs(tree, eps, strict, use_labels, pair_budget):
             cj = np.broadcast_to(pj[:, None, None] * d1 + u[None, None, :], shape)
             cand_i.append(ci.reshape(-1))
             cand_j.append(cj.reshape(-1))
-        parents = np.nonzero(tree.levels[ell - 1]["valid"])[0]
+        parents = np.nonzero(tree.level(ell - 1)["valid"])[0]
         if parents.size and d1 > 1:
             combos = [(a, b) for b in range(d1) for a in range(b)]
             cand_i.append(np.concatenate([parents * d1 + a for a, b in combos]))
@@ -98,6 +98,6 @@ def two_pass_counts(tree, eps, pair_budget, n_min=1):
                 stop = ell
                 break
             if ell >= max(1, n_min):
-                counts[ell] = greedy_count(tree.levels[ell]["valid"], pi, pj)
+                counts[ell] = greedy_count(tree.level(ell)["valid"], pi, pj)
         out[name] = (counts, stop)
     return out
