@@ -19,6 +19,7 @@ from .config import (
     int_field,
     list_field,
     load_config,
+    make_parent,
     object_field,
     require,
     thread_count,
@@ -79,6 +80,7 @@ def cmd_entropy(cfg: dict) -> int:
     metric = _metric_section(cfg)
     C = build_correspondence(require(cfg, "correspondence"))
     protocol = EntropyProtocol.from_json(cfg.get("protocol", {}))
+    make_parent(out)
     reports = entropy_estimate(C, protocol)
     payload = {v: r.to_json() for v, r in reports.items()}
     if cfg.get("estimate_inverse", False):
@@ -151,6 +153,7 @@ def cmd_equidist(cfg: dict) -> int:
                         f"{{-1, 2}} of the parameter a = {a.real:g}; "
                         "pullbacks from it do not equidistribute"
                     )
+    make_parent(out_prefix)
     clouds: dict = {}
     for si, seed in enumerate(seeds):
         if method == "full_tree":
@@ -192,16 +195,15 @@ def cmd_limitset(cfg: dict) -> int:
     C = build_correspondence(require(cfg, "correspondence"))
     region = RegionSpec.from_json(require(cfg, "region"))
     viewport = Viewport.from_json(cfg.get("viewport", {}))
-    img = render_survival_set(
-        C,
-        region,
-        viewport,
+    render_args = dict(
         width=int_field(cfg, "width", 256, 1),
         height=int_field(cfg, "height", 256, 1),
         depth=int_field(cfg, "depth", 18, 0),
         frontier_cap=int_field(cfg, "frontier_cap", 64, 1),
         threads=thread_count(),
     )
+    make_parent(out)
+    img = render_survival_set(C, region, viewport, **render_args)
     write_bytes(out, img.to_ppm())
     print(f"raster {img.width}x{img.height} depth={img.metadata['depth']} -> {out}")
     return 0

@@ -152,8 +152,14 @@ def thread_count() -> int:
     return max(1, n)
 
 
-def write_text(path: str, text: str):
+def make_parent(path: str) -> None:
+    """Create an output's directory.  Commands call it after validation and
+    before the work, so an unwritable output (under a file, say) fails at once."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
+def write_text(path: str, text: str):
+    make_parent(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -163,6 +169,6 @@ def write_json(path: str, data) -> None:
 
 
 def write_bytes(path: str, data: bytes):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    make_parent(path)
     with open(path, "wb") as fh:
         fh.write(data)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .correspondence import Correspondence
 from .errors import BudgetExceeded, UsageError
-from .sphere import SpherePoint, embed_projective, fibonacci_sphere_points
+from .sphere import SpherePoint, chart_from_complex, chart_pairs, embed_chart, embed_projective
+from .sphere import fibonacci_net, point_charts
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
 
@@ -37,33 +38,25 @@ def gromov_cap(C: Correspondence) -> float:
 # fixed-width level tree
 # ---------------------------------------------------------------------------
 
-def _lex_less(x1, x2):
-    """Vectorized lexicographic compare of (N,3) coordinate blocks."""
-    a, b, c = x1[..., 0], x1[..., 1], x1[..., 2]
-    d, e, f = x2[..., 0], x2[..., 1], x2[..., 2]
-    return (a < d) | ((a == d) & ((b < e) | ((b == e) & (c < f))))
-
-
 class _LevelTree:
     """Forward orbit tree with fixed child width per level, grown on demand.
 
-    Level l holds n_seeds * d1^l slots; slot k has parent k // d1.  Children
-    of each node are sorted lexicographically so slot order is the canonical
-    lexicographic orbit order.  Invalid slots mark collapsed duplicates and
-    degenerate fibers.  Only level 0 is built up front; `level(l)` grows the
-    levels up to l the first time they are asked for, so `levels` holds the
-    prefix grown so far and `node_count` its valid nodes.
+    The seeds are chart coordinates (values, reciprocal flags).  Level l holds
+    n_seeds * d1^l slots; slot k has parent k // d1.  The seeds, and the
+    children of each node, are sorted lexicographically by their embedding
+    with the stable np.lexsort, so slot order is the canonical lexicographic
+    orbit order.  Invalid slots mark collapsed duplicates and degenerate fibers.
+    Only level 0 is built up front; `level(l)` grows the levels up to l the
+    first time they are asked for, so `levels` holds the prefix grown so far
+    and `node_count` its valid nodes.
     """
 
-    def __init__(self, C: Correspondence, seeds, n_levels: int):
+    def __init__(self, C: Correspondence, values, reciprocal, n_levels: int):
         self.C = C
         self.d1 = max(1, C.d1)
         self.n_levels = n_levels
-        xyz = np.array([p.embed_r3() for p in seeds])
-        order = np.lexsort((xyz[:, 2], xyz[:, 1], xyz[:, 0]))
-        seeds = [seeds[i] for i in order]
-        z1 = np.array([p.projective()[0] for p in seeds], dtype=complex)
-        z2 = np.array([p.projective()[1] for p in seeds], dtype=complex)
+        order = np.lexsort(embed_chart(values, reciprocal).T[::-1])
+        z1, z2 = chart_pairs(values[order], reciprocal[order])
         self.levels = [{
             "z1": z1,
             "z2": z2,
@@ -99,14 +92,7 @@ class _LevelTree:
         W1[bad], W2[bad] = 0.0, 1.0
         xyz = embed_projective(W1, W2)
         # sort the d1 children of each node lexicographically
-        idx = np.tile(np.arange(d1), (n, 1))
-        rows1 = np.arange(n)
-        for a, b in _transposition_pairs(d1):
-            xa, xb = xyz[rows1, idx[:, a]], xyz[rows1, idx[:, b]]
-            swap = _lex_less(xb, xa)
-            ia = idx[:, a].copy()
-            idx[:, a] = np.where(swap, idx[:, b], idx[:, a])
-            idx[:, b] = np.where(swap, ia, idx[:, b])
+        idx = np.lexsort(xyz.transpose(2, 0, 1)[::-1], axis=-1)
         rows = np.arange(n)[:, None]
         W1, W2 = W1[rows, idx], W2[rows, idx]
         L = L[rows, idx]
@@ -130,12 +116,6 @@ class _LevelTree:
         }
 
 
-def _transposition_pairs(k: int):
-    """Odd-even transposition network on k slots: k rounds of adjacent
-    compare-swaps.  With a strict compare, equal keys keep slot order."""
-    return [(i, i + 1) for r in range(k) for i in range(r % 2, k - 1, 2)]
-
-
 def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) -> list[tuple]:
     """All forward n-step orbits from the seeds as (points, labels) pairs, in tree slot order.
 
@@ -152,7 +132,7 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
         )
     if not seeds:
         return []
-    tree = _LevelTree(C, seeds, n)
+    tree = _LevelTree(C, *point_charts(seeds), n)
     leaves = np.flatnonzero(tree.level(n)["valid"])
     points, labels = [], []  # per level, the ancestor of every leaf
     for ell, lvl in enumerate(tree.levels):
@@ -360,16 +340,7 @@ class EntropyProtocol:
     pair_budget: int = 8_000_000
 
     def to_json(self) -> dict:
-        return {
-            "eps_grid": list(self.eps_grid),
-            "n_max": self.n_max,
-            "n_min": self.n_min,
-            "budget": self.budget,
-            "seed_strategy": self.seed_strategy,
-            "grid_size": self.grid_size,
-            "resolution_factor": self.resolution_factor,
-            "pair_budget": self.pair_budget,
-        }
+        return {**asdict(self), "eps_grid": list(self.eps_grid)}
 
     @staticmethod
     def from_json(data) -> "EntropyProtocol":
@@ -427,43 +398,34 @@ class EntropyReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "counts": self.counts,
-            "slopes": self.slopes,
-            "estimate": self.estimate,
-            "cap": self.cap,
-            "flags": self.flags,
-            "protocol": self.protocol,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
-def _square_grid_seeds(g: int, stride: int = 1) -> list[SpherePoint]:
-    xs = ((np.arange(g) + 0.5) / g * 2.0 - 1.0)[::stride]
-    return [SpherePoint.from_complex(complex(x, y)) for x in xs for y in xs]
-
-
-def _net_seeds(eps: float, factor: float) -> list[SpherePoint]:
-    spacing = factor * eps
+def _seed_net(protocol: EntropyProtocol, eps: float):
+    """(seed count, a function from seed indices to their chart coordinates) at eps:
+    the Fibonacci net or the square grid of cell centres in [-1, 1]^2 (seed i
+    in row i // m, column i % m), both at the eps-dependent resolution."""
+    if protocol.seed_strategy == "square_grid":
+        g = protocol.grid_size
+        stride = max(1, int(round(protocol.resolution_factor * eps / (2.0 / g))))
+        xs = ((np.arange(g) + 0.5) / g * 2.0 - 1.0)[::stride]
+        return xs.size ** 2, lambda idx: chart_from_complex(xs[idx // xs.size], xs[idx % xs.size])
+    spacing = protocol.resolution_factor * eps
     count = max(16, int(math.ceil(4.4 * math.pi / (spacing * spacing))))
-    return fibonacci_sphere_points(count)
+    return count, lambda idx: fibonacci_net(count, idx)
 
 
-def _plan_seeds(seeds: list, d1: int, n_max: int, budget: int):
-    """Deterministic subsample + depth cap so total nodes fit the budget."""
+def _plan_seeds(count: int, d1: int, n_max: int, budget: int):
+    """Indices of the seeds kept of `count`: a deterministic subsample so the
+    full tree fits the node budget."""
     flags = []
-    if d1 <= 1:
-        per_seed = n_max + 1
-    else:
-        per_seed = (d1 ** (n_max + 1) - 1) // (d1 - 1)
+    per_seed = sum(d1 ** ell for ell in range(n_max + 1))  # nodes of one seed's full tree
     max_seeds = max(1, budget // per_seed)
-    if len(seeds) > max_seeds:
-        idx = np.linspace(0, len(seeds) - 1, max_seeds).astype(int)
-        idx = np.unique(idx)
-        seeds = [seeds[i] for i in idx]
+    idx = np.arange(count)
+    if count > max_seeds:
+        idx = np.unique(np.linspace(0, count - 1, max_seeds).astype(int))
         flags.append("seed_net_subsampled")
-    return seeds, flags
+    return idx, flags
 
 
 def _fit_slope(ns: np.ndarray, counts: np.ndarray):
@@ -504,19 +466,13 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
     counting = {}  # per eps: nodes, candidate and kept pairs of every level
     data = {"KT": {}, "DS": {}}
     for eps in protocol.eps_grid:
-        if protocol.seed_strategy == "square_grid":
-            # subsample the base grid to the eps-dependent net resolution
-            spacing = 2.0 / protocol.grid_size
-            stride = max(1, int(round(protocol.resolution_factor * eps / spacing)))
-            seeds = _square_grid_seeds(protocol.grid_size, stride)
-        else:
-            seeds = _net_seeds(eps, protocol.resolution_factor)
-        seeds, flags = _plan_seeds(seeds, max(1, C.d1), protocol.n_max, protocol.budget)
+        count, build = _seed_net(protocol, eps)
+        idx, flags = _plan_seeds(count, max(1, C.d1), protocol.n_max, protocol.budget)
         all_flags.extend(f"{f}@eps={eps:g}" for f in flags)
-        tree = _LevelTree(C, seeds, protocol.n_max)
+        tree = _LevelTree(C, *build(idx), protocol.n_max)
         counts, levels, stop = _separated_counts(tree, eps, protocol.pair_budget, protocol.n_min)
         # the nodes grown: levels past the pair budget's stop never exist
-        usage[f"eps={eps:g}"] = {"seeds": len(seeds), "nodes": tree.node_count}
+        usage[f"eps={eps:g}"] = {"seeds": idx.size, "nodes": tree.node_count}
         for name, _ in CONVENTIONS:
             flag = f"pair_budget_truncated@eps={eps:g},depth={stop.get(name)}"
             if name in stop and flag not in all_flags:  # KT and DS may stop at one depth

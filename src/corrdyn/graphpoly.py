@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberDegenerate
+from .errors import FiberDegenerate, UsageError
+from .polynomials import complex_pairs
 from .roots import projective_roots_batch, roots_with_clusters
 from .sphere import SpherePoint
 
@@ -161,9 +162,18 @@ class GraphPolynomial:
 
     @staticmethod
     def from_json(data) -> "GraphPolynomial":
+        """Graph from {"deg_z", "deg_w", "coeffs"}, the (deg_z + 1)(deg_w + 1)
+        coefficients row by row; a malformed one raises UsageError."""
+        if type(data) is not dict or not {"deg_z", "deg_w", "coeffs"} <= set(data):
+            raise UsageError(f"poly must be an object with deg_z, deg_w and coeffs, got {data!r}")
         m, n = data["deg_z"], data["deg_w"]
-        flat = np.array([complex(re, im) for re, im in data["coeffs"]])
-        return GraphPolynomial(flat.reshape(m + 1, n + 1))
+        flat = complex_pairs(data["coeffs"], "coeffs")
+        if type(m) is not int or type(n) is not int or min(m, n) < 0 or len(flat) != (m + 1) * (n + 1):
+            raise UsageError(
+                f"poly needs integers deg_z, deg_w >= 0 and (deg_z + 1)(deg_w + 1) coeffs, "
+                f"got deg_z={m!r}, deg_w={n!r} and {len(flat)} coeffs"
+            )
+        return GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
 
 
 def diagonal_vanishing_fraction(gp: GraphPolynomial, n_samples: int = 200, seed: int = 7) -> float:

@@ -19,7 +19,7 @@ from .correspondence import Correspondence, map_graph
 from .errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
 from .rational import MobiusMap, RationalMap, mobius_apply, rational_preimages
 from .sphere import RECIPROCAL, STANDARD, SpherePoint, chart_pairs, chart_values, chordal_distance
-from .sphere import embed_chart, embed_projective
+from .sphere import embed_chart, embed_projective, point_charts
 
 ATOM_MERGE_TOL = 1e-9
 
@@ -42,8 +42,7 @@ class WeightedCloud:
     def from_atoms(atoms, generation: int = 0, provenance=None) -> "WeightedCloud":
         """Cloud of (SpherePoint, weight) pairs, in their order."""
         atoms = tuple(atoms)
-        values = np.array([p.value for p, _ in atoms], dtype=complex)
-        reciprocal = np.array([p.chart == RECIPROCAL for p, _ in atoms], dtype=bool)
+        values, reciprocal = point_charts(p for p, _ in atoms)
         weights = np.array([w for _, w in atoms], dtype=float)
         return WeightedCloud(values, reciprocal, weights, generation, provenance or {})
 

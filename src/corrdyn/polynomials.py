@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UsageError
+
 NEG_INF = float("-inf")
 
 
@@ -128,11 +130,25 @@ class ComplexPolynomial:
         return [[c.real, c.imag] for c in self.coefficients]
 
     @staticmethod
-    def from_json(data) -> "ComplexPolynomial":
-        return ComplexPolynomial([complex(re, im) for re, im in data])
+    def from_json(data, what: str = "polynomial") -> "ComplexPolynomial":
+        """Polynomial from its JSON form; any other shape raises UsageError naming `what`."""
+        return ComplexPolynomial(complex_pairs(data, what))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ComplexPolynomial({list(self.coefficients)})"
+
+
+def complex_pairs(data, what: str) -> list[complex]:
+    """A JSON list of [re, im] number pairs as complex numbers, else UsageError naming `what`."""
+    if type(data) is not list or not all(
+        type(p) is list and len(p) == 2 and all(_is_number(x) for x in p) for p in data
+    ):
+        raise UsageError(f"{what} must be a list of [re, im] number pairs, got {data!r}")
+    return [complex(re, im) for re, im in data]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _coerce(p) -> ComplexPolynomial:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLow, Indeterminate
+from .errors import DegreeTooLow, Indeterminate, UsageError
 from .polynomials import ComplexPolynomial
 from .roots import poly_roots, roots_with_clusters
 from .sphere import INF, SpherePoint, chordal_from_complex
@@ -60,10 +60,10 @@ class RationalMap:
 
     @staticmethod
     def from_json(data) -> "RationalMap":
-        return RationalMap(
-            ComplexPolynomial.from_json(data["num"]),
-            ComplexPolynomial.from_json(data["den"]),
-        )
+        """Map from {"num": ..., "den": ...}; a malformed one raises UsageError."""
+        if type(data) is not dict or not {"num", "den"} <= set(data):
+            raise UsageError(f"rational map must be an object with num and den, got {data!r}")
+        return RationalMap(*(ComplexPolynomial.from_json(data[k], k) for k in ("num", "den")))
 
 
 def polynomial_map(coefficients) -> RationalMap:

@@ -19,6 +19,8 @@ RECIPROCAL = "reciprocal"
 
 #: invariant slack for the |value| <= 1 normalization
 CHART_SLACK = 1e-9
+#: longitude step of the Fibonacci lattice
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,34 @@ def chart_values(z1, z2):
     return np.where(reciprocal, z2, z1) / np.where(reciprocal, z1, z2), reciprocal
 
 
+def chart_from_complex(re, im):
+    """Chart coordinates (values, reciprocal flags) of the plane points re + i im.
+
+    SpherePoint.from_complex, bit for bit: the chart compares the hypot modulus
+    with 1, and 1/z is Python's complex division spelled out on real arrays.
+    """
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    finite = np.isfinite(re) & np.isfinite(im)
+    reciprocal = ~(finite & (np.hypot(re, im) <= 1.0))
+    by_re = np.abs(re) >= np.abs(im)
+    with np.errstate(all="ignore"):  # the branch np.where drops may overflow
+        ratio = np.where(by_re, im / re, re / im)
+        denom = np.where(by_re, re + im * ratio, re * ratio + im)
+        inv_re = np.where(by_re, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
+        inv_im = np.where(by_re, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
+    values = np.where(reciprocal, inv_re, re).astype(complex)
+    values.imag = np.where(reciprocal, inv_im, im)
+    values[~finite] = 0.0
+    return values, reciprocal
+
+
+def point_charts(points):
+    """Chart coordinates (values, reciprocal flags) of SpherePoints, in their order."""
+    points = list(points)
+    return (np.array([p.value for p in points], dtype=complex),
+            np.array([p.chart == RECIPROCAL for p in points], dtype=bool))
+
+
 def chart_pairs(values, reciprocal):
     """Homogeneous pairs (z1, z2) of chart coordinates: SpherePoint.projective."""
     one = np.ones_like(values)
@@ -218,17 +248,23 @@ def uniform_sphere_points(n: int, rng) -> list[SpherePoint]:
     return out
 
 
+def fibonacci_net(n: int, index):
+    """Chart coordinates of the points `index` of the n-point Fibonacci lattice,
+    a deterministic quasi-uniform sphere net.  Point k depends only on k and n:
+    height u = 1 - 2(k + 1/2)/n, longitude k times the golden angle, and
+    z = (x + i y)/(1 - u) divided as Python divides a complex by a real.
+    """
+    k = np.asarray(index, dtype=float)
+    u = 1.0 - 2.0 * (k + 0.5) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    th = GOLDEN_ANGLE * k
+    x, y = r * np.cos(th), r * np.sin(th)
+    re, im = (x + y * 0.0) / (1.0 - u), (y - x * 0.0) / (1.0 - u)
+    return chart_from_complex(np.where(u > 1 - 1e-12, np.inf, re), im)
+
+
 def fibonacci_sphere_points(n: int) -> list[SpherePoint]:
-    """Deterministic quasi-uniform net of n sphere points (Fibonacci lattice)."""
-    ga = math.pi * (3.0 - math.sqrt(5.0))
-    pts = []
-    for k in range(n):
-        u = 1.0 - 2.0 * (k + 0.5) / n
-        r = math.sqrt(max(0.0, 1.0 - u * u))
-        th = ga * k
-        x, y = r * math.cos(th), r * math.sin(th)
-        if u > 1 - 1e-12:
-            pts.append(INF)
-        else:
-            pts.append(SpherePoint.from_complex(complex(x, y) / (1 - u)))
-    return pts
+    """The n-point Fibonacci net (fibonacci_net) as SpherePoints, for API callers."""
+    values, reciprocal = fibonacci_net(n, np.arange(n))
+    charts = np.where(reciprocal, RECIPROCAL, STANDARD).tolist()
+    return [SpherePoint(v, chart) for v, chart in zip(values.tolist(), charts)]

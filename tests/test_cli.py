@@ -14,8 +14,9 @@ from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.measures import WeightedCloud
 from corrdyn.rational import MobiusMap
 from corrdyn.raster import RasterImage
-from corrdyn.sphere import SpherePoint, fibonacci_sphere_points
+from corrdyn.sphere import SpherePoint
 from object_lane_orbits import enumerate_orbits as oracle_orbits
+from per_point_net import fibonacci_sphere_points
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -713,3 +714,88 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     assert code == 1
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(blocker) in err
+
+
+_POLY = {"deg_z": 1, "deg_w": 1, "coeffs": [[0, 0], [-1, 0], [1, 0], [0, 0]]}  # w - z
+
+
+def _explicit(data):
+    return f"correspondence={json.dumps({'kind': 'explicit', 'data': data})}"
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("cov", 'map={"num": 3}', "rational map must be an object with num and den"),
+        ("cov", 'map={"num": [[0, 0], [0, 0], [1, 0]], "den": "x"}',
+         "den must be a list of [re, im] number pairs"),
+        ("cov", 'map={"num": [[0, 0], [true, 0], [1, 0]], "den": [[1, 0]]}',
+         "num must be a list of [re, im] number pairs"),
+        ("cov", 'map={"num": [[0, 0], [0, 0, 1]], "den": [[1, 0]]}',
+         "num must be a list of [re, im] number pairs"),
+        ("orbit", _explicit({}), "correspondence data needs non-empty components or chain"),
+        ("orbit", _explicit({"chain": 3}), "correspondence data needs non-empty components or chain"),
+        ("orbit", _explicit({"chain": [3]}), "correspondence data must be an object"),
+        ("orbit", _explicit({"components": [{"poly": 3}]}), "components must be"),
+        ("orbit", _explicit({"components": [{"poly": _POLY, "multiplicity": 1.5}]}),
+         "components must be"),
+        ("orbit", _explicit({"components": [{"poly": 3, "multiplicity": 1}]}),
+         "poly must be an object with deg_z, deg_w and coeffs"),
+        ("orbit", _explicit({"components": [{"poly": {**_POLY, "deg_w": 2}, "multiplicity": 1}]}),
+         "poly needs integers deg_z, deg_w >= 0"),
+        ("orbit", _explicit({"components": [{"poly": {**_POLY, "coeffs": "x"}, "multiplicity": 1}]}),
+         "coeffs must be a list of [re, im] number pairs"),
+    ],
+    ids=["map_without_den", "den_not_a_list", "boolean_coefficient", "triple_coefficient",
+         "empty_data", "chain_not_a_list", "chain_of_numbers", "component_without_multiplicity",
+         "fractional_multiplicity", "poly_not_an_object", "coeff_count", "coeffs_not_a_list"],
+)
+def test_malformed_map_or_data_contents_are_a_usage_error(tmp_path, capsys, command, override,
+                                                          message):
+    out = tmp_path / "out.json"
+    base = {"cov": [], "orbit": ["--set", "seeds=[[0.5, 0]]", "--set", "n=1"]}[command]
+    code = main([command, "--set", override, "--set", f"out={out}", *base])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
+def test_explicit_correspondence_round_trips_through_the_config():
+    C = build_correspondence({"kind": "explicit", "data": {"components": [{"poly": _POLY,
+                                                                           "multiplicity": 1}]}})
+    chain = build_correspondence({"kind": "explicit", "data": {"chain": [C.to_json()] * 2}})
+    assert (C.d1, C.d2) == (1, 1) and (chain.d1, chain.d2) == (1, 1)
+
+
+WORKERS = [
+    ("entropy", "accept_c07_entropy_z2.json", "out", "entropy_estimate", "protocol.n_max=0"),
+    ("limitset", "demo_limitset_fa4.json", "out", "render_survival_set", "width=0"),
+    ("equidist", "accept_c12_det_equidist.json", "out_prefix", "pullback_dirac_mc",
+     "generations=[-1]"),
+]
+
+
+@pytest.mark.parametrize("command, config, key, worker, _bad", WORKERS)
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch, command, config,
+                                                 key, worker, _bad):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before the output directory was made")
+
+    monkeypatch.setattr(cli, worker, never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [command, "--config", str(CONFIGS / config), "--set", f"{key}={blocker / 'x'}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("command, config, key, _worker, bad", WORKERS)
+def test_config_that_fails_validation_makes_no_directory(tmp_path, capsys, command, config, key,
+                                                        _worker, bad):
+    target = tmp_path / "new" / "x"
+    args = [command, "--config", str(CONFIGS / config), "--set", f"{key}={target}", "--set", bad]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "new").exists()

@@ -16,7 +16,7 @@ from corrdyn.errors import BudgetExceeded
 from corrdyn.families import family_correspondence
 from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.rational import MobiusMap, polynomial_map
-from corrdyn.sphere import SpherePoint, chordal_distance, fibonacci_sphere_points
+from corrdyn.sphere import SpherePoint, chordal_distance, fibonacci_net, point_charts
 from object_lane_orbits import (
     MissingLabels,
     OrbitTuple,
@@ -24,11 +24,18 @@ from object_lane_orbits import (
     separated_count_DS,
     separated_count_KT,
 )
+from per_point_net import fibonacci_sphere_points
+from transposition_sort import child_order as network_child_order
 from two_pass_counting import greedy_count as oracle_greedy_count, two_pass_counts
 
 
 def pt(z):
     return SpherePoint.from_complex(z)
+
+
+def net(n):
+    """Chart coordinates of the n-point Fibonacci net."""
+    return fibonacci_net(n, np.arange(n))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -190,7 +197,7 @@ def test_fast_counts_match_object_lane():
         (identity_and_negation(), near_zero),
     ]
     for C, seeds in cases:
-        tree = entropy_mod._LevelTree(C, seeds, 4)
+        tree = entropy_mod._LevelTree(C, *point_charts(seeds), 4)
         fast, _levels, stop = entropy_mod._separated_counts(tree, 0.25, 10 ** 9, 1)
         assert stop == {}
         for ell in (1, 2, 3, 4):
@@ -264,7 +271,7 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     # a small chunk makes every level stream in several pieces
     monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
     C = identity_and_negation() if case == "two_components" else family_correspondence(4)
-    tree = entropy_mod._LevelTree(C, fibonacci_sphere_points(60), 5)
+    tree = entropy_mod._LevelTree(C, *net(60), 5)
     eps = {"family": 0.2, "two_components": 0.5}.get(case)
     if case == "seed_tie":
         xyz = tree.level(0)["xyz"]
@@ -291,7 +298,7 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
 
 def test_pair_budget_stops_each_convention_at_its_own_depth():
     C = identity_and_negation()
-    tree = entropy_mod._LevelTree(C, fibonacci_sphere_points(100), 5)
+    tree = entropy_mod._LevelTree(C, *net(100), 5)
     counts, levels, stop = _one_pass_matches_oracle(tree, 0.5, 11000)
     # KT keeps more pairs here (labels split DS), so it reaches the budget first
     assert stop == {"KT": 4, "DS": 5}
@@ -326,7 +333,7 @@ def test_diagnostics_record_per_level_facts():
 # -- levels grown on demand ------------------------------------------------------------
 
 def test_fresh_tree_holds_only_level_zero():
-    tree = entropy_mod._LevelTree(family_correspondence(4), fibonacci_sphere_points(30), 5)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(30), 5)
     assert len(tree.levels) == 1 and tree.n_levels == 5
     assert tree.node_count == 30
     assert tree.level(2) is tree.levels[2] and len(tree.levels) == 3
@@ -337,8 +344,8 @@ def test_fresh_tree_holds_only_level_zero():
 
 def test_pair_budget_stop_level_is_never_grown():
     C = identity_and_negation()
-    seeds = fibonacci_sphere_points(100)
-    lazy = entropy_mod._LevelTree(C, seeds, 5)
+    seeds = net(100)
+    lazy = entropy_mod._LevelTree(C, *seeds, 5)
     counts, levels, stop = entropy_mod._separated_counts(lazy, 0.5, 11000, 1)
     assert stop == {"KT": 4, "DS": 5}
     # levels 0..4 exist; level 5, where the last convention stopped, does not
@@ -346,11 +353,11 @@ def test_pair_budget_stop_level_is_never_grown():
     assert levels[-1]["level"] == 5 and levels[-1]["nodes"] is None
     assert lazy.node_count == sum(row["nodes"] for row in levels[:-1])
     # the same counts on a tree grown to the bottom first, and from the two-pass oracle
-    eager = entropy_mod._LevelTree(C, seeds, 5)
+    eager = entropy_mod._LevelTree(C, *seeds, 5)
     eager.level(eager.n_levels)
     assert entropy_mod._separated_counts(eager, 0.5, 11000, 1) == (counts, levels, stop)
     assert eager.node_count > lazy.node_count
-    want = two_pass_counts(entropy_mod._LevelTree(C, seeds, 5), 0.5, 11000)
+    want = two_pass_counts(entropy_mod._LevelTree(C, *seeds, 5), 0.5, 11000)
     for name in ("KT", "DS"):
         assert (counts[name], stop.get(name)) == want[name], name
 
@@ -364,3 +371,61 @@ def test_truncated_level_reports_no_nodes():
     # budget_usage counts the nodes grown: every level before the truncated one
     usage = report.diagnostics["budget_usage"]["eps=0.3"]
     assert usage["nodes"] == sum(row["nodes"] for row in levels[:-1])
+
+
+# -- seeds as chart arrays, children in np.lexsort order -----------------------------
+
+class _FixedChildren:
+    """Stand-in correspondence whose forward images are given arrays; child u
+    of every node carries label u, so a grown level's labels are its child order."""
+
+    def __init__(self, W1, W2):
+        self.d1 = W1.shape[1]
+        self.W1, self.W2 = W1, W2
+
+    def forward_batch(self, z1, z2):
+        labels = np.tile(np.arange(self.d1, dtype=np.int16), (z1.size, 1))
+        return self.W1, self.W2, labels
+
+
+@pytest.mark.parametrize("d1", range(2, 9))
+def test_child_order_is_the_transposition_network_order(d1):
+    # few distinct coordinates, signed zeros, equal points in several projective
+    # forms and non-finite images: ties everywhere, which a stable sort keeps in slot order
+    rng = np.random.default_rng(d1)
+    n = 20000
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+    W1 = rng.choice(parts, (n, d1)) + 1j * rng.choice(parts, (n, d1))
+    W2 = rng.choice(np.array([1, -1, 1j, -0.0, 2]), (n, d1)).astype(complex)
+    W1[rng.random((n, d1)) < 0.02] = np.inf
+    tree = entropy_mod._LevelTree(_FixedChildren(W1, W2), np.zeros(n, complex),
+                                  np.zeros(n, bool), 1)
+    got = tree.level(1)["label"].reshape(n, d1)
+    bad = ~np.isfinite(W1.real) | ~np.isfinite(W2.real)
+    W1, W2 = np.where(bad, 0.0, W1), np.where(bad, 1.0, W2)
+    want = network_child_order(entropy_mod.embed_projective(W1, W2))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("strategy", ["net", "square_grid"])
+def test_only_kept_seeds_are_built(monkeypatch, strategy):
+    built = []
+    for name in ("fibonacci_net", "chart_from_complex"):
+        def record(*args, _orig=getattr(entropy_mod, name)):
+            values, reciprocal = _orig(*args)
+            built.append(values.size)
+            return values, reciprocal
+        monkeypatch.setattr(entropy_mod, name, record)
+    prot = EntropyProtocol(eps_grid=(0.2, 0.1), n_max=5, budget=2 ** 12, seed_strategy=strategy)
+    report = entropy_estimate(family_correspondence(4), prot)["KT"]
+    usage = report.diagnostics["budget_usage"]
+    assert built == [usage["eps=0.2"]["seeds"], usage["eps=0.1"]["seeds"]] == [65, 65]
+    assert {"seed_net_subsampled@eps=0.2", "seed_net_subsampled@eps=0.1"} <= set(report.flags)
+
+
+def test_seed_plan_keeps_every_seed_within_the_budget():
+    idx, flags = entropy_mod._plan_seeds(100, 2, 5, 100 * 63)
+    assert idx.tolist() == list(range(100)) and flags == []
+    idx, flags = entropy_mod._plan_seeds(1383, 2, 9, 2 ** 17)
+    assert idx.size == 128 and idx[0] == 0 and idx[-1] == 1382
+    assert np.all(np.diff(idx) > 0) and flags == ["seed_net_subsampled"]

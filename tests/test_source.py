@@ -136,3 +136,17 @@ def test_clouds_build_no_points_per_atom():
     from corrdyn.measures import GridPartition
 
     assert not hasattr(GridPartition, "cell_of")
+
+
+def test_entropy_seeds_build_no_points():
+    # seed nets are chart arrays from sphere.fibonacci_net and sphere.chart_from_complex;
+    # SpherePoint seeds are converted once, at the API edge, by sphere.point_charts
+    tree = ast.parse((SRC / "entropy.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & {"embed_r3", "projective", "from_complex", "fibonacci_sphere_points"}
+    # the per-point lattice (math.cos and math.sin per index) lives on only as a test oracle
+    text = (SRC / "sphere.py").read_text(encoding="utf-8")
+    assert "math.cos" not in text and "math.sin" not in text

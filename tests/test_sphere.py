@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from corrdyn import sphere
 from corrdyn.sphere import (
     INF,
     RECIPROCAL,
     STANDARD,
+    GOLDEN_ANGLE,
     SpherePoint,
+    chart_from_complex,
     chart_values,
     chordal_distance,
     embed_chart,
-    fibonacci_sphere_points,
+    fibonacci_net,
     greedy_groups,
+    point_charts,
     uniform_sphere_points,
 )
+from corrdyn.entropy import _plan_seeds
+from per_point_net import fibonacci_sphere_points
 
 finite_complex = st.builds(
     complex,
@@ -110,14 +116,11 @@ def test_embedding_is_isometric_to_chordal():
 
 
 def test_fibonacci_net_is_deterministic_and_spread():
-    a = fibonacci_sphere_points(200)
-    b = fibonacci_sphere_points(200)
-    assert all(chordal_distance(x, y) == 0 for x, y in zip(a, b))
+    a = embed_chart(*fibonacci_net(200, np.arange(200)))
+    assert np.array_equal(a, embed_chart(*fibonacci_net(200, np.arange(200))))
     # no two net points coincide
-    worst = min(
-        chordal_distance(a[i], a[j]) for i in range(0, 200, 9) for j in range(i + 1, 200, 13)
-    )
-    assert worst > 1e-3
+    d = np.sqrt(((a[:, None] - a[None]) ** 2).sum(-1))
+    assert d[np.triu_indices(200, 1)].min() > 1e-3
 
 
 # -- array forms of from_projective and embed_r3, bit for bit -------------------------
@@ -176,3 +179,58 @@ def test_greedy_groups_join_the_first_group_in_reach():
     # members are compared with the group's first item only, not its last
     assert greedy_groups([0, 0.3, 0.6], 0.35, dist) == [[0, 1], [2]]
     assert greedy_groups([pt(1), pt(1 + 1e-10), INF], 1e-9) == [[0, 1], [2]]
+
+
+# -- seed nets as chart arrays, bit for bit ---------------------------------------
+
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e-150, max_value=1e-150),
+)
+_plane = st.one_of(
+    st.tuples(_parts, _parts),
+    st.builds(lambda t: (math.cos(t), math.sin(t)), st.floats(-4, 4)),  # |z| = 1
+    st.sampled_from([(0.6, 0.8), (-0.6, -0.8), (0.8, -0.6), (math.inf, 0.0), (0.0, -math.inf),
+                     (math.nan, 1.0)]),
+)
+
+
+def _chart_bits(values, reciprocal) -> list:
+    return [_bits([v.real, v.imag]) + [bool(r)] for v, r in zip(values, reciprocal)]
+
+
+@given(st.lists(_plane, min_size=1, max_size=30))
+def test_chart_from_complex_is_from_complex_bitwise(zs):
+    # from_complex raises OverflowError where a finite z's modulus overflows
+    zs = [z for z in zs if math.hypot(*z) < math.inf or not all(map(math.isfinite, z))]
+    got = chart_from_complex([re for re, _ in zs], [im for _, im in zs])
+    want = point_charts(SpherePoint.from_complex(complex(re, im)) for re, im in zs)
+    assert _chart_bits(*got) == _chart_bits(*want), zs
+
+
+#: the smallest net, and the nets of the default resolution at eps 0.2, 0.1, 0.05 and 0.025
+NET_SIZES = [16, 1383, 5530, 22117, 88466]
+
+
+@pytest.mark.parametrize("n", NET_SIZES)
+def test_fibonacci_net_is_the_per_point_net_bitwise(n):
+    want = point_charts(fibonacci_sphere_points(n))
+    assert _chart_bits(*fibonacci_net(n, np.arange(n))) == _chart_bits(*want)
+    # the kept seeds of a subsampled net, computed on their own
+    idx, _ = _plan_seeds(n, 2, 9, 2 ** 17)
+    assert _chart_bits(*fibonacci_net(n, idx)) == _chart_bits(want[0][idx], want[1][idx])
+    # numpy's cos and sin round as math's do on every lattice angle
+    th = GOLDEN_ANGLE * np.arange(n, dtype=float)
+    assert _bits(np.cos(th)) == _bits([math.cos(t) for t in th.tolist()])
+    assert _bits(np.sin(th)) == _bits([math.sin(t) for t in th.tolist()])
+
+
+def test_fibonacci_sphere_points_are_the_net_charts():
+    points = sphere.fibonacci_sphere_points(1383)
+    assert _chart_bits(*point_charts(points)) == _chart_bits(*fibonacci_net(1383, np.arange(1383)))
+
+
+def test_point_charts_of_no_points_are_empty():
+    values, reciprocal = point_charts([])
+    assert values.dtype == complex and reciprocal.dtype == bool and values.size == 0
