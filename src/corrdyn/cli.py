@@ -13,48 +13,44 @@ import argparse
 import sys
 
 from . import verify as verify_mod
-from .config import (
-    _complex_field,
-    build_correspondence,
-    int_field,
-    list_field,
-    load_config,
-    make_parent,
-    object_field,
-    require,
-    thread_count,
-    write_bytes,
-    write_json,
-    write_text,
-)
+from .config import REQUIRED, Section, boolean, build_correspondence, complex_number, integer
+from .config import json_object, list_of, load_config, make_parent, point, read_metric
+from .config import read_protocol, read_region, read_viewport, string, thread_count
+from .config import write_bytes, write_json, write_text
 from .correspondence import cov_graph
 from .entropy import EntropyProtocol, entropy_estimate, enumerate_orbits
 from .errors import CorrdynError, SeedRejected, UsageError
-from .families import RegionSpec, exceptional_seeds
-from .measures import GridPartition, energy_distance, metric_entropy_estimate, pullback_dirac_mc
+from .families import exceptional_seeds
+from .measures import energy_distance, metric_entropy_estimate, pullback_dirac_mc
 from .measures import pullback_dirac_tree, pullback_dirac_tree_levels
 from .rational import RationalMap
 from .raster import Viewport, render_survival_set
 from .sphere import SpherePoint, chordal_distance
 
+# Each command reads its config with cfg.field and closes it (refusing the
+# keys it did not read) before it builds the correspondence or does any work.
 
-def cmd_cov(cfg: dict) -> int:
+
+def cmd_cov(cfg: Section) -> int:
     """Write the deleted-covering graph polynomial of a rational map."""
-    R = RationalMap.from_json(object_field(cfg, "map"))
+    R = RationalMap.from_json(cfg.field("map", json_object))
+    out = cfg.field("out", string)
+    cfg.close()
     gp = cov_graph(R)
-    out = require(cfg, "out")
     write_json(out, gp.to_json())
     print(f"deg_z={gp.deg_z} deg_w={gp.deg_w} (bidegree {gp.deg_w}:{gp.deg_z})")
     return 0
 
 
-def cmd_orbit(cfg: dict) -> int:
+def cmd_orbit(cfg: Section) -> int:
     """Enumerate forward orbit tuples from explicit seeds, in tree slot order."""
-    C = build_correspondence(require(cfg, "correspondence"))
-    seeds = [_parse_point(p) for p in list_field(cfg, "seeds")]
-    n = int_field(cfg, "n", None, 0)
-    budget = int_field(cfg, "budget", 2 ** 20, 1)
-    out = require(cfg, "out")
+    spec = cfg.field("correspondence")
+    seeds = cfg.field("seeds", list_of, item=point)
+    n = cfg.field("n", integer, least=0)
+    budget = cfg.field("budget", integer, 2 ** 20)
+    out = cfg.field("out", string)
+    cfg.close()
+    C = build_correspondence(spec)
     orbits = enumerate_orbits(C, seeds, n, budget)
     data = {
         "n": n,
@@ -70,20 +66,24 @@ def cmd_orbit(cfg: dict) -> int:
     return 0
 
 
-def cmd_entropy(cfg: dict) -> int:
+def cmd_entropy(cfg: Section) -> int:
     """Separated-orbit entropy report (both counting variants).
 
     An optional "metric" section adds a preimage-refined partition-entropy
     estimate computed on a pullback cloud of the same correspondence.
     """
-    out = require(cfg, "out")
-    metric = _metric_section(cfg)
-    C = build_correspondence(require(cfg, "correspondence"))
-    protocol = EntropyProtocol.from_json(cfg.get("protocol", {}))
+    out = cfg.field("out", string)
+    metric = cfg.field("metric", read_metric, None)
+    spec = cfg.field("correspondence")
+    protocol = cfg.field("protocol", read_protocol, EntropyProtocol())
+    inverse = cfg.field("estimate_inverse", boolean, False)
+    notes = cfg.field("report_notes", default=None)
+    cfg.close()
+    C = build_correspondence(spec)
     make_parent(out)
     reports = entropy_estimate(C, protocol)
     payload = {v: r.to_json() for v, r in reports.items()}
-    if cfg.get("estimate_inverse", False):
+    if inverse:
         inv = entropy_estimate(C.transpose(), protocol)
         payload.update({f"{v}_inverse": r.to_json() for v, r in inv.items()})
     if metric is not None:
@@ -95,8 +95,8 @@ def cmd_entropy(cfg: dict) -> int:
             "estimate": slope,
             "partition": [part.n_lat, part.n_lon],
         }
-    if "report_notes" in cfg:
-        payload["notes"] = cfg["report_notes"]
+    if notes is not None:
+        payload["notes"] = notes
     write_json(out, payload)
     flags = sorted({f.split("@")[0] for r in reports.values() for f in r.flags})
     print(
@@ -106,53 +106,27 @@ def cmd_entropy(cfg: dict) -> int:
     return 0
 
 
-def _metric_section(cfg: dict):
-    """The entropy config's optional "metric" section, checked: None or
-    (cloud seed, cloud generation, partition, N_max, budget)."""
-    if "metric" not in cfg:
-        return None
-    m = cfg["metric"]
-    if type(m) is not dict:
-        raise UsageError(f"metric must be an object, got {m!r}")
-    partition = list_field(m, "partition") if "partition" in m else [4, 4]
-    if len(partition) != 2 or any(type(k) is not int or k < 1 for k in partition):
-        raise UsageError(f"partition must be two integers >= 1, got {partition!r}")
-    return (
-        _parse_point(require(m, "cloud_seed")),
-        int_field(m, "cloud_generation", None, 0),
-        GridPartition(*partition),
-        int_field(m, "N_max", 6, 1),
-        int_field(m, "budget", 2 ** 18, 1),
-    )
-
-
-def cmd_equidist(cfg: dict) -> int:
+def cmd_equidist(cfg: Section) -> int:
     """Pullback clouds from one or more seeds, plus an energy-distance table."""
-    out_prefix = require(cfg, "out_prefix")
-    spec = require(cfg, "correspondence")
+    out_prefix = cfg.field("out_prefix", string)
+    spec = cfg.field("correspondence")
+    seeds = cfg.field("seeds", list_of, item=point)
+    generations = cfg.field("generations", list_of, item=integer, least=0)
+    method = cfg.field("method", string, "full_tree", options=("full_tree", "monte_carlo"))
+    budget = cfg.field("budget", integer, 2 ** 20)
+    n_paths = cfg.field("n_paths", integer, 10000)
+    rng_seed = cfg.field("rng_seed", integer, REQUIRED if method == "monte_carlo" else 0,
+                         least=0, below=2 ** 63)
+    cfg.close()
     C = build_correspondence(spec)
-    seeds = [_parse_point(p) for p in list_field(cfg, "seeds")]
-    generations = list_field(cfg, "generations")
-    if any(type(n) is not int or n < 0 for n in generations):
-        raise UsageError(f"generations must be integers >= 0, got {generations!r}")
-    method = cfg.get("method", "full_tree")
-    if method not in ("full_tree", "monte_carlo"):
-        raise UsageError(f"unknown method {method!r}")
-    budget = int_field(cfg, "budget", 2 ** 20, 1)
-    n_paths = int_field(cfg, "n_paths", 10000, 1)
-    if method == "monte_carlo" and "rng_seed" not in cfg:
-        raise UsageError("rng_seed is mandatory for monte_carlo runs")
-    rng_seed = int_field(cfg, "rng_seed", 0, 0, below=2 ** 63)
-    if spec.get("kind") == "family_a":
-        a = _complex_field(spec["a"])
+    if spec["kind"] == "family_a":
+        a = complex_number(spec["a"], "a")
         for bad in exceptional_seeds(a):
-            for s in seeds:
-                if chordal_distance(s, SpherePoint.from_complex(bad)) < 1e-9:
-                    raise SeedRejected(
-                        f"seed {bad} lies in the exceptional set "
-                        f"{{-1, 2}} of the parameter a = {a.real:g}; "
-                        "pullbacks from it do not equidistribute"
-                    )
+            if any(chordal_distance(s, SpherePoint.from_complex(bad)) < 1e-9 for s in seeds):
+                raise SeedRejected(
+                    f"seed {bad} lies in the exceptional set {{-1, 2}} of the parameter "
+                    f"a = {a.real:g}; pullbacks from it do not equidistribute"
+                )
     make_parent(out_prefix)
     clouds: dict = {}
     for si, seed in enumerate(seeds):
@@ -160,7 +134,7 @@ def cmd_equidist(cfg: dict) -> int:
             levels = pullback_dirac_tree_levels(C, seed, generations, budget=budget)
         else:
             levels = {
-                n: pullback_dirac_mc(C, seed, n, n_paths, rng_seed)
+                n: pullback_dirac_mc(C, seed, n, n_paths, rng_seed, budget)
                 for n in generations
             }
         for n, cloud in levels.items():
@@ -168,18 +142,11 @@ def cmd_equidist(cfg: dict) -> int:
             write_text(base + ".csv", cloud.to_csv())
             write_json(base + ".json", {**cloud.provenance, "generation": n})
             clouds[(si, n)] = cloud
-    table = []
-    for n in generations:
-        for i in range(len(seeds)):
-            for j in range(i + 1, len(seeds)):
-                table.append(
-                    {
-                        "n": n,
-                        "seed_i": i,
-                        "seed_j": j,
-                        "energy_distance": energy_distance(clouds[(i, n)], clouds[(j, n)]),
-                    }
-                )
+    table = [
+        {"n": n, "seed_i": i, "seed_j": j,
+         "energy_distance": energy_distance(clouds[(i, n)], clouds[(j, n)])}
+        for n in generations for i in range(len(seeds)) for j in range(i + 1, len(seeds))
+    ]
     write_json(out_prefix + "_distances.json", table)
     for row in table:
         print(
@@ -189,19 +156,21 @@ def cmd_equidist(cfg: dict) -> int:
     return 0
 
 
-def cmd_limitset(cfg: dict) -> int:
+def cmd_limitset(cfg: Section) -> int:
     """Render the region-survival set of the forward multivalued orbit."""
-    out = require(cfg, "out")
-    C = build_correspondence(require(cfg, "correspondence"))
-    region = RegionSpec.from_json(require(cfg, "region"))
-    viewport = Viewport.from_json(cfg.get("viewport", {}))
+    out = cfg.field("out", string)
+    spec = cfg.field("correspondence")
+    region = cfg.field("region", read_region)
+    viewport = cfg.field("viewport", read_viewport, Viewport())
     render_args = dict(
-        width=int_field(cfg, "width", 256, 1),
-        height=int_field(cfg, "height", 256, 1),
-        depth=int_field(cfg, "depth", 18, 0),
-        frontier_cap=int_field(cfg, "frontier_cap", 64, 1),
+        width=cfg.field("width", integer, 256),
+        height=cfg.field("height", integer, 256),
+        depth=cfg.field("depth", integer, 18, least=0),
+        frontier_cap=cfg.field("frontier_cap", integer, 64),
         threads=thread_count(),
     )
+    cfg.close()
+    C = build_correspondence(spec)
     make_parent(out)
     img = render_survival_set(C, region, viewport, **render_args)
     write_bytes(out, img.to_ppm())
@@ -209,25 +178,21 @@ def cmd_limitset(cfg: dict) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: Section) -> int:
     """Run the module invariant suites; exit 1 when any suite fails."""
-    names = cfg.get("suites", "all")
-    if names != "all" and (type(names) is not list or not names):
-        raise UsageError(f'suites must be "all" or a non-empty list of suite names, got {names!r}')
-    rng_seed = int_field(cfg, "rng_seed", 0, 0)
+    names = cfg.field("suites", default="all")
+    if names != "all":
+        names = list_of(names, "suites", item=string)
+    rng_seed = cfg.field("rng_seed", integer, 0, least=0)
+    out = cfg.field("out", string, None)
+    cfg.close()
     report = verify_mod.run_suites(names, rng_seed)
-    if "out" in cfg:
-        write_json(cfg["out"], report)
+    if out is not None:
+        write_json(out, report)
     for r in report["results"]:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}")
     print("overall:", "PASS" if report["passed"] else "FAIL")
     return 0 if report["passed"] else 1
-
-
-def _parse_point(p) -> SpherePoint:
-    if isinstance(p, str) and p in ("inf", "infinity"):
-        return SpherePoint.infinity()
-    return SpherePoint.from_complex(_complex_field(p))
 
 
 COMMANDS = {
@@ -261,7 +226,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config, args.overrides)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](Section(cfg, f"{args.command} config", prefix=""))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

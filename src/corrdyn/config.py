@@ -1,8 +1,11 @@
-"""Experiment configuration: JSON files with CLI overrides.
+"""Experiment configuration: JSON files with CLI overrides, and their readers.
 
 Every reproducible run is a single JSON file; command-line `--set key=value`
 pairs override individual (possibly nested, dot-separated) fields.  Values
-are parsed as JSON when possible, otherwise kept as strings.
+are parsed as JSON when possible, otherwise kept as strings.  Every value is
+read here by one typed field reader, reader(value, path, **range), under one
+number rule (`polynomials.is_number`); a `Section` refuses the keys no reader
+read.  A value that cannot run raises UsageError naming its dotted path.
 """
 
 from __future__ import annotations
@@ -13,9 +16,14 @@ import os
 from pathlib import Path
 
 from .correspondence import Correspondence, compose, deleted_covering, map_graph, mobius_correspondence
+from .entropy import EntropyProtocol
 from .errors import UsageError
-from .families import composed_covering_pair, family_correspondence
+from .families import RegionSpec, composed_covering_pair, family_correspondence
+from .measures import GridPartition
+from .polynomials import is_number
 from .rational import MobiusMap, RationalMap
+from .raster import Viewport
+from .sphere import SpherePoint
 
 
 def load_config(path: str | None, overrides=()) -> dict:
@@ -26,7 +34,7 @@ def load_config(path: str | None, overrides=()) -> dict:
                 cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except FileNotFoundError as exc:
             raise UsageError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer past int()'s digit limit
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError("config root must be a JSON object")
@@ -36,7 +44,7 @@ def load_config(path: str | None, overrides=()) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw, parse_float=_finite, parse_constant=_finite)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = cfg
         parts = key.split(".")
@@ -56,91 +64,183 @@ def _finite(token: str) -> float:
     return value
 
 
-def require(cfg: dict, key: str):
-    if key not in cfg:
-        raise UsageError(f"config field {key!r} is required")
-    return cfg[key]
+REQUIRED = object()  # the default of a field that must be present
 
 
-def int_field(cfg: dict, key: str, default: int | None, least: int, below: int | None = None) -> int:
-    """cfg[key] (default when absent; required when default is None), which
-    must be an integer >= least (and < below when given)."""
-    value = require(cfg, key) if default is None else cfg.get(key, default)
-    if type(value) is not int or value < least or (below is not None and value >= below):
-        bound = "" if below is None else f" and < {below}"
-        raise UsageError(f"{key} must be an integer >= {least}{bound}, got {value!r}")
-    return value
+class Section:
+    """One config object, read field by field; `close` refuses the keys no field
+    read.  A field's path is prefix + key, the prefix `name.` unless given."""
+
+    def __init__(self, data, name: str, prefix: str | None = None):
+        self.data, self.name, self.read = json_object(data, name), name, set()
+        self.prefix = f"{name}." if prefix is None else prefix
+
+    def field(self, key: str, reader=None, default=REQUIRED, **bounds):
+        """data[key] checked by reader(value, path, **bounds); default when absent."""
+        self.read.add(key)
+        path = self.prefix + key
+        if key not in self.data:
+            if default is REQUIRED:
+                raise UsageError(f"config field {path!r} is required")
+            return default
+        value = self.data[key]
+        return value if reader is None else reader(value, path, **bounds)
+
+    def close(self) -> None:
+        unknown = sorted(set(self.data) - self.read)
+        if unknown:
+            raise UsageError(f"{self.name} has unknown key(s): {', '.join(unknown)}")
 
 
-def list_field(cfg: dict, key: str) -> list:
-    """cfg[key], which must be a non-empty list."""
-    value = require(cfg, key)
-    if type(value) is not list or not value:
-        raise UsageError(f"{key} must be a non-empty list, got {value!r}")
-    return value
+def _valid(ok: bool, value, what: str, kind: str):
+    """value when ok; else the one usage error, `what` must be `kind`."""
+    if ok:
+        return value
+    raise UsageError(f"{what} must be {kind}, got {value!r}")
 
 
-def object_field(cfg: dict, key: str) -> dict:
-    """cfg[key], which must be a JSON object."""
-    value = require(cfg, key)
-    if type(value) is not dict:
-        raise UsageError(f"{key} must be an object, got {value!r}")
-    return value
+def integer(value, what: str, least: int = 1, below: int | None = None) -> int:
+    """An integer >= least (and < below when given)."""
+    bound = "" if below is None else f" and < {below}"
+    ok = type(value) is int and is_number(value) and least <= value
+    ok = ok and (below is None or value < below)
+    return _valid(ok, value, what, f"an integer >= {least}{bound}")
+
+
+def number(value, what: str, positive: bool = False):
+    """A number (> 0 when positive)."""
+    return _valid(is_number(value) and (value > 0 or not positive), value, what,
+                  "a number > 0" if positive else "a number")
+
+
+def complex_number(value, what: str) -> complex:
+    """A number or an [re, im] pair of numbers."""
+    parts = value if type(value) is list and len(value) == 2 else [value, 0]
+    _valid(all(is_number(x) for x in parts), value, what, "a number or an [re, im] pair")
+    return complex(*parts)
+
+
+def point(value, what: str) -> SpherePoint:
+    """A number, an [re, im] pair, or "inf" (or "infinity")."""
+    if value in ("inf", "infinity"):
+        return SpherePoint.infinity()
+    return SpherePoint.from_complex(complex_number(value, what))
+
+
+def boolean(value, what: str) -> bool:
+    return _valid(type(value) is bool, value, what, "true or false")
+
+
+def string(value, what: str, options: tuple | None = None) -> str:
+    """A string; one of options when they are given."""
+    kind = "a string" if options is None else f"one of {', '.join(options)}"
+    return _valid(type(value) is str and (options is None or value in options), value, what, kind)
+
+
+def list_of(value, what: str, item=None, length: int | None = None, **bounds) -> list:
+    """A non-empty list (of `length` items when given), each checked by item(v, path, **bounds)."""
+    ok = type(value) is list and len(value) > 0 and length in (None, len(value))
+    _valid(ok, value, what, "a non-empty list" if length is None else f"a list of {length}")
+    return value if item is None else [item(v, f"{what}[{i}]", **bounds) for i, v in enumerate(value)]
+
+
+def json_object(value, what: str) -> dict:
+    return _valid(type(value) is dict, value, what, "an object")
+
+
+def read_protocol(data, name: str = "protocol") -> EntropyProtocol:
+    """The entropy protocol: eps > 0, n_max >= n_min >= 1, positive budgets and sizes."""
+    s, d = Section(data, name), EntropyProtocol()
+    protocol = EntropyProtocol(
+        eps_grid=tuple(s.field("eps_grid", list_of, d.eps_grid, item=number, positive=True)),
+        n_max=s.field("n_max", integer, d.n_max),
+        n_min=s.field("n_min", integer, d.n_min),
+        budget=s.field("budget", integer, d.budget),
+        seed_strategy=s.field("seed_strategy", string, d.seed_strategy,
+                              options=("net", "square_grid")),
+        grid_size=s.field("grid_size", integer, d.grid_size),
+        resolution_factor=s.field("resolution_factor", number, d.resolution_factor, positive=True),
+        pair_budget=s.field("pair_budget", integer, d.pair_budget),
+    )
+    s.close()
+    _valid(protocol.n_max >= protocol.n_min, protocol.n_max, f"{name}.n_max",
+           f">= {name}.n_min ({protocol.n_min})")
+    return protocol
+
+
+def read_viewport(data, name: str = "viewport") -> Viewport:
+    """A window with number bounds, re_min < re_max and im_min < im_max."""
+    s = Section(data, name)
+    vp = Viewport(**{key: s.field(key, number, v) for key, v in Viewport().to_json().items()})
+    s.close()
+    if not (vp.re_min < vp.re_max and vp.im_min < vp.im_max):
+        raise UsageError(f"{name} needs re_min < re_max and im_min < im_max")
+    return vp
+
+
+def read_region(data, name: str = "region") -> RegionSpec:
+    """A disk (radius > 0), half_plane (normal != 0) or complement region."""
+    s = Section(data, name)
+    kind = s.field("kind", string, options=("disk", "half_plane", "complement"))
+    if kind == "disk":
+        region = RegionSpec(kind, center=s.field("center", complex_number),
+                            radius=float(s.field("radius", number, positive=True)))
+    elif kind == "half_plane":
+        normal = s.field("normal", complex_number)
+        _valid(normal != 0, normal, f"{name}.normal", "nonzero")
+        region = RegionSpec(kind, point=s.field("point", complex_number), normal=normal)
+    else:
+        region = RegionSpec(kind, of=s.field("of", read_region))
+    s.close()
+    return region
+
+
+def read_metric(data, name: str = "metric"):
+    """The metric section: (cloud seed, cloud generation, partition, N_max, budget)."""
+    s = Section(data, name)
+    metric = (
+        s.field("cloud_seed", point),
+        s.field("cloud_generation", integer, least=0),
+        GridPartition(*s.field("partition", list_of, [4, 4], item=integer, length=2)),
+        s.field("N_max", integer, 6),
+        s.field("budget", integer, 2 ** 18),
+    )
+    s.close()
+    return metric
 
 
 def build_correspondence(spec) -> Correspondence:
-    """Correspondence from its config description.
-
-    kinds: family_a {a}; covering {map}; covering_pair {R, S};
-    map_graph {map, orientation}; mobius {matrix: [[a,b],[c,d]]};
-    compose {factors: [spec...]} (last factor applied first);
-    explicit {data: Correspondence JSON}.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise UsageError("correspondence spec must be an object with a 'kind'")
-    kind = spec["kind"]
+    """Correspondence from its config description: family_a {a}; covering {map};
+    covering_pair {R, S}; map_graph {map, orientation}; mobius {matrix:
+    [[a,b],[c,d]]}; compose {factors: [spec...]} (last factor applied first);
+    explicit {data: Correspondence JSON}."""
+    s = Section(spec, "correspondence spec", prefix="")
+    kind = s.field("kind", string, options=(
+        "family_a", "covering", "covering_pair", "map_graph", "mobius", "compose", "explicit"))
     if kind == "family_a":
-        return family_correspondence(_complex_field(require(spec, "a")))
-    if kind == "covering":
-        return deleted_covering(RationalMap.from_json(object_field(spec, "map")))
-    if kind == "covering_pair":
-        return composed_covering_pair(
-            RationalMap.from_json(object_field(spec, "R")),
-            RationalMap.from_json(object_field(spec, "S")),
-        )
-    if kind == "map_graph":
-        orientation = spec.get("orientation", "forward")
-        if orientation not in ("forward", "backward"):
-            raise UsageError("orientation must be forward or backward")
-        return map_graph(
-            RationalMap.from_json(object_field(spec, "map")),
-            backward=orientation == "backward",
-        )
-    if kind == "mobius":
-        m = require(spec, "matrix")
-        if type(m) is not list or len(m) != 2 or any(type(r) is not list or len(r) != 2 for r in m):
-            raise UsageError(f"matrix must be 2x2, [[a, b], [c, d]], got {m!r}")
-        (a, b), (c, d) = m
-        return mobius_correspondence(
-            MobiusMap(_complex_field(a), _complex_field(b), _complex_field(c), _complex_field(d))
-        )
-    if kind == "compose":
-        factors = [build_correspondence(s) for s in list_field(spec, "factors")]
-        out = factors[-1]
+        C = family_correspondence(s.field("a", complex_number))
+    elif kind == "covering":
+        C = deleted_covering(RationalMap.from_json(s.field("map", json_object)))
+    elif kind == "covering_pair":
+        C = composed_covering_pair(*(RationalMap.from_json(s.field(k, json_object)) for k in "RS"))
+    elif kind == "map_graph":
+        orientation = s.field("orientation", string, "forward", options=("forward", "backward"))
+        C = map_graph(RationalMap.from_json(s.field("map", json_object)),
+                      backward=orientation == "backward")
+    elif kind == "mobius":
+        m = s.field("matrix")
+        square = type(m) is list and len(m) == 2 and all(type(r) is list and len(r) == 2 for r in m)
+        _valid(square, m, "matrix", "2x2, [[a, b], [c, d]]")
+        C = mobius_correspondence(MobiusMap(*(complex_number(x, "matrix") for x in m[0] + m[1])))
+    elif kind == "compose":
+        factors = [build_correspondence(f) for f in s.field("factors", list_of)]
+        C = factors[-1]
         for f in reversed(factors[:-1]):
-            out = compose(f, out)
-        return out
-    if kind == "explicit":
-        return Correspondence.from_json(object_field(spec, "data"))
-    raise UsageError(f"unknown correspondence kind {kind!r}")
-
-
-def _complex_field(v) -> complex:
-    """A number or an [re, im] pair of numbers; a JSON boolean is not a number."""
-    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v, 0]
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-        return complex(*parts)
-    raise UsageError(f"expected a number or [re, im] pair, got {v!r}")
+            C = compose(f, C)
+    else:
+        C = Correspondence.from_json(s.field("data", json_object))
+    s.close()
+    return C
 
 
 def thread_count() -> int:

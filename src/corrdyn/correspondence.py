@@ -283,6 +283,21 @@ def is_on_graph(C: Correspondence, z: SpherePoint, w: SpherePoint, tol: float = 
     return res < tol, res
 
 
+def tree_size(roots: int, d: int, depth: int, budget: int, every_level: bool = False) -> int:
+    """Nodes at level `depth` (at levels 0..depth with every_level) of a tree
+    with `roots` roots and d children per node, or budget + 1 once that
+    passes the budget: a depth of 10^12 costs at most log2(budget) steps."""
+    if d <= 1 or not roots:
+        return min(roots * (depth + 1 if every_level else 1), budget + 1)
+    level = total = roots
+    for _ in range(depth):
+        if total > budget:
+            break
+        level *= d
+        total = total + level if every_level else level
+    return min(total, budget + 1)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------

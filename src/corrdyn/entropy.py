@@ -16,13 +16,12 @@ coincide and once per convention where they differ.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .correspondence import Correspondence
-from .errors import BudgetExceeded, UsageError
+from .correspondence import Correspondence, tree_size
+from .errors import BudgetExceeded
 from .sphere import SpherePoint, chart_from_complex, chart_pairs, embed_chart, embed_projective
 from .sphere import fibonacci_net, point_charts
 
@@ -126,7 +125,7 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
     when |seeds| d1^n exceeds the budget.
     """
     seeds = list(seeds)
-    if len(seeds) * max(1, C.d1) ** n > budget:
+    if tree_size(len(seeds), max(1, C.d1), n, budget) > budget:
         raise BudgetExceeded(
             f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
         )
@@ -342,47 +341,6 @@ class EntropyProtocol:
     def to_json(self) -> dict:
         return {**asdict(self), "eps_grid": list(self.eps_grid)}
 
-    @staticmethod
-    def from_json(data) -> "EntropyProtocol":
-        """Protocol from its JSON form; a key or value it cannot run raises UsageError."""
-        if not isinstance(data, dict):
-            raise UsageError("protocol must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(EntropyProtocol)})
-        if unknown:
-            raise UsageError(f"protocol has unknown key(s): {', '.join(unknown)}")
-        kwargs = dict(data)
-        if "eps_grid" in kwargs:
-            grid = kwargs["eps_grid"]
-            if not (isinstance(grid, list) and grid and all(_positive(e, float) for e in grid)):
-                raise UsageError(
-                    f"protocol.eps_grid must be a non-empty list of numbers > 0, got {grid!r}"
-                )
-            kwargs["eps_grid"] = tuple(grid)
-        for key, kind in (("n_max", int), ("n_min", int), ("budget", int), ("grid_size", int),
-                          ("pair_budget", int), ("resolution_factor", float)):
-            if key in kwargs and not _positive(kwargs[key], kind):
-                what = "an integer" if kind is int else "a number"
-                raise UsageError(f"protocol.{key} must be {what} > 0, got {kwargs[key]!r}")
-        protocol = EntropyProtocol(**kwargs)
-        if protocol.n_max < protocol.n_min:
-            raise UsageError(
-                f"protocol.n_max ({protocol.n_max}) must be >= protocol.n_min ({protocol.n_min})"
-            )
-        if protocol.seed_strategy not in ("net", "square_grid"):
-            raise UsageError(
-                "protocol.seed_strategy must be net or square_grid, "
-                f"got {protocol.seed_strategy!r}"
-            )
-        return protocol
-
-
-def _positive(value, kind) -> bool:
-    """A number > 0 within the float range (an integer when kind is int); not a boolean."""
-    types = (int,) if kind is int else (int, float)
-    if not isinstance(value, types) or isinstance(value, bool):
-        return False
-    return abs(value) <= sys.float_info.max and value > 0
-
 
 @dataclass
 class EntropyReport:
@@ -417,15 +375,16 @@ def _seed_net(protocol: EntropyProtocol, eps: float):
 
 def _plan_seeds(count: int, d1: int, n_max: int, budget: int):
     """Indices of the seeds kept of `count`: a deterministic subsample so the
-    full tree fits the node budget."""
-    flags = []
-    per_seed = sum(d1 ** ell for ell in range(n_max + 1))  # nodes of one seed's full tree
-    max_seeds = max(1, budget // per_seed)
-    idx = np.arange(count)
-    if count > max_seeds:
-        idx = np.unique(np.linspace(0, count - 1, max_seeds).astype(int))
-        flags.append("seed_net_subsampled")
-    return idx, flags
+    full tree fits the node budget.  Raises BudgetExceeded when one seed's
+    full tree does not.  Only the kept indices are built, so a net of 10^15
+    seeds costs no more than the budget."""
+    per_seed = tree_size(1, d1, n_max, budget, every_level=True)
+    if per_seed > budget:
+        raise BudgetExceeded(f"one seed's tree to depth {n_max} exceeds budget {budget}")
+    max_seeds = budget // per_seed
+    if count <= max_seeds:
+        return np.arange(count), []
+    return np.unique(np.linspace(0, count - 1, max_seeds).astype(int)), ["seed_net_subsampled"]
 
 
 def _fit_slope(ns: np.ndarray, counts: np.ndarray):

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import Correspondence, compose, deleted_covering, mobius_correspondence
-from .errors import (
-    BadParameter,
-    BranchAmbiguity,
-    DegreeMismatch,
-    NotAnInvolution,
-    UsageError,
-)
+from .errors import BadParameter, BranchAmbiguity, DegreeMismatch, NotAnInvolution
 from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap, mobius_apply, mobius_is_involution, polynomial_map
 from .sphere import SpherePoint, chordal_distance, uniform_sphere_points
@@ -248,29 +242,6 @@ class RegionSpec:
                 "normal": [self.normal.real, self.normal.imag],
             }
         return {"kind": "complement", "of": self.of.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "RegionSpec":
-        """Region from its JSON form; a missing key, bad value or unknown kind raises UsageError."""
-        try:
-            kind = data["kind"]
-            if kind == "disk":
-                return RegionSpec(
-                    "disk", center=complex(*data["center"]), radius=float(data["radius"])
-                )
-            if kind == "half_plane":
-                return RegionSpec(
-                    "half_plane",
-                    point=complex(*data["point"]),
-                    normal=complex(*data["normal"]),
-                )
-            if kind == "complement":
-                return RegionSpec("complement", of=RegionSpec.from_json(data["of"]))
-        except KeyError as exc:
-            raise UsageError(f"region is missing key {exc}") from exc
-        except (TypeError, ValueError, BadParameter) as exc:
-            raise UsageError(f"region has a bad value: {exc}") from exc
-        raise UsageError(f"unknown region kind {kind!r}")
 
 
 def _apply_object(obj, p: SpherePoint) -> list[SpherePoint]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correspondence import Correspondence, map_graph
+from .correspondence import Correspondence, map_graph, tree_size
 from .errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
 from .rational import MobiusMap, RationalMap, mobius_apply, rational_preimages
 from .sphere import RECIPROCAL, STANDARD, SpherePoint, chart_pairs, chart_values, chordal_distance
@@ -134,7 +134,7 @@ def pullback_dirac_tree_levels(
     if ns and ns[0] < 0:
         raise ValueError("generations must be nonnegative")
     n_max = ns[-1] if ns else 0
-    if C.d1 ** n_max > budget or C.d2 ** n_max > budget:
+    if tree_size(1, max(C.d1, C.d2), n_max, budget) > budget:
         raise BudgetExceeded(f"preimage tree at depth {n_max} exceeds budget {budget}")
     prov = _provenance(C, z0, "full_tree", None)
     out = {}
@@ -160,15 +160,20 @@ def pullback_dirac_mc(
     n: int,
     n_paths: int,
     rng_seed: int,
+    budget: int = 2 ** 20,
 ) -> WeightedCloud:
     """Monte-Carlo pullback: n_paths independent backward random walks.
 
     Each step picks uniformly among the d2 preimages counted with
     multiplicity.  The RNG is counter-based, keyed by (rng_seed, path), so
-    results do not depend on evaluation order or batching.
+    results do not depend on evaluation order or batching.  Raises
+    BudgetExceeded, before anything is built, when the n_paths x n choice
+    table exceeds the budget.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if n_paths * n > budget:
+        raise BudgetExceeded(f"{n_paths} walks of {n} steps exceed budget {budget}")
     prov = _provenance(C, z0, "monte_carlo", rng_seed)
     if n == 0:
         return WeightedCloud.from_atoms(((z0, 1.0),), 0, prov)
@@ -365,9 +370,8 @@ def metric_entropy_estimate(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     n_atoms = cloud.weights.size
-    cost = n_atoms * sum(C.d1 ** i for i in range(N_max))
-    if cost > budget:
-        raise BudgetExceeded(f"orbit budget {cost} exceeds {budget}")
+    if tree_size(n_atoms, C.d1, N_max - 1, budget, every_level=True) > budget:
+        raise BudgetExceeded(f"orbits of {n_atoms} atoms to depth {N_max - 1} exceed budget {budget}")
     labels = np.empty((n_atoms, N_max), dtype=np.int64)
     cur1, cur2 = cloud.projective()
     for nlev in range(N_max):

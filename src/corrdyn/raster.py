@@ -9,13 +9,11 @@ gray levels, survivors in black, like a classical escape-time renderer.
 from __future__ import annotations
 
 import concurrent.futures
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .correspondence import Correspondence
-from .errors import UsageError
 from .families import RegionSpec
 
 
@@ -60,26 +58,7 @@ class Viewport:
     im_max: float = 2.0
 
     def to_json(self) -> dict:
-        return {
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-        }
-
-    @staticmethod
-    def from_json(d) -> "Viewport":
-        """Viewport from its JSON form; an unknown key or a bad bound raises UsageError."""
-        keys = Viewport().to_json()
-        if not isinstance(d, dict) or set(d) - set(keys):
-            raise UsageError(f"viewport must be an object with keys among {', '.join(keys)}")
-        for key, value in d.items():
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise UsageError(f"viewport.{key} must be a finite number, got {value!r}")
-        vp = Viewport(**d)
-        if not (vp.re_min < vp.re_max and vp.im_min < vp.im_max):
-            raise UsageError("viewport needs re_min < re_max and im_min < im_max")
-        return vp
+        return asdict(self)
 
 
 def _region_mask(region: RegionSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:

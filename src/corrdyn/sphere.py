@@ -45,7 +45,7 @@ class SpherePoint:
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return INF
-        if abs(z) <= 1.0:
+        if abs(z.real) <= 1.0 and abs(z.imag) <= 1.0 and abs(z) <= 1.0:  # abs(z) cannot overflow
             return SpherePoint(z, STANDARD)
         return SpherePoint(1.0 / z, RECIPROCAL)
 
@@ -174,9 +174,9 @@ def chart_from_complex(re, im):
     """
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     finite = np.isfinite(re) & np.isfinite(im)
-    reciprocal = ~(finite & (np.hypot(re, im) <= 1.0))
     by_re = np.abs(re) >= np.abs(im)
-    with np.errstate(all="ignore"):  # the branch np.where drops may overflow
+    with np.errstate(all="ignore"):  # a modulus, or the branch np.where drops, may overflow
+        reciprocal = ~(finite & (np.hypot(re, im) <= 1.0))
         ratio = np.where(by_re, im / re, re / im)
         denom = np.where(by_re, re + im * ratio, re * ratio + im)
         inv_re = np.where(by_re, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom

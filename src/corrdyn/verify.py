@@ -372,13 +372,10 @@ ALL_SUITES = [
 def run_suites(names=None, rng_seed: int = 0) -> dict:
     """Run the requested suites (all by default); returns the full report."""
     available = {f.__name__.removeprefix("suite_"): f for f in ALL_SUITES}
-    if names in (None, "all"):
-        chosen = list(available)
-    else:
-        unknown = [n for n in names if not (isinstance(n, str) and n in available)]
-        if unknown:
-            raise UsageError(f"unknown suite(s): {unknown}")
-        chosen = list(names)
+    chosen = list(available) if names in (None, "all") else list(names)
+    unknown = [n for n in chosen if not (isinstance(n, str) and n in available)]
+    if unknown:
+        raise UsageError(f"unknown suite(s): {unknown}")
     results = [available[n](rng_seed) for n in chosen]
     return {
         "rng_seed": rng_seed,

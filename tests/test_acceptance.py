@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from corrdyn.cli import main as cli_main
-from corrdyn.config import build_correspondence
+from corrdyn.config import build_correspondence, read_protocol
 from corrdyn.correspondence import (
     compose_graph_poly,
     cov_graph,
@@ -24,7 +24,7 @@ from corrdyn.correspondence import (
     deleted_covering,
     ramification_pairs,
 )
-from corrdyn.entropy import EntropyProtocol, entropy_estimate
+from corrdyn.entropy import entropy_estimate
 from corrdyn.families import (
     RegionSpec,
     family_correspondence,
@@ -377,7 +377,7 @@ def test_criterion_06_composition_bidegree():
 def fa4_entropy_reports():
     cfg = load_config("accept_c08_entropy_fa4.json")
     C = build_correspondence(cfg["correspondence"])
-    prot = EntropyProtocol.from_json(cfg["protocol"])
+    prot = read_protocol(cfg["protocol"])
     fwd = entropy_estimate(C, prot)
     inv = entropy_estimate(C.transpose(), prot)
     return fwd, inv
@@ -388,7 +388,7 @@ def test_criterion_07_entropy_sanity_oracle():
     cfg = load_config("accept_c07_entropy_z2.json")
     C = build_correspondence(cfg["correspondence"])
     assert C.d1 == 2  # the branching orientation of the squaring graph
-    prot = EntropyProtocol.from_json(cfg["protocol"])
+    prot = read_protocol(cfg["protocol"])
     reports = entropy_estimate(C, prot)
     est = reports["KT"].estimate
     elapsed = time.monotonic() - t0
@@ -434,7 +434,7 @@ def test_criterion_09_cubic_pair_entropy():
     cfg = load_config("accept_c09_entropy_frs.json")
     C = build_correspondence(cfg["correspondence"])
     assert (C.d1, C.d2) == (4, 4)
-    prot = EntropyProtocol.from_json(cfg["protocol"])
+    prot = read_protocol(cfg["protocol"])
     reports = entropy_estimate(C, prot)
     est = reports["KT"].estimate
     cap = math.log(4)

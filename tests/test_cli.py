@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrdyn import cli
-from corrdyn.cli import _parse_point, main
-from corrdyn.config import build_correspondence
+from corrdyn.cli import main
+from corrdyn.config import build_correspondence, point
 from corrdyn.correspondence import Correspondence
 from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.measures import WeightedCloud
@@ -19,6 +23,7 @@ from object_lane_orbits import enumerate_orbits as oracle_orbits
 from per_point_net import fibonacci_sphere_points
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HUGE = 10 ** 400  # a JSON integer beyond the float range
 
 
 def run(args, capsys=None):
@@ -355,6 +360,15 @@ def test_entropy_protocol_violation_is_a_usage_error(tmp_path, capsys, override)
         'region.kind="disc"',
         "region.radius=0",
         'region.center="x"',
+        f"region.center=[{HUGE}, 0]",
+        f"region.radius={HUGE}",
+        "region.radius=true",
+        "region.center=[true, 0]",
+        'region={"kind": "complement", "of": {"kind": "disk", "center": [0, 0], "radius": true}}',
+        'region={"kind": "complement", "of": {"kind": "disk", "center": [0, 0], "radius": 1, '
+        '"colour": 3}}',
+        "region.colour=3",
+        "colour=3",
     ],
 )
 def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
@@ -397,6 +411,9 @@ def test_limitset_config_violation_is_a_usage_error(tmp_path, capsys, override):
         "rng_seed=2.5",
         f"rng_seed={2 ** 63}",
         f"rng_seed={2 ** 64}",
+        f"seeds=[[{HUGE}, 0]]",
+        f"n_paths={HUGE}",
+        "methd=1",
     ],
 )
 def test_equidist_config_violation_is_a_usage_error(tmp_path, capsys, override):
@@ -492,7 +509,7 @@ def test_orbit_matches_object_lane(tmp_path, case):
         ([SpherePoint(complex(re, im), chart) for re, im, chart in o["points"]], o["labels"])
         for o in data["orbits"]
     ]
-    want = oracle_orbits(build_correspondence(spec), [_parse_point(p) for p in seeds], n)
+    want = oracle_orbits(build_correspondence(spec), [point(p, "seeds") for p in seeds], n)
     assert data["n"] == n and data["count"] == len(got) == len(want) == count
     xg = np.array([_embedded(points) for points, _ in got])
     xw = np.array([_embedded(o.points) for o in want])
@@ -520,6 +537,14 @@ def test_orbit_matches_object_lane(tmp_path, case):
         'seeds=[["a", 0]]',
         "budget=0",
         'budget="x"',
+        f"seeds=[[{HUGE}, 0]]",
+        f"n={HUGE}",
+        f'correspondence={{"kind": "family_a", "a": {HUGE}}}',
+        f'correspondence={{"kind": "family_a", "a": [{HUGE}, 0]}}',
+        f'correspondence={{"kind": "mobius", "matrix": [[{HUGE}, 0], [0, 1]]}}',
+        'correspondence={"kind": "family_a", "a": 4, "b": 5}',
+        "out=3",
+        "bogus=1",
     ],
 )
 def test_orbit_config_violation_is_a_usage_error(tmp_path, capsys, override):
@@ -549,6 +574,8 @@ def test_orbit_config_violation_is_a_usage_error(tmp_path, capsys, override):
         'rng_seed="x"',
         "rng_seed=-1",
         "rng_seed=2.5",
+        f"rng_seed={HUGE}",
+        "sutes=[]",
     ],
 )
 def test_verify_config_violation_is_a_usage_error(tmp_path, capsys, override):
@@ -595,6 +622,11 @@ def test_missing_output_path_is_a_usage_error_before_any_work(
         "metric.cloud_generation=-1",
         'metric.cloud_seed="x"',
         "metric.budget=0",
+        f"metric.partition=[{HUGE}, 1]",
+        "metric.bogus=1",
+        'estimate_inverse="no"',
+        "estimate_inverse=1",
+        "protcol.n_max=3",
     ],
 )
 def test_entropy_metric_violation_is_a_usage_error_before_any_work(
@@ -733,6 +765,8 @@ def _explicit(data):
          "num must be a list of [re, im] number pairs"),
         ("cov", 'map={"num": [[0, 0], [0, 0, 1]], "den": [[1, 0]]}',
          "num must be a list of [re, im] number pairs"),
+        ("cov", f'map={{"num": [[{HUGE}, 0], [1, 0]], "den": [[1, 0]]}}',
+         "num must be a list of [re, im] number pairs"),
         ("orbit", _explicit({}), "correspondence data needs non-empty components or chain"),
         ("orbit", _explicit({"chain": 3}), "correspondence data needs non-empty components or chain"),
         ("orbit", _explicit({"chain": [3]}), "correspondence data must be an object"),
@@ -747,6 +781,7 @@ def _explicit(data):
          "coeffs must be a list of [re, im] number pairs"),
     ],
     ids=["map_without_den", "den_not_a_list", "boolean_coefficient", "triple_coefficient",
+         "oversized_coefficient",
          "empty_data", "chain_not_a_list", "chain_of_numbers", "component_without_multiplicity",
          "fractional_multiplicity", "poly_not_an_object", "coeff_count", "coeffs_not_a_list"],
 )
@@ -799,3 +834,109 @@ def test_config_that_fails_validation_makes_no_directory(tmp_path, capsys, comma
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "new").exists()
+
+
+SHRUNK_PROTOCOL = 'protocol={"eps_grid": [0.5], "n_max": 2, "budget": 4096}'
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides",
+    [
+        ("orbit", None, ['correspondence={"kind": "family_a", "a": 4}', "seeds=[[1, 0]]",
+                         "n=1000000000000"]),
+        ("entropy", "accept_c07_entropy_z2.json", ["protocol.n_max=1000000000000"]),
+        ("entropy", "accept_c08_entropy_fa4.json",
+         ['protocol={"eps_grid": [0.5], "n_max": 12, "budget": 4096}']),
+        ("entropy", "accept_c11_metric_fa4.json", [SHRUNK_PROTOCOL, "metric.N_max=1000000000000"]),
+        ("entropy", "accept_c11_metric_fa4.json",
+         [SHRUNK_PROTOCOL, "metric.cloud_generation=1000000000000"]),
+        ("equidist", "accept_c12_det_equidist.json", ["generations=[1000000000000]"]),
+    ],
+    ids=["orbit_depth", "entropy_depth", "entropy_one_seed_tree", "metric_N_max",
+         "metric_cloud_generation", "monte_carlo_walks"],
+)
+def test_work_past_the_budget_is_one_error_line_at_once(tmp_path, capsys, command, config,
+                                                        overrides):
+    # each size is checked against its budget before anything that size is built
+    key = "out_prefix" if command == "equidist" else "out"
+    args = [command] + (["--config", str(CONFIGS / config)] if config else [])
+    args += [x for o in overrides + [f"{key}={tmp_path / 'out'}"] for x in ("--set", o)]
+    start = time.monotonic()
+    assert main(args) == 1
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "budget" in err
+
+
+# -- config mutations: a checked-in config with one key dropped, added or replaced --------
+
+#: the command each checked-in config runs
+CONFIG_COMMANDS = {
+    "accept_c07_entropy_z2.json": "entropy",
+    "accept_c08_entropy_fa4.json": "entropy",
+    "accept_c09_entropy_frs.json": "entropy",
+    "accept_c10_equidist_a4.json": "equidist",
+    "accept_c10_reject_a5.json": "equidist",
+    "accept_c11_metric_fa4.json": "entropy",
+    "accept_c12_det_entropy.json": "entropy",
+    "accept_c12_det_equidist.json": "equidist",
+    "accept_c12_det_limitset.json": "limitset",
+    "demo_cov_cubic.json": "cov",
+    "demo_limitset_fa4.json": "limitset",
+}
+#: the compute entry points cli calls once a config has passed every check
+COMPUTE = ["cov_graph", "enumerate_orbits", "entropy_estimate", "pullback_dirac_tree",
+           "pullback_dirac_tree_levels", "pullback_dirac_mc", "metric_entropy_estimate",
+           "energy_distance", "render_survival_set"]
+WRONG_VALUES = ["x", "", [], {}, None, True, False, 0, -1, 0.5, -2.5, 10 ** 12, -(10 ** 12),
+                HUGE, -HUGE, [HUGE, 0], [True, 0], [0, 0, 0], {"kind": "x"}]
+
+
+class _Reached(Exception):
+    """A compute entry point was called: the config passed every check."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _key_paths(node, prefix=()):
+    """The path of every dict key and list item in a JSON tree."""
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    return [p for key, value in items for p in [prefix + (key,)] + _key_paths(value, prefix + (key,))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_config_is_one_error_line_or_reaches_the_work(tmp_path_factory, data):
+    assert sorted(CONFIG_COMMANDS) == sorted(p.name for p in CONFIGS.glob("*.json"))
+    name = data.draw(st.sampled_from(sorted(CONFIG_COMMANDS)))
+    command = CONFIG_COMMANDS[name]
+    cfg = json.loads((CONFIGS / name).read_text())
+    key = "out_prefix" if command == "equidist" else "out"
+    tmp = tmp_path_factory.mktemp("mutation")
+    cfg[key] = str(tmp / "out" / key)
+    path = data.draw(st.sampled_from(_key_paths(cfg)))
+    parent = cfg
+    for part in path[:-1]:
+        parent = parent[part]
+    how = data.draw(st.sampled_from(["drop", "add", "replace"]))
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "add" and type(parent) is dict:
+        parent["bogus"] = 1
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(WRONG_VALUES))
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for entry in COMPUTE:
+            mp.setattr(cli, entry, _reached)
+        try:
+            code = main([command, "--config", str(tmp / "cfg.json")])
+        except _Reached:
+            return
+    lines = err.getvalue().splitlines()
+    assert code in (1, 2) and len(lines) == 1, (name, path, how, lines)
+    assert lines[0].startswith("usage error: " if code == 2 else "error: ")

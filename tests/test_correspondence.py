@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from corrdyn.correspondence import (
     mobius_correspondence,
     ramification_pairs,
     ramification_points,
+    tree_size,
 )
 from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate
 from corrdyn.families import family_correspondence, family_involution
@@ -273,3 +277,18 @@ def test_branch_base_candidates_trim_the_discriminant_at_1e_9(delta):
         assert len(cands) == 3 and chordal_distance(cands[2], pt(1 / delta)) < 1e-12
     else:
         assert len(cands) == 2
+
+
+def test_tree_size_stops_past_the_budget():
+    for roots, d, depth in itertools.product((0, 1, 3), (1, 2, 5), (0, 1, 4)):
+        last = roots * d ** depth
+        every = roots * sum(d ** ell for ell in range(depth + 1))
+        for budget in (1, last - 1, last, every, 10 ** 6):
+            assert tree_size(roots, d, depth, budget) == min(last, budget + 1)
+            assert tree_size(roots, d, depth, budget, every_level=True) == min(every, budget + 1)
+    # a trillion levels cost a few steps, for any width
+    start = time.monotonic()
+    for d, every_level in ((2, False), (2, True), (1, True)):
+        assert tree_size(1, d, 10 ** 12, 2 ** 20, every_level=every_level) == 2 ** 20 + 1
+    assert tree_size(1, 1, 10 ** 12, 2 ** 20) == 1
+    assert time.monotonic() - start < 0.5

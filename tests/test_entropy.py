@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corrdyn.entropy as entropy_mod
+from corrdyn.config import read_protocol
 from corrdyn.correspondence import (
     Correspondence,
     identity_correspondence,
@@ -212,7 +213,7 @@ def test_protocol_json_round_trip_keeps_pair_budget():
     prot = EntropyProtocol(eps_grid=(0.3,), n_max=3, pair_budget=12345)
     data = prot.to_json()
     assert data["pair_budget"] == 12345
-    assert EntropyProtocol.from_json(data) == prot
+    assert read_protocol(data) == prot
 
 
 def test_pair_budget_truncation_flagged_once_per_report():
@@ -423,9 +424,20 @@ def test_only_kept_seeds_are_built(monkeypatch, strategy):
     assert {"seed_net_subsampled@eps=0.2", "seed_net_subsampled@eps=0.1"} <= set(report.flags)
 
 
+def test_seed_plan_refuses_a_seed_tree_past_the_budget():
+    # one seed's tree to depth 12 has 8,191 nodes; a trillion levels are refused at once
+    assert entropy_mod._plan_seeds(100, 2, 12, 8191)[0].tolist() == [0]
+    for n_max, budget in ((12, 8190), (10 ** 12, 2 ** 20)):
+        with pytest.raises(BudgetExceeded):
+            entropy_mod._plan_seeds(100, 2, n_max, budget)
+
+
 def test_seed_plan_keeps_every_seed_within_the_budget():
     idx, flags = entropy_mod._plan_seeds(100, 2, 5, 100 * 63)
     assert idx.tolist() == list(range(100)) and flags == []
     idx, flags = entropy_mod._plan_seeds(1383, 2, 9, 2 ** 17)
     assert idx.size == 128 and idx[0] == 0 and idx[-1] == 1382
     assert np.all(np.diff(idx) > 0) and flags == ["seed_net_subsampled"]
+    # a net of 10^15 seeds (eps about 2e-7): only the kept indices are built
+    idx, flags = entropy_mod._plan_seeds(10 ** 15, 2, 9, 2 ** 17)
+    assert idx.size == 128 and idx[-1] == 10 ** 15 - 1 and flags == ["seed_net_subsampled"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrdyn import families
+from corrdyn.config import read_region
 from corrdyn.correspondence import compose_graph_poly
 from corrdyn.errors import BadParameter, BranchAmbiguity, DegreeMismatch, NotAnInvolution
 from corrdyn.families import (
@@ -258,7 +259,7 @@ def test_region_membership():
     comp = RegionSpec("complement", of=disk)
     assert comp.contains(pt(2)) and not comp.contains(pt(0.5))
     assert comp.contains(SpherePoint.infinity())
-    rt = RegionSpec.from_json(comp.to_json())
+    rt = read_region(comp.to_json())
     assert rt.contains(pt(2)) and not rt.contains(pt(0.5))
     with pytest.raises(BadParameter):
         RegionSpec("disk", radius=-1)

@@ -63,6 +63,15 @@ def test_budget_guard(f4):
         pullback_dirac_tree(f4, pt(0.3), 25)
 
 
+def test_monte_carlo_choice_table_is_checked_against_the_budget(f4):
+    # the (n_paths, n) table of a trillion steps would need 14.2 PiB
+    with pytest.raises(BudgetExceeded):
+        pullback_dirac_mc(f4, pt(0.3), 10 ** 12, 2000, rng_seed=1)
+    with pytest.raises(BudgetExceeded):
+        pullback_dirac_mc(f4, pt(0.3), 8, 2000, rng_seed=1, budget=15_999)
+    assert pullback_dirac_mc(f4, pt(0.3), 8, 2000, rng_seed=1, budget=16_000).generation == 8
+
+
 def test_tree_levels_match_single_calls(f4):
     levels = pullback_dirac_tree_levels(f4, pt(0.3 + 0.2j), (2, 4))
     single = pullback_dirac_tree(f4, pt(0.3 + 0.2j), 4)

@@ -7,9 +7,7 @@ import pytest
 
 from corrdyn import raster
 from corrdyn.cli import main
-from corrdyn.config import build_correspondence
-from corrdyn.families import RegionSpec
-from corrdyn.raster import Viewport
+from corrdyn.config import build_correspondence, read_region, read_viewport
 from row_loop_raster import render_rows
 
 FAMILY_A4 = {"kind": "family_a", "a": 4}
@@ -81,8 +79,8 @@ def _oracle_ppm(case: str) -> bytes:
     cfg = CASES[case]
     img = render_rows(
         build_correspondence(cfg["correspondence"]),
-        RegionSpec.from_json(cfg["region"]),
-        Viewport.from_json(cfg["viewport"]),
+        read_region(cfg["region"]),
+        read_viewport(cfg["viewport"]),
         cfg["width"],
         cfg["height"],
         depth=cfg["depth"],

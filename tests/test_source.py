@@ -150,3 +150,45 @@ def test_entropy_seeds_build_no_points():
     # the per-point lattice (math.cos and math.sin per index) lives on only as a test oracle
     text = (SRC / "sphere.py").read_text(encoding="utf-8")
     assert "math.cos" not in text and "math.sin" not in text
+
+
+#: the modules where a config value or a file format is read; verify.run_suites
+#: also refuses an unknown suite name
+USAGE_MODULES = {"config.py", "polynomials.py", "rational.py", "graphpoly.py", "correspondence.py"}
+
+
+def _usage_raises(tree: ast.Module) -> list[str]:
+    """`raise UsageError` statements, each as "innermost function (line n)"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "UsageError":
+                    found.append(f"{where} (line {child.lineno})")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name not in USAGE_MODULES)
+)
+def test_usage_errors_are_raised_only_where_input_is_read(module):
+    raises = _usage_raises(ast.parse((SRC / module).read_text(encoding="utf-8")))
+    allowed = ["run_suites"] if module == "verify.py" else []
+    assert [r for r in raises if r.split(" ")[0] not in allowed] == []
+
+
+def test_usage_raise_is_found():
+    tree = ast.parse(
+        "raise UsageError('a')\n"
+        "def f():\n    raise errors.UsageError('b')\n"
+        "    def g():\n        raise UsageError\n"
+        "class A:\n    def h(self):\n        raise ValueError('c')\n"
+        "    def k(self):\n        raise UsageError('d') from None\n"
+    )
+    assert _usage_raises(tree) == ["<module> (line 1)", "f (line 3)", "g (line 5)", "k (line 10)"]
