@@ -26,6 +26,7 @@ from .sphere import SpherePoint, chart_from_complex, chart_pairs, embed_chart, e
 from .sphere import fibonacci_net, point_charts
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
+_MAX_SLOTS = 2 ** 31  # a level's slots are int32 pair indices
 
 
 def gromov_cap(C: Correspondence) -> float:
@@ -78,6 +79,8 @@ class _LevelTree:
     def _grow(self, lvl):
         d1 = self.d1
         n = lvl["z1"].size
+        if n * d1 >= _MAX_SLOTS:
+            raise BudgetExceeded(f"a level of {n * d1} slots reaches the int32 slot bound 2^31")
         W1 = np.zeros((n, d1), dtype=complex)
         W2 = np.ones((n, d1), dtype=complex)
         L = np.zeros((n, d1), dtype=np.int16)
@@ -154,7 +157,8 @@ _TAIL_BLOCK = 1 << 15  # greedy tails converted to Python ints at once
 
 
 def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float):
-    """All pairs (i < j) of valid seeds within eps (<= eps), with their bits.
+    """All pairs (i < j) of valid seeds within eps (<= eps), with their bits,
+    sorted by (i, j) as int32 slots.
 
     Seeds carry no labels, so every pair has DS; KT when the distance is < eps.
     """
@@ -170,34 +174,57 @@ def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float):
         out_i.append(ii + s)
         out_j.append(jj)
         out_b.append(np.where(d2[ii, jj] < e2, KT | DS, DS).astype(np.uint8))
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_b)
+    return (np.concatenate(out_i).astype(np.int32), np.concatenate(out_j).astype(np.int32),
+            np.concatenate(out_b))
 
 
-def _close_children(lvl, d1: int, e2: float, pi, pj, bits, combos):
-    """Child pairs (pi*d1 + u, pj*d1 + v) with combos[u, v] that stay close, and their bits.
+def _run_starts(tails: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a non-empty sorted array starts."""
+    first = np.empty(tails.size, dtype=bool)
+    first[0] = True
+    np.not_equal(tails[1:], tails[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
-    Each parent's d1 children are gathered once, as one row of the level seen
-    as (parents, d1); a sibling block has pi == pj and combos u < v.
+
+def _close_children(lvl, d1: int, e2: float, pi, pj, bits):
+    """Child pairs (pi*d1 + u, pj*d1 + v) with tail < head that stay close, and
+    their bits, in non-decreasing tail order.
+
+    The rows come sorted by pi, each run of equal pi whole; a sibling row has
+    pi == pj, and tail < head keeps its pairs u < v.  Laid out u-major inside
+    each run, entry e is child tails[e] of its run against the d1 children of
+    pj[rows[e]], so the close entries come out sorted by tail.
     """
-    xyz = lvl["xyz"].reshape(-1, d1, 3)
-    # row k, column u*d1 + v holds child u of pi[k] against child v of pj[k]
-    xi = np.repeat(xyz[pi], d1, axis=1)
-    xj = np.tile(xyz[pj], (1, d1, 1))
-    d2 = ((xi - xj) ** 2).sum(-1).reshape(-1)
+    pi, pj = pi.astype(np.intp), pj.astype(np.intp)
+    starts = _run_starts(pi)
+    runs = np.diff(starts, append=pi.size)
+    u = np.arange(d1)
+    lengths = np.repeat(runs, d1)  # entries of each (run, u) block
+    # (run, u) block of rows starts..starts+run at entry d1*start + u*run
+    rows = np.arange(pi.size * d1) - np.repeat(
+        ((d1 - 1) * starts)[:, None] + runs[:, None] * u, lengths)
+    tails = np.repeat((pi[starts] * d1)[:, None] + u, lengths)
+    xyz = lvl["xyz"]
+    diff = xyz[tails][:, None, :] - xyz.reshape(-1, d1, 3)[pj[rows]]
+    np.multiply(diff, diff, out=diff)
+    d2 = diff[..., 0] + diff[..., 1]  # summed in the order .sum(-1) takes
+    d2 += diff[..., 2]
+    d2 = d2.reshape(-1)
     near = np.flatnonzero(d2 <= e2)
-    k, uv = np.divmod(near, d1 * d1)
-    u, v = np.divmod(uv, d1)
-    ci, cj, d2 = pi[k] * d1 + u, pj[k] * d1 + v, d2[near]
+    e, v = np.divmod(near, d1)
+    k = rows[e]
+    ci, cj, d2 = tails[e], pj[k] * d1 + v, d2[near]
     valid, label = lvl["valid"], lvl["label"]
     bits = bits[k] & (
         np.where(d2 < e2, KT, 0) | np.where(label[ci] == label[cj], DS, 0)
     ).astype(np.uint8)
-    kept = (bits != 0) & valid[ci] & valid[cj] & combos.reshape(-1)[uv]
-    return ci[kept], cj[kept], bits[kept]
+    kept = (bits != 0) & (ci < cj) & valid[ci] & valid[cj]
+    return ci[kept].astype(np.int32), cj[kept].astype(np.int32), bits[kept]
 
 
 def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict):
-    """Yield per level the pairs (i < j) of orbits close in either convention.
+    """Yield per level the pairs (i < j) of orbits close in either convention,
+    as int32 slots in non-decreasing tail order i.
 
     One propagation serves both conventions: a pair is kept while it is within
     eps at every level and still has a bit (KT or DS).  Before each yield,
@@ -207,8 +234,11 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
     pair budget cut it at).  A convention whose candidates exceed the budget
     stops there, so no deeper count comes from an incomplete graph; the item's
     truncated flag is True once every convention has stopped, and that level is
-    never grown.  Candidates are built and filtered a chunk of parent pairs at
-    a time.
+    never grown.  Every child pair with tail i*d1 + u comes from the parent
+    pairs with tail i or from i's sibling row (i, i), so each valid parent's
+    sibling row is inserted into the sorted parent pairs and the candidates
+    are built and filtered a chunk of parent rows at a time, each chunk ending
+    on a run of equal tails.
     """
     d1 = tree.d1
     lvl0 = tree.level(0)
@@ -218,17 +248,16 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
                  candidates={name: seeds * (seeds - 1) // 2 for name, _ in CONVENTIONS})
     yield 0, pi, pj, False
     e2 = eps * eps
-    every = np.ones((d1, d1), dtype=bool)
-    upper = np.triu(every, 1)  # sibling pairs u < v
+    siblings = d1 * (d1 - 1) // 2  # sibling pairs u < v of one parent
     step = max(1, _CHUNK // (d1 * d1))
     for ell in range(1, tree.n_levels + 1):
-        parents = np.nonzero(tree.level(ell - 1)["valid"])[0]
+        parents = np.flatnonzero(tree.level(ell - 1)["valid"]).astype(np.int32)
         # the budget is checked before level ell or any candidate is built
         live, candidates = facts["live"], {}
         for name, bit in CONVENTIONS:
             if live & bit:
                 n_pairs = int(np.count_nonzero(bits & bit))
-                candidates[name] = n_pairs * d1 * d1 + parents.size * int(upper.sum())
+                candidates[name] = n_pairs * d1 * d1 + parents.size * siblings
                 if candidates[name] > pair_budget:
                     live &= ~bit
                     facts["stop"][name] = ell
@@ -239,22 +268,28 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
         # pairs whose every bit belongs to a stopped convention are dropped
         bits = bits & live
         nz = bits != 0
+        if not nz.all():
+            pi, pj, bits = pi[nz], pj[nz], bits[nz]
+        at = np.searchsorted(pi, parents)
+        pi, pj = np.insert(pi, at, parents), np.insert(pj, at, parents)
+        bits = np.insert(bits, at, np.uint8(live))
         lvl = tree.level(ell)
-        blocks = (
-            (pi[nz], pj[nz], bits[nz], every),
-            (parents, parents, np.full(parents.size, live, dtype=np.uint8), upper),
-        )
-        out = [
-            _close_children(lvl, d1, e2, a[s : s + step], b[s : s + step], c[s : s + step],
-                            combos)
-            for a, b, c, combos in blocks if combos.any()
-            for s in range(0, a.size, step)
-        ]
+        out, s = [], 0
+        while s < pi.size:
+            e = s + step
+            if e < pi.size:  # end the chunk on a run of equal tails
+                e = np.searchsorted(pi, pi[e])
+                if e <= s:
+                    e = np.searchsorted(pi, pi[s], side="right")
+            out.append(_close_children(lvl, d1, e2, pi[s:e], pj[s:e], bits[s:e]))
+            s = e
+        del pi, pj, bits  # the parent rows, before the children are joined
         if out:
             pi, pj, bits = (np.concatenate(parts) for parts in zip(*out))
         else:
-            pi = pj = np.zeros(0, dtype=np.int64)
+            pi = pj = np.zeros(0, dtype=np.int32)
             bits = np.zeros(0, dtype=np.uint8)
+        del out  # the chunks, before the greedy reads the level
         facts["bits"] = bits
         yield ell, pi, pj, False
 
@@ -263,20 +298,17 @@ def _greedy_count(valid: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> int:
     """Size of the lexicographically-first maximal independent set in slot order.
 
     A valid slot is kept unless a lower neighbour is kept.  Every pair has
-    pi < pj, so walking the tails in ascending order decides each slot before
-    it is read: a kept tail clears its higher neighbours.
+    pi < pj and the pairs come in non-decreasing tail order pi (as
+    `_propagate_pairs` yields them), so walking them in order decides each slot
+    before it is read: a kept tail clears its higher neighbours.
     """
     kept = bytearray(valid.tobytes())
     if pi.size:
         clear = np.frombuffer(kept, dtype=np.uint8)
-        order = np.argsort(pi, kind="stable")
-        heads, tails = pj[order], pi[order]
-        first = np.empty(tails.size, dtype=bool)
-        first[0] = True
-        np.not_equal(tails[1:], tails[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], tails.size)
-        tails = tails[starts]
+        heads = pj.astype(np.intp)
+        starts = _run_starts(pi)
+        ends = np.append(starts[1:], pi.size)
+        tails = pi[starts]
         for b in range(0, tails.size, _TAIL_BLOCK):
             block = slice(b, b + _TAIL_BLOCK)
             for t, s, e in zip(tails[block].tolist(), starts[block].tolist(),
@@ -359,17 +391,40 @@ class EntropyReport:
         return asdict(self)
 
 
+def seed_count(protocol: EntropyProtocol, eps: float):
+    """Points of the seed net at eps before subsampling: m^2 square-grid cells
+    or the Fibonacci net size, inf when (resolution_factor * eps)^2 underflows."""
+    if protocol.seed_strategy == "square_grid":
+        return _grid_cells(protocol, eps)[1] ** 2
+    spacing = protocol.resolution_factor * eps
+    area = spacing * spacing
+    count = 4.4 * math.pi / area if area else math.inf
+    return max(16, math.ceil(count)) if count < math.inf else count
+
+
+def _grid_cells(protocol: EntropyProtocol, eps: float):
+    """(stride, m): the square grid keeps cells 0, stride, 2 stride, ... of the
+    grid_size per side, m of them."""
+    g = protocol.grid_size
+    stride = max(1, int(round(min(protocol.resolution_factor * eps / (2.0 / g), g))))
+    return stride, -(-g // stride)
+
+
 def _seed_net(protocol: EntropyProtocol, eps: float):
     """(seed count, a function from seed indices to their chart coordinates) at eps:
     the Fibonacci net or the square grid of cell centres in [-1, 1]^2 (seed i
-    in row i // m, column i % m), both at the eps-dependent resolution."""
+    in row i // m, column i % m), both at the eps-dependent resolution.  The
+    count is below 2^63, as `config.read_protocol` checks."""
+    count = seed_count(protocol, eps)
     if protocol.seed_strategy == "square_grid":
-        g = protocol.grid_size
-        stride = max(1, int(round(protocol.resolution_factor * eps / (2.0 / g))))
-        xs = ((np.arange(g) + 0.5) / g * 2.0 - 1.0)[::stride]
-        return xs.size ** 2, lambda idx: chart_from_complex(xs[idx // xs.size], xs[idx % xs.size])
-    spacing = protocol.resolution_factor * eps
-    count = max(16, int(math.ceil(4.4 * math.pi / (spacing * spacing))))
+        (stride, m), g = _grid_cells(protocol, eps), protocol.grid_size
+
+        def build(idx):
+            # k * stride is exact below 2^53, as np.arange(0, g, stride) would be
+            x, y = ((k * float(stride) + 0.5) / g * 2.0 - 1.0 for k in np.divmod(idx, m))
+            return chart_from_complex(x, y)
+
+        return count, build
     return count, lambda idx: fibonacci_net(count, idx)
 
 

@@ -868,6 +868,59 @@ def test_work_past_the_budget_is_one_error_line_at_once(tmp_path, capsys, comman
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "config, overrides",
+    [
+        # eps * eps underflows to 0: the net size is not finite
+        ("accept_c08_entropy_fa4.json", ['protocol={"eps_grid": [1e-300], "n_max": 2, '
+                                         '"budget": 4096}']),
+        # a net of about 5.5e25 points, past int64 indices
+        ("accept_c08_entropy_fa4.json", ['protocol={"eps_grid": [1e-12], "n_max": 2, '
+                                         '"budget": 4096}']),
+        # stride 1 on a 10^12 grid: 10^24 cells
+        ("accept_c07_entropy_z2.json", ["protocol.grid_size=1000000000000",
+                                        "protocol.eps_grid=[1e-13]"]),
+    ],
+    ids=["net_underflow", "net_past_int64", "grid_past_int64"],
+)
+def test_seed_net_too_large_to_index_is_a_usage_error_at_once(tmp_path, capsys, config,
+                                                              overrides):
+    out = tmp_path / "out.json"
+    args = ["entropy", "--config", str(CONFIGS / config)]
+    args += [x for o in overrides + [f"out={out}"] for x in ("--set", o)]
+    start = time.monotonic()
+    assert main(args) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: protocol.eps_grid")
+    assert not out.exists()
+
+
+def test_square_grid_builds_only_the_kept_cells(tmp_path, capsys):
+    # a 10^12 grid at stride 5e10 has 20 cells a side: nothing of size g is built
+    out = tmp_path / "out.json"
+    args = ["entropy", "--config", str(CONFIGS / "accept_c07_entropy_z2.json")]
+    overrides = ["protocol.grid_size=1000000000000", "protocol.eps_grid=[0.2]",
+                 "protocol.n_max=3", f"out={out}"]
+    start = time.monotonic()
+    assert main(args + [x for o in overrides for x in ("--set", o)]) == 0
+    assert time.monotonic() - start < 5.0
+    report = json.loads(out.read_text())["KT"]
+    assert report["diagnostics"]["budget_usage"]["eps=0.2"]["seeds"] == 20 * 20
+
+
+def test_level_past_int32_slots_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the bound is lowered so that no level of 2^31 slots is ever allocated
+    monkeypatch.setattr("corrdyn.entropy._MAX_SLOTS", 1000)
+    out = tmp_path / "out.json"
+    args = ["entropy", "--config", str(CONFIGS / "accept_c12_det_entropy.json"),
+            "--set", f"out={out}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "2^31" in err
+    assert not out.exists()
+
+
 # -- config mutations: a checked-in config with one key dropped, added or replaced --------
 
 #: the command each checked-in config runs

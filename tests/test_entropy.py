@@ -239,14 +239,21 @@ def test_greedy_matches_oracle_on_random_graphs(data):
     edges = [(min(e), max(e)) for e in edges if e[0] != e[1]]
     pi = np.array([i for i, _ in edges], dtype=np.int64)
     pj = np.array([j for _, j in edges], dtype=np.int64)
+    want = oracle_greedy_count(valid, pi, pj)
+    # the greedy reads pairs in non-decreasing tail order, as int32 slots: fed once
+    # through an explicit stable sort by tail, once shuffled inside each tail
+    shuffle = np.array(data.draw(st.permutations(range(pi.size))), dtype=np.int64)
+    orders = (np.argsort(pi, kind="stable"), np.lexsort((shuffle, pi)))
     # small tail blocks make the walk cross block boundaries
     block = data.draw(st.sampled_from([1, 3, entropy_mod._TAIL_BLOCK]))
     saved, entropy_mod._TAIL_BLOCK = entropy_mod._TAIL_BLOCK, block
     try:
-        got = entropy_mod._greedy_count(valid, pi, pj)
+        for order in orders:
+            tails, heads = pi[order].astype(np.int32), pj[order].astype(np.int32)
+            assert np.all(np.diff(tails) >= 0)
+            assert entropy_mod._greedy_count(valid, tails, heads) == want
     finally:
         entropy_mod._TAIL_BLOCK = saved
-    assert got == oracle_greedy_count(valid, pi, pj)
 
 
 def _tie_eps(xi, xj):
@@ -267,13 +274,16 @@ def _one_pass_matches_oracle(tree, eps, pair_budget, n_min=1):
     return counts, levels, stop
 
 
-@pytest.mark.parametrize("case", ["family", "two_components", "seed_tie", "sibling_tie"])
+@pytest.mark.parametrize("case",
+                         ["family", "two_components", "seed_tie", "sibling_tie", "long_run"])
 def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
-    # a small chunk makes every level stream in several pieces
-    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    # a small chunk makes every level stream in several pieces; with "long_run"
+    # single runs of equal tails are longer than the chunk itself
+    chunk = 8 if case == "long_run" else 64
+    monkeypatch.setattr(entropy_mod, "_CHUNK", chunk)
     C = identity_and_negation() if case == "two_components" else family_correspondence(4)
     tree = entropy_mod._LevelTree(C, *net(60), 5)
-    eps = {"family": 0.2, "two_components": 0.5}.get(case)
+    eps = {"family": 0.2, "two_components": 0.5, "long_run": 0.3}.get(case)
     if case == "seed_tie":
         xyz = tree.level(0)["xyz"]
         eps = _tie_eps(xyz[:, None, :], xyz[None, :, :])
@@ -283,11 +293,18 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     counts, levels, stop = _one_pass_matches_oracle(tree, eps, 10 ** 9, n_min=2)
     assert stop == {}
     assert sorted(counts["KT"]) == [2, 3, 4, 5]
-    facts = {}
+    facts, longest = {}, 0
     for _ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, facts):
         assert np.all(pi < pj)  # the greedy decides tails before their heads
+        # and reads the tails in non-decreasing order, with no sort of its own
+        assert np.all(np.diff(pi) >= 0)
+        assert pi.dtype == np.int32 and pj.dtype == np.int32
+        if pi.size:
+            longest = max(longest, int(np.unique(pi, return_counts=True)[1].max()))
+    if case == "long_run":
+        assert longest > chunk
     coincide = [row["coincide"] for row in levels]
-    if case == "family":
+    if case in ("family", "long_run"):
         # one label: the conventions differ only at exact ties, which this eps has none of
         assert all(coincide)
     elif case == "two_components":
@@ -422,6 +439,42 @@ def test_only_kept_seeds_are_built(monkeypatch, strategy):
     usage = report.diagnostics["budget_usage"]
     assert built == [usage["eps=0.2"]["seeds"], usage["eps=0.1"]["seeds"]] == [65, 65]
     assert {"seed_net_subsampled@eps=0.2", "seed_net_subsampled@eps=0.1"} <= set(report.flags)
+
+
+@pytest.mark.parametrize("grid_size, eps", [(64, 0.2), (64, 0.05), (1000, 0.013), (7, 3.0)])
+def test_square_grid_cells_are_the_strided_cell_centres(monkeypatch, grid_size, eps):
+    # the kept cells, computed from their indices, are bit for bit the strided
+    # slice of all g cell centres
+    monkeypatch.setattr(entropy_mod, "chart_from_complex", lambda x, y: (x, y))
+    prot = EntropyProtocol(seed_strategy="square_grid", grid_size=grid_size)
+    count, build = entropy_mod._seed_net(prot, eps)
+    stride = max(1, int(round(prot.resolution_factor * eps / (2.0 / grid_size))))
+    xs = ((np.arange(grid_size) + 0.5) / grid_size * 2.0 - 1.0)[::stride]
+    assert count == xs.size ** 2
+    idx = np.arange(count)
+    x, y = build(idx)
+    assert np.array_equal(x, xs[idx // xs.size]) and np.array_equal(y, xs[idx % xs.size])
+
+
+def test_seed_count_is_arithmetic():
+    assert entropy_mod.seed_count(EntropyProtocol(), 1e-300) == math.inf
+    # the largest nets below the bound are counted, not built
+    assert 2 ** 53 < entropy_mod.seed_count(EntropyProtocol(), 1e-8) < 2 ** 63
+    grid = EntropyProtocol(seed_strategy="square_grid", grid_size=10 ** 12)
+    assert entropy_mod.seed_count(grid, 0.2) == 20 ** 2
+    assert entropy_mod.seed_count(grid, 1e-13) == 10 ** 24
+    # a stride past the grid keeps one cell
+    assert entropy_mod.seed_count(EntropyProtocol(seed_strategy="square_grid"), 1e300) == 1
+
+
+def test_level_of_int32_slots_is_refused_before_it_is_grown(monkeypatch):
+    # 40 seeds with two children each: level 1 has 80 slots, level 2 would have 160
+    monkeypatch.setattr(entropy_mod, "_MAX_SLOTS", 160)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(40), 3)
+    assert tree.level(1)["valid"].size == 80
+    with pytest.raises(BudgetExceeded, match="2\\^31"):
+        tree.level(2)
+    assert len(tree.levels) == 2
 
 
 def test_seed_plan_refuses_a_seed_tree_past_the_budget():
