@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .correspondence import Correspondence, compose, deleted_covering, map_graph, mobius_correspondence
-from .entropy import EntropyProtocol, seed_count
+from .entropy import EntropyProtocol, seed_net
 from .errors import UsageError
 from .families import RegionSpec, composed_covering_pair, family_correspondence
 from .measures import GridPartition
@@ -166,7 +166,7 @@ def read_protocol(data, name: str = "protocol") -> EntropyProtocol:
     _valid(protocol.n_max >= protocol.n_min, protocol.n_max, f"{name}.n_max",
            f">= {name}.n_min ({protocol.n_min})")
     for eps in protocol.eps_grid:  # seed indices are int64
-        _valid(seed_count(protocol, eps) < 2 ** 63, eps, f"{name}.eps_grid entry",
+        _valid(seed_net(protocol, eps)[0] < 2 ** 63, eps, f"{name}.eps_grid entry",
                f"an eps whose {protocol.seed_strategy} seeds number below 2^63")
     return protocol
 

@@ -391,40 +391,27 @@ class EntropyReport:
         return asdict(self)
 
 
-def seed_count(protocol: EntropyProtocol, eps: float):
-    """Points of the seed net at eps before subsampling: m^2 square-grid cells
-    or the Fibonacci net size, inf when (resolution_factor * eps)^2 underflows."""
-    if protocol.seed_strategy == "square_grid":
-        return _grid_cells(protocol, eps)[1] ** 2
-    spacing = protocol.resolution_factor * eps
-    area = spacing * spacing
-    count = 4.4 * math.pi / area if area else math.inf
-    return max(16, math.ceil(count)) if count < math.inf else count
-
-
-def _grid_cells(protocol: EntropyProtocol, eps: float):
-    """(stride, m): the square grid keeps cells 0, stride, 2 stride, ... of the
-    grid_size per side, m of them."""
-    g = protocol.grid_size
-    stride = max(1, int(round(min(protocol.resolution_factor * eps / (2.0 / g), g))))
-    return stride, -(-g // stride)
-
-
-def _seed_net(protocol: EntropyProtocol, eps: float):
+def seed_net(protocol: EntropyProtocol, eps: float):
     """(seed count, a function from seed indices to their chart coordinates) at eps:
     the Fibonacci net or the square grid of cell centres in [-1, 1]^2 (seed i
     in row i // m, column i % m), both at the eps-dependent resolution.  The
-    count is below 2^63, as `config.read_protocol` checks."""
-    count = seed_count(protocol, eps)
+    count is computed, not built: inf when (resolution_factor * eps)^2
+    underflows; `config.read_protocol` refuses counts of 2^63 or more."""
     if protocol.seed_strategy == "square_grid":
-        (stride, m), g = _grid_cells(protocol, eps), protocol.grid_size
+        g = protocol.grid_size
+        stride = max(1, int(round(min(protocol.resolution_factor * eps / (2.0 / g), g))))
+        m = -(-g // stride)  # cells 0, stride, 2 stride, ... of the g per side
 
         def build(idx):
             # k * stride is exact below 2^53, as np.arange(0, g, stride) would be
             x, y = ((k * float(stride) + 0.5) / g * 2.0 - 1.0 for k in np.divmod(idx, m))
             return chart_from_complex(x, y)
 
-        return count, build
+        return m * m, build
+    spacing = protocol.resolution_factor * eps
+    area = spacing * spacing
+    count = 4.4 * math.pi / area if area else math.inf
+    count = max(16, math.ceil(count)) if count < math.inf else count
     return count, lambda idx: fibonacci_net(count, idx)
 
 
@@ -480,7 +467,7 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
     counting = {}  # per eps: nodes, candidate and kept pairs of every level
     data = {"KT": {}, "DS": {}}
     for eps in protocol.eps_grid:
-        count, build = _seed_net(protocol, eps)
+        count, build = seed_net(protocol, eps)
         idx, flags = _plan_seeds(count, max(1, C.d1), protocol.n_max, protocol.budget)
         all_flags.extend(f"{f}@eps={eps:g}" for f in flags)
         tree = _LevelTree(C, *build(idx), protocol.n_max)

@@ -447,7 +447,7 @@ def test_square_grid_cells_are_the_strided_cell_centres(monkeypatch, grid_size, 
     # slice of all g cell centres
     monkeypatch.setattr(entropy_mod, "chart_from_complex", lambda x, y: (x, y))
     prot = EntropyProtocol(seed_strategy="square_grid", grid_size=grid_size)
-    count, build = entropy_mod._seed_net(prot, eps)
+    count, build = entropy_mod.seed_net(prot, eps)
     stride = max(1, int(round(prot.resolution_factor * eps / (2.0 / grid_size))))
     xs = ((np.arange(grid_size) + 0.5) / grid_size * 2.0 - 1.0)[::stride]
     assert count == xs.size ** 2
@@ -457,14 +457,15 @@ def test_square_grid_cells_are_the_strided_cell_centres(monkeypatch, grid_size, 
 
 
 def test_seed_count_is_arithmetic():
-    assert entropy_mod.seed_count(EntropyProtocol(), 1e-300) == math.inf
+    def count(eps, **kw):
+        return entropy_mod.seed_net(EntropyProtocol(**kw), eps)[0]
+    assert count(1e-300) == math.inf
     # the largest nets below the bound are counted, not built
-    assert 2 ** 53 < entropy_mod.seed_count(EntropyProtocol(), 1e-8) < 2 ** 63
-    grid = EntropyProtocol(seed_strategy="square_grid", grid_size=10 ** 12)
-    assert entropy_mod.seed_count(grid, 0.2) == 20 ** 2
-    assert entropy_mod.seed_count(grid, 1e-13) == 10 ** 24
+    assert 2 ** 53 < count(1e-8) < 2 ** 63
+    assert count(0.2, seed_strategy="square_grid", grid_size=10 ** 12) == 20 ** 2
+    assert count(1e-13, seed_strategy="square_grid", grid_size=10 ** 12) == 10 ** 24
     # a stride past the grid keeps one cell
-    assert entropy_mod.seed_count(EntropyProtocol(seed_strategy="square_grid"), 1e300) == 1
+    assert count(1e300, seed_strategy="square_grid") == 1
 
 
 def test_level_of_int32_slots_is_refused_before_it_is_grown(monkeypatch):
