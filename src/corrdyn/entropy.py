@@ -9,14 +9,20 @@ fail to separate only if their prefixes also fail: the set of
 over that pair graph reproduces the sequential greedy result exactly.
 One propagation serves both conventions (KT: distance < eps at every level;
 DS: distance <= eps and equal labels at every level), each pair carrying one
-bit per convention; the greedy runs once per level when the two pair sets
-coincide and once per convention where they differ.
+bit per convention.  The pairs of a level are built a chunk at a time in
+tail order, and the greedy walks each chunk as it is built: one walk serves
+both conventions while every pair so far carries both bits, and each walks
+its own copy from the first chunk where they differ.  Only the pairs a
+deeper level reads are kept: once every convention is sure to pass the pair
+budget at the next level, the level's chunks are dropped as they are walked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -125,10 +131,11 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
     seed through the parent links k // d1; labels[l] is the component of the
     step from points[l] to points[l + 1], as the tree labels level l + 1.  Siblings closer than 1e-7 chordal
     are enumerated once.  Raises BudgetExceeded, before anything is built,
-    when |seeds| d1^n exceeds the budget.
+    when the tree's nodes over all levels, |seeds| (d1^0 + ... + d1^n), exceed
+    the budget.
     """
     seeds = list(seeds)
-    if tree_size(len(seeds), max(1, C.d1), n, budget) > budget:
+    if tree_size(len(seeds), max(1, C.d1), n, budget, every_level=True) > budget:
         raise BudgetExceeded(
             f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
         )
@@ -222,100 +229,125 @@ def _close_children(lvl, d1: int, e2: float, pi, pj, bits):
     return ci[kept].astype(np.int32), cj[kept].astype(np.int32), bits[kept]
 
 
+def _child_chunks(lvl, d1: int, e2: float, pi, pj, bits):
+    """The close child pairs of the parent rows, a chunk of rows at a time,
+    each chunk ending on a run of equal tails; one empty chunk when there are
+    no rows."""
+    if not pi.size:
+        yield pi, pj, bits
+        return
+    step = max(1, _CHUNK // (d1 * d1))
+    s = 0
+    while s < pi.size:
+        e = s + step
+        if e < pi.size:  # end the chunk on a run of equal tails
+            e = np.searchsorted(pi, pi[e])
+            if e <= s:
+                e = np.searchsorted(pi, pi[s], side="right")
+        yield _close_children(lvl, d1, e2, pi[s:e], pj[s:e], bits[s:e])
+        s = e
+
+
 def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict):
-    """Yield per level the pairs (i < j) of orbits close in either convention,
-    as int32 slots in non-decreasing tail order i.
+    """Yield, a chunk at a time, the pairs (i < j) of orbits close in either
+    convention at each level, as int32 slots in non-decreasing tail order i.
 
     One propagation serves both conventions: a pair is kept while it is within
-    eps at every level and still has a bit (KT or DS).  Before each yield,
-    `facts` holds "bits" (uint8, one per pair), "live" (the bits of the
-    conventions counted at this level), "candidates" (per convention live on
-    entry, its candidate pair count) and "stop" (convention -> the depth the
-    pair budget cut it at).  A convention whose candidates exceed the budget
-    stops there, so no deeper count comes from an incomplete graph; the item's
-    truncated flag is True once every convention has stopped, and that level is
-    never grown.  Every child pair with tail i*d1 + u comes from the parent
-    pairs with tail i or from i's sibling row (i, i), so each valid parent's
-    sibling row is inserted into the sorted parent pairs and the candidates
-    are built and filtered a chunk of parent rows at a time, each chunk ending
-    on a run of equal tails.
+    eps at every level and still has a bit (KT or DS).  Each item is one chunk
+    of one level, and every level yields at least one (maybe empty) item; the
+    chunks of a level come in tail order and end on runs of equal tails, so
+    walking them one after another is one walk over the level.  Before each
+    yield, `facts` holds "bits" (uint8, one per pair of the chunk), "live"
+    (the bits of the conventions counted at this level), "kept" (per live
+    convention, its pairs at this level so far: one dict per level, updated in
+    place chunk by chunk), "candidates" (per convention live on entry, its
+    candidate pair count) and "stop" (convention -> the depth the pair budget
+    cut it at).  A convention whose candidates exceed the budget stops there,
+    so no deeper count comes from an incomplete graph; the item's truncated
+    flag is True once every convention has stopped, and that level is never
+    grown.  Every child pair with tail i*d1 + u comes from the parent pairs
+    with tail i or from i's sibling row (i, i), so each valid parent's sibling
+    row is inserted into the sorted parent pairs and the candidates are built
+    and filtered a chunk of parent rows at a time.  A chunk is kept for the
+    next level only while some live convention can still pass its budget
+    check; once none can, the kept chunks are dropped.
     """
     d1 = tree.d1
-    lvl0 = tree.level(0)
-    pi, pj, bits = _close_seed_pairs(lvl0["xyz"], lvl0["valid"], eps)
-    seeds = int(lvl0["valid"].sum())
-    facts.update(bits=bits, live=KT | DS, stop={},
-                 candidates={name: seeds * (seeds - 1) // 2 for name, _ in CONVENTIONS})
-    yield 0, pi, pj, False
-    e2 = eps * eps
     siblings = d1 * (d1 - 1) // 2  # sibling pairs u < v of one parent
-    step = max(1, _CHUNK // (d1 * d1))
-    for ell in range(1, tree.n_levels + 1):
-        parents = np.flatnonzero(tree.level(ell - 1)["valid"]).astype(np.int32)
-        # the budget is checked before level ell or any candidate is built
-        live, candidates = facts["live"], {}
-        for name, bit in CONVENTIONS:
-            if live & bit:
-                n_pairs = int(np.count_nonzero(bits & bit))
-                candidates[name] = n_pairs * d1 * d1 + parents.size * siblings
-                if candidates[name] > pair_budget:
-                    live &= ~bit
-                    facts["stop"][name] = ell
-        facts.update(live=live, candidates=candidates)
-        if not live:
-            yield ell, None, None, True
-            return
-        # pairs whose every bit belongs to a stopped convention are dropped
-        bits = bits & live
-        nz = bits != 0
-        if not nz.all():
-            pi, pj, bits = pi[nz], pj[nz], bits[nz]
-        at = np.searchsorted(pi, parents)
-        pi, pj = np.insert(pi, at, parents), np.insert(pj, at, parents)
-        bits = np.insert(bits, at, np.uint8(live))
-        lvl = tree.level(ell)
-        out, s = [], 0
-        while s < pi.size:
-            e = s + step
-            if e < pi.size:  # end the chunk on a run of equal tails
-                e = np.searchsorted(pi, pi[e])
-                if e <= s:
-                    e = np.searchsorted(pi, pi[s], side="right")
-            out.append(_close_children(lvl, d1, e2, pi[s:e], pj[s:e], bits[s:e]))
-            s = e
-        del pi, pj, bits  # the parent rows, before the children are joined
-        if out:
-            pi, pj, bits = (np.concatenate(parts) for parts in zip(*out))
-        else:
-            pi = pj = np.zeros(0, dtype=np.int32)
-            bits = np.zeros(0, dtype=np.uint8)
-        del out  # the chunks, before the greedy reads the level
-        facts["bits"] = bits
-        yield ell, pi, pj, False
+    e2 = eps * eps
+    lvl = tree.level(0)
+    seeds = int(lvl["valid"].sum())
+    facts.update(live=KT | DS, stop={},
+                 candidates={name: seeds * (seeds - 1) // 2 for name, _ in CONVENTIONS})
+    chunks = iter([_close_seed_pairs(lvl["xyz"], lvl["valid"], eps)])
+    for ell in range(tree.n_levels + 1):
+        if ell:
+            # the budget is checked before level ell or any candidate is built
+            live, candidates = facts["live"], {}
+            for name, bit in CONVENTIONS:
+                if live & bit:
+                    candidates[name] = kept[name] * d1 * d1 + parents.size * siblings
+                    if candidates[name] > pair_budget:
+                        live &= ~bit
+                        facts["stop"][name] = ell
+            facts.update(live=live, candidates=candidates)
+            if not live:
+                yield ell, None, None, True
+                return
+            # a level that reaches here kept every chunk, and it has at least one
+            pi, pj, bits = (np.concatenate(parts) for parts in zip(*keep))
+            del keep
+            # pairs whose every bit belongs to a stopped convention are dropped
+            bits = bits & live
+            nz = bits != 0
+            if not nz.all():
+                pi, pj, bits = pi[nz], pj[nz], bits[nz]
+            at = np.searchsorted(pi, parents)
+            pi, pj = np.insert(pi, at, parents), np.insert(pj, at, parents)
+            bits = np.insert(bits, at, np.uint8(live))
+            lvl = tree.level(ell)
+            chunks = _child_chunks(lvl, d1, e2, pi, pj, bits)
+        live = facts["live"]
+        kept = facts["kept"] = {name: 0 for name, bit in CONVENTIONS if live & bit}
+        parents = np.flatnonzero(lvl["valid"]).astype(np.int32)
+        room = pair_budget - parents.size * siblings  # for the children of kept pairs at ell + 1
+        keep, going = [], ell < tree.n_levels and room >= 0
+        for pi, pj, bits in chunks:
+            for name, bit in CONVENTIONS:
+                if name in kept:
+                    kept[name] += int(np.count_nonzero(bits & bit))
+            if going:
+                keep.append((pi, pj, bits))
+                if min(kept.values()) * d1 * d1 > room:  # every live convention stops at ell + 1
+                    keep, going = [], False
+            facts["bits"] = bits
+            yield ell, pi, pj, False
 
 
-def _greedy_count(valid: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> int:
-    """Size of the lexicographically-first maximal independent set in slot order.
+def _greedy_count(kept: bytearray, pi: np.ndarray, pj: np.ndarray) -> None:
+    """Walk one block of pairs into `kept`, the greedy's slot flags.
 
-    A valid slot is kept unless a lower neighbour is kept.  Every pair has
-    pi < pj and the pairs come in non-decreasing tail order pi (as
-    `_propagate_pairs` yields them), so walking them in order decides each slot
-    before it is read: a kept tail clears its higher neighbours.
+    The greedy count is the size of the lexicographically-first maximal
+    independent set in slot order: a valid slot is kept unless a lower
+    neighbour is kept.  Every pair has pi < pj and the pairs come in
+    non-decreasing tail order pi (as `_propagate_pairs` yields them), so
+    walking them in order decides each slot before it is read: a kept tail
+    clears its higher neighbours.  Blocks of one level walked one after
+    another are one walk over the level; `kept.count(1)` is then the count.
     """
-    kept = bytearray(valid.tobytes())
-    if pi.size:
-        clear = np.frombuffer(kept, dtype=np.uint8)
-        heads = pj.astype(np.intp)
-        starts = _run_starts(pi)
-        ends = np.append(starts[1:], pi.size)
-        tails = pi[starts]
-        for b in range(0, tails.size, _TAIL_BLOCK):
-            block = slice(b, b + _TAIL_BLOCK)
-            for t, s, e in zip(tails[block].tolist(), starts[block].tolist(),
-                               ends[block].tolist()):
-                if kept[t]:
-                    clear[heads[s:e]] = 0
-    return kept.count(1)
+    if not pi.size:
+        return
+    clear = np.frombuffer(kept, dtype=np.uint8)
+    heads = pj.astype(np.intp)
+    starts = _run_starts(pi)
+    ends = np.append(starts[1:], pi.size)
+    tails = pi[starts]
+    for b in range(0, tails.size, _TAIL_BLOCK):
+        block = slice(b, b + _TAIL_BLOCK)
+        for t, s, e in zip(tails[block].tolist(), starts[block].tolist(),
+                           ends[block].tolist()):
+            if kept[t]:
+                clear[heads[s:e]] = 0
 
 
 def _separated_counts(tree: _LevelTree, eps: float, pair_budget: int, n_min: int):
@@ -325,31 +357,42 @@ def _separated_counts(tree: _LevelTree, eps: float, pair_budget: int, n_min: int
     one row of facts per level (nodes, candidate and kept pairs per convention,
     whether the two pair sets coincide), and {convention: depth} for each
     convention the pair budget stopped.  The level every convention stopped at
-    is never grown, so its row's nodes is None.
+    is never grown, so its row's nodes is None.  Each chunk is walked as it
+    comes: the conventions share one `kept` bytearray while every pair so far
+    carries both bits, and split at the first chunk where the bits differ.
     """
     counts, levels, facts = {"KT": {}, "DS": {}}, [], {}
-    for ell, pi, pj, truncated in _propagate_pairs(tree, eps, pair_budget, facts):
+    items = _propagate_pairs(tree, eps, pair_budget, facts)
+    for ell, chunks in groupby(items, key=itemgetter(0)):
+        # facts now describe the level's first chunk
         row = {"level": ell, "nodes": None, "candidates": facts["candidates"]}
         levels.append(row)
-        if truncated:
+        live = facts["live"]
+        if not live:  # the truncated item: every convention stopped here
             break
         valid = tree.level(ell)["valid"]
-        row["nodes"] = int(valid.sum())
-        bits, live = facts["bits"], facts["live"]
-        row["kept"] = {
-            name: int(np.count_nonzero(bits & bit)) for name, bit in CONVENTIONS if live & bit
-        }
-        # the two conventions share one pair set: one greedy sweep serves both
-        row["coincide"] = live == (KT | DS) and bool(np.all(bits == (KT | DS)))
-        if ell < max(1, n_min):
-            continue
-        if row["coincide"]:
-            counts["KT"][ell] = counts["DS"][ell] = _greedy_count(valid, pi, pj)
-            continue
-        for name, bit in CONVENTIONS:
-            if live & bit:
-                sel = (bits & bit) != 0
-                counts[name][ell] = _greedy_count(valid, pi[sel], pj[sel])
+        row.update(nodes=int(valid.sum()), kept=facts["kept"], coincide=live == KT | DS)
+        walks = {}
+        if ell >= max(1, n_min):
+            shared = bytearray(valid.tobytes())
+            walks = {name: shared for name, bit in CONVENTIONS if live & bit}
+        for _, pi, pj, _ in chunks:
+            bits = facts["bits"]
+            if row["coincide"] and not np.all(bits == KT | DS):
+                # the two pair sets part here: each convention walks on in its own copy
+                row["coincide"] = False
+                if walks:
+                    walks["DS"] = bytearray(walks["KT"])
+            if row["coincide"]:
+                if walks:  # one walk serves both
+                    _greedy_count(walks["KT"], pi, pj)
+            else:
+                for name, bit in CONVENTIONS:
+                    if name in walks:
+                        sel = (bits & bit) != 0
+                        _greedy_count(walks[name], pi[sel], pj[sel])
+        for name, kept in walks.items():
+            counts[name][ell] = kept.count(1)
     return counts, levels, facts["stop"]
 
 
@@ -419,7 +462,10 @@ def _plan_seeds(count: int, d1: int, n_max: int, budget: int):
     """Indices of the seeds kept of `count`: a deterministic subsample so the
     full tree fits the node budget.  Raises BudgetExceeded when one seed's
     full tree does not.  Only the kept indices are built, so a net of 10^15
-    seeds costs no more than the budget."""
+    seeds costs no more than the budget.  A count that is not finite, or is
+    past int64 indices, raises BudgetExceeded."""
+    if not count < 2 ** 63:  # also inf and nan
+        raise BudgetExceeded(f"a seed net of {count} points is past int64 seed indices")
     per_seed = tree_size(1, d1, n_max, budget, every_level=True)
     if per_seed > budget:
         raise BudgetExceeded(f"one seed's tree to depth {n_max} exceeds budget {budget}")

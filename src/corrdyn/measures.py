@@ -129,12 +129,15 @@ def pullback_dirac_tree(
 def pullback_dirac_tree_levels(
     C: Correspondence, z0: SpherePoint, ns, budget: int = 2 ** 20
 ) -> dict:
-    """Pullback clouds at several generations from one tree traversal."""
+    """Pullback clouds at several generations from one tree traversal.
+
+    Raises BudgetExceeded, before anything is built, when the tree's nodes
+    over all levels 0..max(ns) exceed the budget."""
     ns = sorted(set(int(n) for n in ns))
     if ns and ns[0] < 0:
         raise ValueError("generations must be nonnegative")
     n_max = ns[-1] if ns else 0
-    if tree_size(1, max(C.d1, C.d2), n_max, budget) > budget:
+    if tree_size(1, max(C.d1, C.d2), n_max, budget, every_level=True) > budget:
         raise BudgetExceeded(f"preimage tree at depth {n_max} exceeds budget {budget}")
     prov = _provenance(C, z0, "full_tree", None)
     out = {}

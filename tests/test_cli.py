@@ -837,6 +837,7 @@ def test_config_that_fails_validation_makes_no_directory(tmp_path, capsys, comma
 
 
 SHRUNK_PROTOCOL = 'protocol={"eps_grid": [0.5], "n_max": 2, "budget": 4096}'
+MOBIUS_SHIFT = 'correspondence={"kind": "mobius", "matrix": [[1, 1], [0, 1]]}'
 
 
 @pytest.mark.parametrize(
@@ -851,9 +852,12 @@ SHRUNK_PROTOCOL = 'protocol={"eps_grid": [0.5], "n_max": 2, "budget": 4096}'
         ("entropy", "accept_c11_metric_fa4.json",
          [SHRUNK_PROTOCOL, "metric.cloud_generation=1000000000000"]),
         ("equidist", "accept_c12_det_equidist.json", ["generations=[1000000000000]"]),
+        # d = 1: every level holds the seeds, so only the work over all levels grows
+        ("orbit", None, [MOBIUS_SHIFT, "seeds=[[1, 0]]", "n=1000000000"]),
+        ("equidist", "accept_c12_det_equidist.json", [MOBIUS_SHIFT, "generations=[1000000000]"]),
     ],
     ids=["orbit_depth", "entropy_depth", "entropy_one_seed_tree", "metric_N_max",
-         "metric_cloud_generation", "monte_carlo_walks"],
+         "metric_cloud_generation", "monte_carlo_walks", "orbit_depth_d1", "equidist_depth_d1"],
 )
 def test_work_past_the_budget_is_one_error_line_at_once(tmp_path, capsys, command, config,
                                                         overrides):

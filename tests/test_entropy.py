@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,12 +248,20 @@ def test_greedy_matches_oracle_on_random_graphs(data):
     orders = (np.argsort(pi, kind="stable"), np.lexsort((shuffle, pi)))
     # small tail blocks make the walk cross block boundaries
     block = data.draw(st.sampled_from([1, 3, entropy_mod._TAIL_BLOCK]))
+    # the pairs also come split into blocks at random run boundaries, walked in sequence
+    runs = np.flatnonzero(np.diff(np.sort(pi))) + 1
+    cuts = sorted(data.draw(st.sets(st.sampled_from(runs.tolist()))) if runs.size else [])
     saved, entropy_mod._TAIL_BLOCK = entropy_mod._TAIL_BLOCK, block
     try:
         for order in orders:
             tails, heads = pi[order].astype(np.int32), pj[order].astype(np.int32)
             assert np.all(np.diff(tails) >= 0)
-            assert entropy_mod._greedy_count(valid, tails, heads) == want
+            for parts in ([tails], np.split(tails, cuts)):
+                kept, s = bytearray(valid.tobytes()), 0
+                for part in parts:
+                    entropy_mod._greedy_count(kept, part, heads[s : s + part.size])
+                    s += part.size
+                assert kept.count(1) == want
     finally:
         entropy_mod._TAIL_BLOCK = saved
 
@@ -293,14 +303,16 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     counts, levels, stop = _one_pass_matches_oracle(tree, eps, 10 ** 9, n_min=2)
     assert stop == {}
     assert sorted(counts["KT"]) == [2, 3, 4, 5]
-    facts, longest = {}, 0
-    for _ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, facts):
+    facts, longest, chunks = {}, 0, {}
+    for ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, facts):
         assert np.all(pi < pj)  # the greedy decides tails before their heads
         # and reads the tails in non-decreasing order, with no sort of its own
         assert np.all(np.diff(pi) >= 0)
         assert pi.dtype == np.int32 and pj.dtype == np.int32
         if pi.size:
             longest = max(longest, int(np.unique(pi, return_counts=True)[1].max()))
+        # one item per chunk: (pairs, whether every pair has both bits)
+        chunks.setdefault(ell, []).append((pi.size, bool(np.all(facts["bits"] == 3))))
     if case == "long_run":
         assert longest > chunk
     coincide = [row["coincide"] for row in levels]
@@ -309,9 +321,91 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
         assert all(coincide)
     elif case == "two_components":
         assert counts["KT"] != counts["DS"] and not all(coincide)
+        # at some level the first chunk still serves both conventions with one
+        # walk, and the walks part at a later chunk
+        assert any(parts[0][0] and parts[0][1] and not all(both for _, both in parts)
+                   for parts in chunks.values())
     else:
         # the tied pair is DS-close but not KT-close
         assert not coincide[0 if case == "seed_tie" else 1]
+
+
+def _level_pairs(tree, eps):
+    """Per level, the pair count of each chunk `_propagate_pairs` yields."""
+    chunks = {}
+    for ell, pi, _pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, {}):
+        chunks.setdefault(ell, []).append(pi.size)
+    return chunks
+
+
+def test_budget_proven_exceeded_mid_level_drops_the_kept_chunks(monkeypatch):
+    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 5)
+    chunks = _level_pairs(tree, 0.3)
+    # level 5 is cut once half of level 4's pairs are walked: its candidates
+    # (4 per kept pair plus one sibling pair per valid node) then pass the budget
+    parents = int(tree.level(4)["valid"].sum())
+    budget = parents + 4 * (sum(chunks[4]) // 2)
+    walked = np.cumsum(chunks[4])
+    assert 4 * walked[0] + parents <= budget < 4 * walked[-2] + parents
+    counts, levels, stop = _one_pass_matches_oracle(tree, 0.3, budget)
+    assert stop == {"KT": 5, "DS": 5} and sorted(counts["KT"]) == [1, 2, 3, 4]
+    assert levels[4]["kept"]["KT"] == sum(chunks[4])
+    assert levels[5]["candidates"]["KT"] == 4 * sum(chunks[4]) + parents
+
+
+def test_level_with_no_pairs_is_counted(monkeypatch):
+    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 4)
+    chunks = _level_pairs(tree, 0.001)
+    # a level with no pairs still yields an item, so its count exists: one
+    # empty item at level 0, and empty chunks of sibling rows below it
+    assert sorted(chunks) == list(range(5)) and chunks[0] == [0]
+    assert not any(sum(sizes) for sizes in chunks.values())
+    counts, levels, stop = _one_pass_matches_oracle(tree, 0.001, 10 ** 9)
+    for ell in range(1, 5):
+        assert counts["KT"][ell] == counts["DS"][ell] == levels[ell]["nodes"]
+
+
+def test_levels_below_n_min_are_not_walked(monkeypatch):
+    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    walked = []
+    greedy = entropy_mod._greedy_count
+    monkeypatch.setattr(entropy_mod, "_greedy_count",
+                        lambda kept, pi, pj: walked.append(len(kept)) or greedy(kept, pi, pj))
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 5)
+    counts, levels, stop = _one_pass_matches_oracle(tree, 0.3, 10 ** 9, n_min=3)
+    assert sorted(counts["KT"]) == sorted(counts["DS"]) == [3, 4, 5]
+    assert len(levels) == 6 and all("kept" in row for row in levels)
+    # only the slots of levels 3, 4 and 5 are walked
+    assert set(walked) == {60 * 2 ** ell for ell in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("case", ["bottom", "budget_cut"])
+def test_counting_holds_less_than_one_copy_of_its_last_level(monkeypatch, case):
+    # the last counted level's pairs are walked chunk by chunk and never held
+    # whole: at the bottom of the tree (nothing reads them), and where the pair
+    # budget is proven exceeded about a quarter of the way through the level
+    # (the chunks kept until then are dropped)
+    monkeypatch.setattr(entropy_mod, "_CHUNK", 1 << 12)
+    n_levels, budget, last = {"bottom": (7, 10 ** 9, 7), "budget_cut": (8, 260_000, 7)}[case]
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(100), n_levels)
+    tree.level(last)  # the tree's own memory is not the counting's
+    tracemalloc.start()
+    try:
+        counts, levels, stop = entropy_mod._separated_counts(tree, 0.2, budget, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(counts["KT"]) == list(range(1, last + 1))
+    assert stop == ({} if case == "bottom" else {"KT": 8, "DS": 8})
+    pairs = levels[last]["kept"]["KT"]
+    assert pairs > 200_000
+    # int32 tails and heads and a uint8 bit per pair: 9 bytes a pair, once
+    # (2.06 MB). Holding the level whole and joining its chunks peaked at
+    # 5.6 MB in both cases; walking each chunk as it is built, at 1.4 MB at the
+    # bottom and 1.7 MB with the budget cut
+    assert peak < 9 * pairs
 
 
 def test_pair_budget_stops_each_convention_at_its_own_depth():
@@ -484,6 +578,21 @@ def test_seed_plan_refuses_a_seed_tree_past_the_budget():
     for n_max, budget in ((12, 8190), (10 ** 12, 2 ** 20)):
         with pytest.raises(BudgetExceeded):
             entropy_mod._plan_seeds(100, 2, n_max, budget)
+
+
+def test_seed_plan_refuses_a_count_past_int64_indices():
+    # a protocol built in Python never passes read_protocol's check: an eps
+    # whose net does not fit in int64 seed indices is refused, with no warning
+    prot = EntropyProtocol(eps_grid=(1e-300,), n_max=2, budget=4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BudgetExceeded, match="int64"):
+            entropy_estimate(family_correspondence(4), prot)
+        for count in (math.inf, math.nan, 2 ** 63):
+            with pytest.raises(BudgetExceeded, match="int64"):
+                entropy_mod._plan_seeds(count, 2, 2, 4096)
+        idx, _flags = entropy_mod._plan_seeds(2 ** 52, 2, 2, 4096)
+    assert idx.size == 585 and idx[-1] == 2 ** 52 - 1
 
 
 def test_seed_plan_keeps_every_seed_within_the_budget():
