@@ -100,9 +100,6 @@ class FiberResult:
     def support(self) -> list[SpherePoint]:
         return [p for p, _ in self.points]
 
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
-
 
 def _merge_weighted(items: list[tuple[SpherePoint, int, float]]) -> FiberResult:
     """Merge points within MERGE_TOL chordal; multiplicities add."""

@@ -15,6 +15,8 @@ both conventions while every pair so far carries both bits, and each walks
 its own copy from the first chunk where they differ.  Only the pairs a
 deeper level reads are kept: once every convention is sure to pass the pair
 budget at the next level, the level's chunks are dropped as they are walked.
+The next level reads the kept chunks one at a time and releases each once its
+children are built, so no level's pairs are ever joined into one array.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .sphere import fibonacci_net, point_charts
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
 _MAX_SLOTS = 2 ** 31  # a level's slots are int32 pair indices
+# elements worked on at once: tree slots grown, candidate pairs built and
+# filtered, greedy tails converted to Python ints; small enough for the L2 cache
+_BLOCK = 1 << 15
 
 
 def gromov_cap(C: Correspondence) -> float:
@@ -54,7 +59,9 @@ class _LevelTree:
     orbit order.  Invalid slots mark collapsed duplicates and degenerate fibers.
     Only level 0 is built up front; `level(l)` grows the levels up to l the
     first time they are asked for, so `levels` holds the prefix grown so far
-    and `node_count` its valid nodes.
+    and `node_count` its valid nodes.  A level is grown about _BLOCK slots at
+    a time into its preallocated arrays; every step of growth is row-local, so
+    the bytes are those of growing the level whole.
     """
 
     def __init__(self, C: Correspondence, values, reciprocal, n_levels: int):
@@ -87,12 +94,27 @@ class _LevelTree:
         n = lvl["z1"].size
         if n * d1 >= _MAX_SLOTS:
             raise BudgetExceeded(f"a level of {n * d1} slots reaches the int32 slot bound 2^31")
+        out = [np.empty((n, d1), dtype=complex), np.empty((n, d1), dtype=complex),
+               np.empty((n, d1, 3)), np.empty((n, d1), dtype=bool),
+               np.empty((n, d1), dtype=np.int16)]
+        step = max(1, _BLOCK // d1)  # parent rows grown at once; every step is row-local
+        for s in range(0, n, step):
+            rows = slice(s, s + step)
+            children = self._children(lvl["z1"][rows], lvl["z2"][rows], lvl["valid"][rows])
+            for arr, part in zip(out, children):
+                arr[rows] = part
+        return {key: arr.reshape((n * d1,) + arr.shape[2:])
+                for key, arr in zip(("z1", "z2", "xyz", "valid", "label"), out)}
+
+    def _children(self, z1, z2, ok):
+        """The d1 children of each parent row, sorted, with duplicate siblings
+        and degenerate fibers invalid: (z1, z2, xyz, valid, label), each (n, d1, ...)."""
+        d1, n = self.d1, z1.size
         W1 = np.zeros((n, d1), dtype=complex)
         W2 = np.ones((n, d1), dtype=complex)
         L = np.zeros((n, d1), dtype=np.int16)
-        ok = lvl["valid"]
         if ok.any():
-            w1, w2, lab = self.C.forward_batch(lvl["z1"][ok], lvl["z2"][ok])
+            w1, w2, lab = self.C.forward_batch(z1[ok], z2[ok])
             W1[ok], W2[ok], L[ok] = w1, w2, lab
         valid = np.repeat(ok[:, None], d1, axis=1)
         bad = ~np.isfinite(W1.real) | ~np.isfinite(W2.real)
@@ -115,13 +137,7 @@ class _LevelTree:
                     & (((xyz[:, a] - xyz[:, b]) ** 2).sum(-1) <= DEDUP_TOL ** 2)
                 )
                 valid[:, a] &= ~same
-        return {
-            "z1": W1.ravel(),
-            "z2": W2.ravel(),
-            "xyz": xyz.reshape(-1, 3),
-            "valid": valid.ravel(),
-            "label": L.ravel(),
-        }
+        return W1, W2, xyz, valid, L
 
 
 def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) -> list[tuple]:
@@ -159,8 +175,6 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
 # DS while its component labels agree at every level (and it is within eps).
 KT, DS = 1, 2
 CONVENTIONS = (("KT", KT), ("DS", DS))
-_CHUNK = 1 << 18  # candidate pairs built and filtered at once
-_TAIL_BLOCK = 1 << 15  # greedy tails converted to Python ints at once
 
 
 def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float):
@@ -171,7 +185,7 @@ def _close_seed_pairs(xyz: np.ndarray, valid: np.ndarray, eps: float):
     """
     n = xyz.shape[0]
     out_i, out_j, out_b = [], [], []
-    block = max(1, _CHUNK // max(1, n))  # rows of seeds compared with all seeds at once
+    block = max(1, _BLOCK // max(1, n))  # rows of seeds compared with all seeds at once
     e2 = eps * eps
     for s in range(0, n, block):
         d2 = ((xyz[s : s + block, None, :] - xyz[None, :, :]) ** 2).sum(-1)
@@ -229,23 +243,57 @@ def _close_children(lvl, d1: int, e2: float, pi, pj, bits):
     return ci[kept].astype(np.int32), cj[kept].astype(np.int32), bits[kept]
 
 
-def _child_chunks(lvl, d1: int, e2: float, pi, pj, bits):
-    """The close child pairs of the parent rows, a chunk of rows at a time,
-    each chunk ending on a run of equal tails; one empty chunk when there are
-    no rows."""
-    if not pi.size:
-        yield pi, pj, bits
-        return
-    step = max(1, _CHUNK // (d1 * d1))
+def _parent_rows(keep: list, parents: np.ndarray, live: int):
+    """The parent rows of the next level, one kept chunk at a time, sorted by
+    tail: the chunk's pairs that still have a live bit, with the sibling row
+    (p, p) of every valid parent p below the next chunk's first tail merged in
+    (the last chunk takes every parent left).  The kept chunks are non-empty
+    and in tail order, and each leaves `keep` as its rows are handed on; with
+    none kept, the rows are the sibling rows alone."""
+    keep.reverse()  # popped from the end, in tail order
+    if not keep:
+        keep.append((parents[:0], parents[:0], np.zeros(0, np.uint8)))
     s = 0
-    while s < pi.size:
-        e = s + step
-        if e < pi.size:  # end the chunk on a run of equal tails
-            e = np.searchsorted(pi, pi[e])
+    while keep:
+        pi, pj, bits = keep.pop()
+        e = np.searchsorted(parents, keep[-1][0][0]) if keep else parents.size
+        bits = bits & live  # pairs whose every bit belongs to a stopped convention are dropped
+        nz = bits != 0
+        if not nz.all():
+            pi, pj, bits = pi[nz], pj[nz], bits[nz]
+        at = np.searchsorted(pi, parents[s:e])
+        yield (np.insert(pi, at, parents[s:e]), np.insert(pj, at, parents[s:e]),
+               np.insert(bits, at, np.uint8(live)))
+        s = e
+
+
+def _child_chunks(lvl, d1: int, e2: float, rows):
+    """The close child pairs of the parent rows, a chunk of rows at a time.
+
+    The rows come in pieces with disjoint tail ranges, in tail order, and are
+    cut into chunks as if they were one array: each chunk ends on a run of
+    equal tails (a longer run is one chunk), and the rows left past a piece's
+    last cut are carried into the next piece.  One empty chunk when there are
+    no rows.
+    """
+    step = max(1, _BLOCK // (d1 * d1))
+    held, built = None, False
+    for part in rows:
+        if held is not None:
+            part = [np.concatenate(pair) for pair in zip(held, part)]
+        pi, pj, bits = part
+        s = 0
+        while s + step < pi.size:  # end the chunk on a run of equal tails
+            e = np.searchsorted(pi, pi[s + step])
             if e <= s:
                 e = np.searchsorted(pi, pi[s], side="right")
-        yield _close_children(lvl, d1, e2, pi[s:e], pj[s:e], bits[s:e])
-        s = e
+            yield _close_children(lvl, d1, e2, pi[s:e], pj[s:e], bits[s:e])
+            built, s = True, e
+        held = pi[s:], pj[s:], bits[s:]
+    if held[0].size:
+        yield _close_children(lvl, d1, e2, *held)
+    elif not built:
+        yield held
 
 
 def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict):
@@ -294,19 +342,8 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
             if not live:
                 yield ell, None, None, True
                 return
-            # a level that reaches here kept every chunk, and it has at least one
-            pi, pj, bits = (np.concatenate(parts) for parts in zip(*keep))
-            del keep
-            # pairs whose every bit belongs to a stopped convention are dropped
-            bits = bits & live
-            nz = bits != 0
-            if not nz.all():
-                pi, pj, bits = pi[nz], pj[nz], bits[nz]
-            at = np.searchsorted(pi, parents)
-            pi, pj = np.insert(pi, at, parents), np.insert(pj, at, parents)
-            bits = np.insert(bits, at, np.uint8(live))
             lvl = tree.level(ell)
-            chunks = _child_chunks(lvl, d1, e2, pi, pj, bits)
+            chunks = _child_chunks(lvl, d1, e2, _parent_rows(keep, parents, live))
         live = facts["live"]
         kept = facts["kept"] = {name: 0 for name, bit in CONVENTIONS if live & bit}
         parents = np.flatnonzero(lvl["valid"]).astype(np.int32)
@@ -316,7 +353,7 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
             for name, bit in CONVENTIONS:
                 if name in kept:
                     kept[name] += int(np.count_nonzero(bits & bit))
-            if going:
+            if going and pi.size:
                 keep.append((pi, pj, bits))
                 if min(kept.values()) * d1 * d1 > room:  # every live convention stops at ell + 1
                     keep, going = [], False
@@ -342,8 +379,8 @@ def _greedy_count(kept: bytearray, pi: np.ndarray, pj: np.ndarray) -> None:
     starts = _run_starts(pi)
     ends = np.append(starts[1:], pi.size)
     tails = pi[starts]
-    for b in range(0, tails.size, _TAIL_BLOCK):
-        block = slice(b, b + _TAIL_BLOCK)
+    for b in range(0, tails.size, _BLOCK):
+        block = slice(b, b + _BLOCK)
         for t, s, e in zip(tails[block].tolist(), starts[block].tolist(),
                            ends[block].tolist()):
             if kept[t]:
@@ -472,7 +509,9 @@ def _plan_seeds(count: int, d1: int, n_max: int, budget: int):
     max_seeds = budget // per_seed
     if count <= max_seeds:
         return np.arange(count), []
-    return np.unique(np.linspace(0, count - 1, max_seeds).astype(int)), ["seed_net_subsampled"]
+    # above 2^53 the float64 end point count - 1 can round up to count
+    idx = np.minimum(np.linspace(0, count - 1, max_seeds).astype(int), count - 1)
+    return np.unique(idx), ["seed_net_subsampled"]
 
 
 def _fit_slope(ns: np.ndarray, counts: np.ndarray):

@@ -59,12 +59,6 @@ class GraphPolynomial:
     def transpose(self) -> "GraphPolynomial":
         return GraphPolynomial(self.coeffs.T)
 
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        c = self.coeffs
-        if c.shape[0] != c.shape[1]:
-            return False
-        return bool(np.max(np.abs(c - c.T)) <= tol * self.scale)
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_homogeneous(self, z1, z2, w1, w2):
@@ -174,19 +168,6 @@ class GraphPolynomial:
                 f"got deg_z={m!r}, deg_w={n!r} and {len(flat)} coeffs"
             )
         return GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
-
-
-def diagonal_vanishing_fraction(gp: GraphPolynomial, n_samples: int = 200, seed: int = 7) -> float:
-    """Fraction of random diagonal points (t, t) where B nearly vanishes.
-
-    Diagnostic for the "diagonal deleted" invariant: a genuinely deleted
-    graph evaluates to non-small values at most diagonal points.
-    """
-    rng = np.random.default_rng(seed)
-    t = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    t = t / np.maximum(1.0, np.abs(t))  # keep in the unit disk
-    vals = np.abs(gp.eval_homogeneous(t, np.ones_like(t), t, np.ones_like(t))) / gp.scale
-    return float(np.mean(vals < 1e-10))
 
 
 def mobius_graph(M) -> GraphPolynomial:

@@ -180,17 +180,6 @@ def mobius_is_involution(M: MobiusMap, tol: float = 1e-10) -> bool:
     return abs(M.a + M.d) <= tol
 
 
-def mobius_is_identity(M: MobiusMap, tol: float = 1e-12) -> bool:
-    m = M.matrix()
-    return bool(
-        min(
-            np.max(np.abs(m - np.eye(2))),
-            np.max(np.abs(m + np.eye(2))),
-        )
-        <= tol
-    )
-
-
 def mobius_projectively_equal(M1: MobiusMap, M2: MobiusMap, tol: float = 1e-9) -> bool:
     """Equality of normalized matrices up to overall sign."""
     m1, m2 = M1.matrix(), M2.matrix()

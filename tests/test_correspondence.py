@@ -48,7 +48,7 @@ def test_covering_fiber_at_two_is_double():
     assert fr.total_multiplicity == 2
     (p, m), = fr.points
     assert m == 2 and chordal_distance(p, pt(-1)) < 1e-7
-    assert fr.max_residual() < 1e-8
+    assert max(fr.residuals) < 1e-8
 
 
 def test_quadratic_covering_is_negation():

@@ -10,13 +10,15 @@ import corrdyn.entropy as entropy_mod
 from corrdyn.config import read_protocol
 from corrdyn.correspondence import (
     Correspondence,
+    compose,
+    deleted_covering,
     identity_correspondence,
     map_graph,
     mobius_correspondence,
 )
 from corrdyn.entropy import EntropyProtocol, entropy_estimate, enumerate_orbits, gromov_cap
 from corrdyn.errors import BudgetExceeded
-from corrdyn.families import family_correspondence
+from corrdyn.families import composed_covering_pair, family_correspondence
 from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.rational import MobiusMap, polynomial_map
 from corrdyn.sphere import SpherePoint, chordal_distance, fibonacci_net, point_charts
@@ -247,11 +249,11 @@ def test_greedy_matches_oracle_on_random_graphs(data):
     shuffle = np.array(data.draw(st.permutations(range(pi.size))), dtype=np.int64)
     orders = (np.argsort(pi, kind="stable"), np.lexsort((shuffle, pi)))
     # small tail blocks make the walk cross block boundaries
-    block = data.draw(st.sampled_from([1, 3, entropy_mod._TAIL_BLOCK]))
+    block = data.draw(st.sampled_from([1, 3, entropy_mod._BLOCK]))
     # the pairs also come split into blocks at random run boundaries, walked in sequence
     runs = np.flatnonzero(np.diff(np.sort(pi))) + 1
     cuts = sorted(data.draw(st.sets(st.sampled_from(runs.tolist()))) if runs.size else [])
-    saved, entropy_mod._TAIL_BLOCK = entropy_mod._TAIL_BLOCK, block
+    saved, entropy_mod._BLOCK = entropy_mod._BLOCK, block
     try:
         for order in orders:
             tails, heads = pi[order].astype(np.int32), pj[order].astype(np.int32)
@@ -263,7 +265,7 @@ def test_greedy_matches_oracle_on_random_graphs(data):
                     s += part.size
                 assert kept.count(1) == want
     finally:
-        entropy_mod._TAIL_BLOCK = saved
+        entropy_mod._BLOCK = saved
 
 
 def _tie_eps(xi, xj):
@@ -284,16 +286,18 @@ def _one_pass_matches_oracle(tree, eps, pair_budget, n_min=1):
     return counts, levels, stop
 
 
-@pytest.mark.parametrize("case",
-                         ["family", "two_components", "seed_tie", "sibling_tie", "long_run"])
+@pytest.mark.parametrize("case", ["family", "two_components", "seed_tie", "sibling_tie",
+                                  "long_run", "parent_gap"])
 def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     # a small chunk makes every level stream in several pieces; with "long_run"
-    # single runs of equal tails are longer than the chunk itself
+    # single runs of equal tails are longer than the chunk itself, and with
+    # "parent_gap" valid parents with no kept pairs fall between two kept
+    # chunks and after the last one, so their sibling rows join the chunk before
     chunk = 8 if case == "long_run" else 64
-    monkeypatch.setattr(entropy_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", chunk)
     C = identity_and_negation() if case == "two_components" else family_correspondence(4)
     tree = entropy_mod._LevelTree(C, *net(60), 5)
-    eps = {"family": 0.2, "two_components": 0.5, "long_run": 0.3}.get(case)
+    eps = {"family": 0.2, "two_components": 0.5, "long_run": 0.3, "parent_gap": 0.1}.get(case)
     if case == "seed_tie":
         xyz = tree.level(0)["xyz"]
         eps = _tie_eps(xyz[:, None, :], xyz[None, :, :])
@@ -303,8 +307,10 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     counts, levels, stop = _one_pass_matches_oracle(tree, eps, 10 ** 9, n_min=2)
     assert stop == {}
     assert sorted(counts["KT"]) == [2, 3, 4, 5]
-    facts, longest, chunks = {}, 0, {}
+    facts, longest, chunks, tails = {}, 0, {}, {}
     for ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, facts):
+        if pi.size:  # every non-empty chunk above the bottom is kept for the next level
+            tails.setdefault(ell, []).append((int(pi[0]), int(pi[-1])))
         assert np.all(pi < pj)  # the greedy decides tails before their heads
         # and reads the tails in non-decreasing order, with no sort of its own
         assert np.all(np.diff(pi) >= 0)
@@ -315,8 +321,17 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
         chunks.setdefault(ell, []).append((pi.size, bool(np.all(facts["bits"] == 3))))
     if case == "long_run":
         assert longest > chunk
+    if case == "parent_gap":
+        between = after = False
+        for ell, ranges in tails.items():
+            parents = np.flatnonzero(tree.level(ell)["valid"])
+            ends, starts = np.array(ranges).T[::-1]
+            gaps = np.searchsorted(parents, starts[1:]) - np.searchsorted(parents, ends[:-1], "right")
+            between |= ell < 5 and bool(np.any(gaps > 0))
+            after |= ell < 5 and bool(parents[-1] > ends[-1])
+        assert between and after
     coincide = [row["coincide"] for row in levels]
-    if case in ("family", "long_run"):
+    if case in ("family", "long_run", "parent_gap"):
         # one label: the conventions differ only at exact ties, which this eps has none of
         assert all(coincide)
     elif case == "two_components":
@@ -339,7 +354,7 @@ def _level_pairs(tree, eps):
 
 
 def test_budget_proven_exceeded_mid_level_drops_the_kept_chunks(monkeypatch):
-    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 64)
     tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 5)
     chunks = _level_pairs(tree, 0.3)
     # level 5 is cut once half of level 4's pairs are walked: its candidates
@@ -355,7 +370,7 @@ def test_budget_proven_exceeded_mid_level_drops_the_kept_chunks(monkeypatch):
 
 
 def test_level_with_no_pairs_is_counted(monkeypatch):
-    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 64)
     tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 4)
     chunks = _level_pairs(tree, 0.001)
     # a level with no pairs still yields an item, so its count exists: one
@@ -368,7 +383,7 @@ def test_level_with_no_pairs_is_counted(monkeypatch):
 
 
 def test_levels_below_n_min_are_not_walked(monkeypatch):
-    monkeypatch.setattr(entropy_mod, "_CHUNK", 64)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 64)
     walked = []
     greedy = entropy_mod._greedy_count
     monkeypatch.setattr(entropy_mod, "_greedy_count",
@@ -387,7 +402,7 @@ def test_counting_holds_less_than_one_copy_of_its_last_level(monkeypatch, case):
     # whole: at the bottom of the tree (nothing reads them), and where the pair
     # budget is proven exceeded about a quarter of the way through the level
     # (the chunks kept until then are dropped)
-    monkeypatch.setattr(entropy_mod, "_CHUNK", 1 << 12)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 1 << 12)
     n_levels, budget, last = {"bottom": (7, 10 ** 9, 7), "budget_cut": (8, 260_000, 7)}[case]
     tree = entropy_mod._LevelTree(family_correspondence(4), *net(100), n_levels)
     tree.level(last)  # the tree's own memory is not the counting's
@@ -454,6 +469,66 @@ def test_fresh_tree_holds_only_level_zero():
         tree.level(6)
 
 
+def _blocked_growth_cases():
+    cheb = polynomial_map([0, -3, 0, 1])
+    R4 = polynomial_map([0.1, -1, 0, 0.3 + 0.2j, 1])
+    return {
+        "family_a4": family_correspondence(4),  # d1 = 2
+        "c09_pair": composed_covering_pair(cheb, polynomial_map([0, 0, 0, 1])),  # d1 = 4
+        # stage fibers of degree 3 (eigenvalue path) and 2, d1 = 6
+        "cov_R4_cheb": compose(deleted_covering(R4), deleted_covering(cheb)),
+    }
+
+
+@pytest.mark.parametrize("case", ["family_a4", "c09_pair", "cov_R4_cheb"])
+def test_blocked_growth_is_whole_level_growth(monkeypatch, case):
+    C = _blocked_growth_cases()[case]
+    seeds, depth = net(20), 3
+    orbit_seeds = [pt(z) for z in (0.3 + 0.2j, -3, 0.5j, 2)]
+
+    def grown(block):
+        monkeypatch.setattr(entropy_mod, "_BLOCK", block)
+        tree = entropy_mod._LevelTree(C, *seeds, depth)
+        tree.level(depth)
+        return tree, enumerate_orbits(C, orbit_seeds, 2)
+
+    # a block past the deepest level grows every level whole
+    whole, whole_orbits = grown(1 << 40)
+    assert whole.levels[-1]["valid"].size == 20 * C.d1 ** depth
+    for block in (1, 3, 64):
+        tree, orbits = grown(block)
+        assert len(tree.levels) == len(whole.levels)
+        for got, want in zip(tree.levels, whole.levels):
+            for key in ("z1", "z2", "xyz", "valid", "label"):
+                assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape
+                assert np.array_equal(got[key].view(np.uint8), want[key].view(np.uint8)), key
+        assert tree.node_count == whole.node_count
+        assert orbits == whole_orbits
+
+
+def test_growth_temporaries_do_not_grow_with_the_level(monkeypatch):
+    # a level is grown a block of parent rows at a time into its preallocated
+    # arrays, so what growth holds past the level itself is one block's
+    # temporaries, whatever the level's size
+    block = 1 << 10
+    monkeypatch.setattr(entropy_mod, "_BLOCK", block)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(64), 8)
+    tree.level(6)
+    excess = {}
+    for ell in (7, 8):  # 8 and 16 blocks of slots
+        tracemalloc.start()
+        try:
+            lvl = tree.level(ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lvl["valid"].size == (8 if ell == 7 else 16) * block
+        excess[ell] = peak - sum(arr.nbytes for arr in lvl.values())
+    # 0.28 MB at both levels; growing each level whole held about 120 bytes a
+    # slot past the level itself (1.1 MB at level 7, 2.1 MB at level 8)
+    assert excess[8] < 1.1 * excess[7]
+
+
 def test_pair_budget_stop_level_is_never_grown():
     C = identity_and_negation()
     seeds = net(100)
@@ -488,16 +563,19 @@ def test_truncated_level_reports_no_nodes():
 # -- seeds as chart arrays, children in np.lexsort order -----------------------------
 
 class _FixedChildren:
-    """Stand-in correspondence whose forward images are given arrays; child u
-    of every node carries label u, so a grown level's labels are its child order."""
+    """Stand-in correspondence whose forward images are given arrays, row after
+    row as the tree asks for them (in blocks of parent rows); child u of every
+    node carries label u, so a grown level's labels are its child order."""
 
     def __init__(self, W1, W2):
         self.d1 = W1.shape[1]
-        self.W1, self.W2 = W1, W2
+        self.W1, self.W2, self.row = W1, W2, 0
 
     def forward_batch(self, z1, z2):
+        rows = slice(self.row, self.row + z1.size)
+        self.row += z1.size
         labels = np.tile(np.arange(self.d1, dtype=np.int16), (z1.size, 1))
-        return self.W1, self.W2, labels
+        return self.W1[rows], self.W2[rows], labels
 
 
 @pytest.mark.parametrize("d1", range(2, 9))
@@ -593,6 +671,13 @@ def test_seed_plan_refuses_a_count_past_int64_indices():
                 entropy_mod._plan_seeds(count, 2, 2, 4096)
         idx, _flags = entropy_mod._plan_seeds(2 ** 52, 2, 2, 4096)
     assert idx.size == 585 and idx[-1] == 2 ** 52 - 1
+
+
+def test_seed_plan_stays_inside_a_net_past_float64_integers():
+    # 2^60 - 1 rounds up to 2^60 in float64: the last index is clamped into the net
+    idx, flags = entropy_mod._plan_seeds(2 ** 60, 2, 2, 4096)
+    assert idx.size == 585 and idx[0] == 0 and idx[-1] == 2 ** 60 - 1
+    assert np.all(np.diff(idx) > 0) and flags == ["seed_net_subsampled"]
 
 
 def test_seed_plan_keeps_every_seed_within_the_budget():

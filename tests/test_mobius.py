@@ -6,12 +6,16 @@ from corrdyn.errors import DegreeTooLow
 from corrdyn.rational import (
     MobiusMap,
     mobius_apply,
-    mobius_is_identity,
     mobius_is_involution,
     mobius_projectively_equal,
 )
 from corrdyn.sampling import random_involution
 from corrdyn.sphere import INF, SpherePoint, chordal_distance
+
+
+def mobius_is_identity(M: MobiusMap, tol: float = 1e-12) -> bool:
+    m = M.matrix()
+    return bool(min(np.max(np.abs(m - np.eye(2))), np.max(np.abs(m + np.eye(2)))) <= tol)
 
 
 def pt(z):
