@@ -35,9 +35,7 @@ from .sphere import fibonacci_net, point_charts
 
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
 _MAX_SLOTS = 2 ** 31  # a level's slots are int32 pair indices
-# elements worked on at once: tree slots grown, candidate pairs built and
-# filtered, greedy tails converted to Python ints; small enough for the L2 cache
-_BLOCK = 1 << 15
+_BLOCK = 1 << 15  # tree slots grown, or candidate pairs built and filtered, at once (L2-sized)
 
 
 def gromov_cap(C: Correspondence) -> float:
@@ -243,17 +241,24 @@ def _close_children(lvl, d1: int, e2: float, pi, pj, bits):
     return ci[kept].astype(np.int32), cj[kept].astype(np.int32), bits[kept]
 
 
-def _parent_rows(keep: list, parents: np.ndarray, live: int):
-    """The parent rows of the next level, one kept chunk at a time, sorted by
-    tail: the chunk's pairs that still have a live bit, with the sibling row
-    (p, p) of every valid parent p below the next chunk's first tail merged in
-    (the last chunk takes every parent left).  The kept chunks are non-empty
-    and in tail order, and each leaves `keep` as its rows are handed on; with
-    none kept, the rows are the sibling rows alone."""
+def _child_chunks(lvl, d1: int, e2: float, keep: list, parents: np.ndarray, live: int):
+    """The close child pairs of the next level, a chunk of parent rows at a time.
+
+    The parent rows are the kept pairs that still have a live bit and the
+    sibling row (p, p) of every valid parent p, sorted by tail.  The kept
+    chunks are non-empty and in tail order, and each leaves `keep` as it is
+    read, taking in the sibling rows of the parents below the next chunk's
+    first tail (the last chunk takes every parent left; with none kept, the
+    rows are the sibling rows alone).  The rows left past a kept chunk's last
+    cut are carried into the next, and every chunk ends on a run of equal
+    tails (a longer run is one chunk).  One empty chunk when there are no rows.
+    """
+    step = max(1, _BLOCK // (d1 * d1))
     keep.reverse()  # popped from the end, in tail order
+    held = parents[:0], parents[:0], np.zeros(0, np.uint8)  # rows past the last cut
     if not keep:
-        keep.append((parents[:0], parents[:0], np.zeros(0, np.uint8)))
-    s = 0
+        keep.append(held)
+    s, built = 0, False
     while keep:
         pi, pj, bits = keep.pop()
         e = np.searchsorted(parents, keep[-1][0][0]) if keep else parents.size
@@ -261,35 +266,18 @@ def _parent_rows(keep: list, parents: np.ndarray, live: int):
         nz = bits != 0
         if not nz.all():
             pi, pj, bits = pi[nz], pj[nz], bits[nz]
+        pi, pj, bits = (np.concatenate(pair) for pair in zip(held, (pi, pj, bits)))
         at = np.searchsorted(pi, parents[s:e])
-        yield (np.insert(pi, at, parents[s:e]), np.insert(pj, at, parents[s:e]),
-               np.insert(bits, at, np.uint8(live)))
-        s = e
-
-
-def _child_chunks(lvl, d1: int, e2: float, rows):
-    """The close child pairs of the parent rows, a chunk of rows at a time.
-
-    The rows come in pieces with disjoint tail ranges, in tail order, and are
-    cut into chunks as if they were one array: each chunk ends on a run of
-    equal tails (a longer run is one chunk), and the rows left past a piece's
-    last cut are carried into the next piece.  One empty chunk when there are
-    no rows.
-    """
-    step = max(1, _BLOCK // (d1 * d1))
-    held, built = None, False
-    for part in rows:
-        if held is not None:
-            part = [np.concatenate(pair) for pair in zip(held, part)]
-        pi, pj, bits = part
-        s = 0
-        while s + step < pi.size:  # end the chunk on a run of equal tails
-            e = np.searchsorted(pi, pi[s + step])
-            if e <= s:
-                e = np.searchsorted(pi, pi[s], side="right")
-            yield _close_children(lvl, d1, e2, pi[s:e], pj[s:e], bits[s:e])
-            built, s = True, e
-        held = pi[s:], pj[s:], bits[s:]
+        pi, pj, bits = (np.insert(pi, at, parents[s:e]), np.insert(pj, at, parents[s:e]),
+                        np.insert(bits, at, np.uint8(live)))
+        s, c = e, 0
+        while c + step < pi.size:  # end the chunk on a run of equal tails
+            e = np.searchsorted(pi, pi[c + step])
+            if e <= c:
+                e = np.searchsorted(pi, pi[c], side="right")
+            yield _close_children(lvl, d1, e2, pi[c:e], pj[c:e], bits[c:e])
+            built, c = True, e
+        held = pi[c:], pj[c:], bits[c:]
     if held[0].size:
         yield _close_children(lvl, d1, e2, *held)
     elif not built:
@@ -314,11 +302,11 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
     so no deeper count comes from an incomplete graph; the item's truncated
     flag is True once every convention has stopped, and that level is never
     grown.  Every child pair with tail i*d1 + u comes from the parent pairs
-    with tail i or from i's sibling row (i, i), so each valid parent's sibling
-    row is inserted into the sorted parent pairs and the candidates are built
-    and filtered a chunk of parent rows at a time.  A chunk is kept for the
-    next level only while some live convention can still pass its budget
-    check; once none can, the kept chunks are dropped.
+    with tail i or from i's sibling row (i, i); one generator,
+    `_child_chunks`, hands the kept chunks to the next level with the sibling
+    rows merged in and builds the candidates a chunk of parent rows at a time.
+    A chunk is kept for the next level only while some live convention can
+    still pass its budget check; once none can, the kept chunks are dropped.
     """
     d1 = tree.d1
     siblings = d1 * (d1 - 1) // 2  # sibling pairs u < v of one parent
@@ -343,7 +331,7 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
                 yield ell, None, None, True
                 return
             lvl = tree.level(ell)
-            chunks = _child_chunks(lvl, d1, e2, _parent_rows(keep, parents, live))
+            chunks = _child_chunks(lvl, d1, e2, keep, parents, live)
         live = facts["live"]
         kept = facts["kept"] = {name: 0 for name, bit in CONVENTIONS if live & bit}
         parents = np.flatnonzero(lvl["valid"]).astype(np.int32)
@@ -362,14 +350,14 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
 
 
 def _greedy_count(kept: bytearray, pi: np.ndarray, pj: np.ndarray) -> None:
-    """Walk one block of pairs into `kept`, the greedy's slot flags.
+    """Walk one chunk of pairs into `kept`, the greedy's slot flags.
 
     The greedy count is the size of the lexicographically-first maximal
     independent set in slot order: a valid slot is kept unless a lower
     neighbour is kept.  Every pair has pi < pj and the pairs come in
     non-decreasing tail order pi (as `_propagate_pairs` yields them), so
     walking them in order decides each slot before it is read: a kept tail
-    clears its higher neighbours.  Blocks of one level walked one after
+    clears its higher neighbours.  Chunks of one level walked one after
     another are one walk over the level; `kept.count(1)` is then the count.
     """
     if not pi.size:
@@ -379,12 +367,9 @@ def _greedy_count(kept: bytearray, pi: np.ndarray, pj: np.ndarray) -> None:
     starts = _run_starts(pi)
     ends = np.append(starts[1:], pi.size)
     tails = pi[starts]
-    for b in range(0, tails.size, _BLOCK):
-        block = slice(b, b + _BLOCK)
-        for t, s, e in zip(tails[block].tolist(), starts[block].tolist(),
-                           ends[block].tolist()):
-            if kept[t]:
-                clear[heads[s:e]] = 0
+    for t, s, e in zip(tails.tolist(), starts.tolist(), ends.tolist()):
+        if kept[t]:
+            clear[heads[s:e]] = 0
 
 
 def _separated_counts(tree: _LevelTree, eps: float, pair_budget: int, n_min: int):

@@ -157,7 +157,8 @@ class GraphPolynomial:
     @staticmethod
     def from_json(data) -> "GraphPolynomial":
         """Graph from {"deg_z", "deg_w", "coeffs"}, the (deg_z + 1)(deg_w + 1)
-        coefficients row by row; a malformed one raises UsageError."""
+        coefficients row by row; a malformed one, or one that after trimming
+        lacks z or w (a zero poly lacks both), raises UsageError."""
         if type(data) is not dict or not {"deg_z", "deg_w", "coeffs"} <= set(data):
             raise UsageError(f"poly must be an object with deg_z, deg_w and coeffs, got {data!r}")
         m, n = data["deg_z"], data["deg_w"]
@@ -167,7 +168,14 @@ class GraphPolynomial:
                 f"poly needs integers deg_z, deg_w >= 0 and (deg_z + 1)(deg_w + 1) coeffs, "
                 f"got deg_z={m!r}, deg_w={n!r} and {len(flat)} coeffs"
             )
-        return GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
+        if not any(flat):
+            raise UsageError("poly coeffs must not all be zero")
+        P = GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
+        if min(P.deg_z, P.deg_w) == 0:
+            raise UsageError(
+                f"poly must have both z and w, got deg_z={P.deg_z} and deg_w={P.deg_w} after trimming"
+            )
+        return P
 
 
 def mobius_graph(M) -> GraphPolynomial:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -280,6 +281,22 @@ def test_entropy_on_quartic_composition_above_six_children(tmp_path):
     cfg = {"correspondence": spec, "protocol": protocol, "out": str(out)}
     assert _run_config(tmp_path, "entropy", cfg) == 0
     assert json.loads(out.read_text())["KT"]["cap"] == pytest.approx(np.log(9))
+
+
+# sha256 of the entropy reports of two checked-in configs. Both run only the
+# closed-form degree-2 fibers, so no BLAS build moves a bit; c09 (d1 = 4) hits
+# the pair budget. A change to the pair stream must leave these bytes alone.
+REPORT_SHA256 = {
+    "accept_c12_det_entropy.json": "83a4ed67054c054057c3f6191332c3a1d0c98e42bf573067cdb9cd29634f3301",
+    "accept_c09_entropy_frs.json": "952f9cc0f0502eda4ad2e0c237db6cd85689caa8602c31716f78e89a9211571a",
+}
+
+
+@pytest.mark.parametrize("config", sorted(REPORT_SHA256))
+def test_entropy_report_bytes_are_pinned(tmp_path, capsys, config):
+    out = tmp_path / "report.json"
+    assert main(["entropy", "--config", str(CONFIGS / config), "--set", f"out={out}"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[config]
 
 
 def test_limitset_on_quartic_covering(tmp_path):
@@ -749,6 +766,7 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
 
 
 _POLY = {"deg_z": 1, "deg_w": 1, "coeffs": [[0, 0], [-1, 0], [1, 0], [0, 0]]}  # w - z
+_NO_W = {"deg_z": 1, "deg_w": 0, "coeffs": [[1, 0], [1, 0]]}  # 1 + z
 
 
 def _explicit(data):
@@ -779,11 +797,23 @@ def _explicit(data):
          "poly needs integers deg_z, deg_w >= 0"),
         ("orbit", _explicit({"components": [{"poly": {**_POLY, "coeffs": "x"}, "multiplicity": 1}]}),
          "coeffs must be a list of [re, im] number pairs"),
+        ("orbit", _explicit({"components": [{"poly": _NO_W, "multiplicity": 1}]}),
+         "poly must have both z and w, got deg_z=1 and deg_w=0"),
+        ("orbit", _explicit({"components": [{"poly": {**_NO_W, "deg_w": 1, "coeffs": [
+            [1, 0], [0, 0], [1, 0], [0, 0]]}, "multiplicity": 1}]}),
+         "poly must have both z and w, got deg_z=1 and deg_w=0"),
+        ("orbit", _explicit({"components": [{"poly": {**_NO_W, "deg_z": 0, "deg_w": 1},
+                                             "multiplicity": 1}]}),
+         "poly must have both z and w, got deg_z=0 and deg_w=1"),
+        ("orbit", _explicit({"components": [{"poly": {**_POLY, "coeffs": [[0, 0]] * 4},
+                                             "multiplicity": 1}]}),
+         "poly coeffs must not all be zero"),
     ],
     ids=["map_without_den", "den_not_a_list", "boolean_coefficient", "triple_coefficient",
          "oversized_coefficient",
          "empty_data", "chain_not_a_list", "chain_of_numbers", "component_without_multiplicity",
-         "fractional_multiplicity", "poly_not_an_object", "coeff_count", "coeffs_not_a_list"],
+         "fractional_multiplicity", "poly_not_an_object", "coeff_count", "coeffs_not_a_list",
+         "poly_without_w", "zero_w_coefficients", "poly_without_z", "zero_poly"],
 )
 def test_malformed_map_or_data_contents_are_a_usage_error(tmp_path, capsys, command, override,
                                                           message):

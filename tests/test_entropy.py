@@ -248,24 +248,18 @@ def test_greedy_matches_oracle_on_random_graphs(data):
     # through an explicit stable sort by tail, once shuffled inside each tail
     shuffle = np.array(data.draw(st.permutations(range(pi.size))), dtype=np.int64)
     orders = (np.argsort(pi, kind="stable"), np.lexsort((shuffle, pi)))
-    # small tail blocks make the walk cross block boundaries
-    block = data.draw(st.sampled_from([1, 3, entropy_mod._BLOCK]))
-    # the pairs also come split into blocks at random run boundaries, walked in sequence
+    # the pairs also come split into chunks at random run boundaries, walked in sequence
     runs = np.flatnonzero(np.diff(np.sort(pi))) + 1
     cuts = sorted(data.draw(st.sets(st.sampled_from(runs.tolist()))) if runs.size else [])
-    saved, entropy_mod._BLOCK = entropy_mod._BLOCK, block
-    try:
-        for order in orders:
-            tails, heads = pi[order].astype(np.int32), pj[order].astype(np.int32)
-            assert np.all(np.diff(tails) >= 0)
-            for parts in ([tails], np.split(tails, cuts)):
-                kept, s = bytearray(valid.tobytes()), 0
-                for part in parts:
-                    entropy_mod._greedy_count(kept, part, heads[s : s + part.size])
-                    s += part.size
-                assert kept.count(1) == want
-    finally:
-        entropy_mod._BLOCK = saved
+    for order in orders:
+        tails, heads = pi[order].astype(np.int32), pj[order].astype(np.int32)
+        assert np.all(np.diff(tails) >= 0)
+        for parts in ([tails], np.split(tails, cuts)):
+            kept, s = bytearray(valid.tobytes()), 0
+            for part in parts:
+                entropy_mod._greedy_count(kept, part, heads[s : s + part.size])
+                s += part.size
+            assert kept.count(1) == want
 
 
 def _tie_eps(xi, xj):
@@ -343,6 +337,58 @@ def test_one_pass_counts_match_two_pass_oracle(case, monkeypatch):
     else:
         # the tied pair is DS-close but not KT-close
         assert not coincide[0 if case == "seed_tie" else 1]
+
+
+def test_child_chunks_keep_the_chunk_contract(monkeypatch):
+    # the chunks `_close_children` builds set the entropy peaks: each is at
+    # most _BLOCK // d1^2 parent rows or one run of equal tails, ends on a run
+    # boundary, and a level's chunks are its parent rows in tail order; every
+    # kept chunk is released by the level's last call ("parent_gap" setup)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 64)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 5)
+    step = 64 // tree.d1 ** 2
+    level_of = lambda lvl: next(k for k, got in enumerate(tree.levels) if got is lvl)
+    held, calls = {}, {}
+    child_chunks, close_children = entropy_mod._child_chunks, entropy_mod._close_children
+
+    def spy_chunks(lvl, d1, e2, keep, parents, live):
+        held[level_of(lvl)] = keep
+        return child_chunks(lvl, d1, e2, keep, parents, live)
+
+    def spy_close(lvl, d1, e2, pi, pj, bits):
+        ell = level_of(lvl)
+        calls.setdefault(ell, []).append((pi.copy(), pj.copy(), bits.copy(), len(held[ell])))
+        return close_children(lvl, d1, e2, pi, pj, bits)
+
+    monkeypatch.setattr(entropy_mod, "_child_chunks", spy_chunks)
+    monkeypatch.setattr(entropy_mod, "_close_children", spy_close)
+    yielded, gaps, facts = {}, [], {}
+    for ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, 0.1, 10 ** 9, facts):
+        yielded.setdefault(ell, []).append((pi, pj, facts["bits"]))
+    assert sorted(calls) == [1, 2, 3, 4, 5]
+    for ell, chunks in calls.items():
+        for pi, _pj, _bits, _ in chunks:
+            assert pi.size and (pi.size <= step or pi[0] == pi[-1])
+        # no run of equal tails is split between two calls
+        assert all(a[0][-1] < b[0][0] for a, b in zip(chunks, chunks[1:]))
+        assert chunks[-1][3] == 0  # no kept chunk is held past the level's last call
+        # joined, the calls are the kept pairs (every pair has a live bit here)
+        # and each valid parent's sibling row first in its run, in tail order
+        parents = np.flatnonzero(tree.level(ell - 1)["valid"])
+        siblings = parents, parents, np.full(parents.size, entropy_mod.KT | entropy_mod.DS)
+        want = [np.concatenate(arrs) for arrs in zip(siblings, *yielded[ell - 1])]
+        order = np.lexsort((np.arange(want[0].size) >= parents.size, want[0]))
+        got = [np.concatenate(arrs) for arrs in list(zip(*chunks))[:3]]
+        for got_rows, want_rows in zip(got, want):
+            assert np.array_equal(got_rows, want_rows[order])
+        # the sibling rows of parents between two kept chunks and past the last
+        # one join the rows of the chunk before
+        ranges = np.array([(pi[0], pi[-1]) for pi, _, _ in yielded[ell - 1] if pi.size])
+        if ranges.size:
+            between = np.searchsorted(parents, ranges[1:, 0]) - np.searchsorted(
+                parents, ranges[:-1, 1], "right")
+            gaps.append((bool(np.any(between > 0)), bool(parents[-1] > ranges[-1, 1])))
+    assert any(b for b, _ in gaps) and any(a for _, a in gaps)
 
 
 def _level_pairs(tree, eps):
