@@ -167,6 +167,7 @@ def cmd_limitset(cfg: Section) -> int:
         height=cfg.field("height", integer, 256),
         depth=cfg.field("depth", integer, 18, least=0),
         frontier_cap=cfg.field("frontier_cap", integer, 64),
+        budget=cfg.field("budget", integer, 2 ** 30),
         threads=thread_count(),
     )
     cfg.close()

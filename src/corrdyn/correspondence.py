@@ -117,6 +117,8 @@ class Correspondence:
 
     components : tuple of (GraphPolynomial, multiplicity), direct strategy
     chain      : tuple of Correspondence factors; chain[-1] applied first
+
+    A component poly that lacks z or w raises UsageError.
     """
 
     components: tuple = ()
@@ -128,6 +130,12 @@ class Correspondence:
             raise ValueError("exactly one of components/chain must be set")
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "chain", tuple(self.chain))
+        for gp, _ in self.components:
+            if min(gp.deg_z, gp.deg_w) == 0:
+                raise UsageError(
+                    f"poly must have both z and w, got deg_z={gp.deg_z} and deg_w={gp.deg_w} "
+                    "after trimming"
+                )
 
     # -- structure ----------------------------------------------------------
 

@@ -157,8 +157,8 @@ class GraphPolynomial:
     @staticmethod
     def from_json(data) -> "GraphPolynomial":
         """Graph from {"deg_z", "deg_w", "coeffs"}, the (deg_z + 1)(deg_w + 1)
-        coefficients row by row; a malformed one, or one that after trimming
-        lacks z or w (a zero poly lacks both), raises UsageError."""
+        coefficients row by row; a malformed or all-zero one raises
+        UsageError.  Correspondence refuses a poly that lacks z or w."""
         if type(data) is not dict or not {"deg_z", "deg_w", "coeffs"} <= set(data):
             raise UsageError(f"poly must be an object with deg_z, deg_w and coeffs, got {data!r}")
         m, n = data["deg_z"], data["deg_w"]
@@ -170,12 +170,7 @@ class GraphPolynomial:
             )
         if not any(flat):
             raise UsageError("poly coeffs must not all be zero")
-        P = GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
-        if min(P.deg_z, P.deg_w) == 0:
-            raise UsageError(
-                f"poly must have both z and w, got deg_z={P.deg_z} and deg_w={P.deg_w} after trimming"
-            )
-        return P
+        return GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
 
 
 def mobius_graph(M) -> GraphPolynomial:

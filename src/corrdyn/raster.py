@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .correspondence import Correspondence
+from .errors import BudgetExceeded
 from .families import RegionSpec
 
 
@@ -89,6 +90,7 @@ def render_survival_set(
     depth: int = 18,
     frontier_cap: int = 64,
     threads: int = 1,
+    budget: int = 2 ** 30,
 ) -> RasterImage:
     """Mark pixels whose forward orbit admits a branch staying in the region.
 
@@ -99,8 +101,14 @@ def render_survival_set(
     at most frontier_cap branches per pixel are kept (canonical order), so
     the render cost is linear in depth.  A pixel's branches do not depend on
     the block it shares, and the thread pool maps over the fixed blocks in
-    order, so the image is identical for any thread count.
+    order, so the image is identical for any thread count.  Raises
+    BudgetExceeded, before anything is allocated, when width x height x
+    max(depth, 1) exceeds the budget.
     """
+    if width * height * max(depth, 1) > budget:
+        raise BudgetExceeded(
+            f"raster of {width}x{height} pixels to depth {depth} exceeds budget {budget}"
+        )
     xs = viewport.re_min + (np.arange(width) + 0.5) * (viewport.re_max - viewport.re_min) / width
     ys = viewport.im_min + (np.arange(height) + 0.5) * (viewport.im_max - viewport.im_min) / height
     quantum = max(

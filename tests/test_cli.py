@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -900,6 +903,38 @@ def test_work_past_the_budget_is_one_error_line_at_once(tmp_path, capsys, comman
     assert time.monotonic() - start < 5.0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "budget" in err
+
+
+def _limit_address_space():
+    # 2 GiB: a render that allocates its full size fails in the child, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+@pytest.mark.parametrize("size", ["width", "height", "depth"])
+def test_limitset_size_past_the_budget_is_one_error_line_in_a_real_run(tmp_path, size):
+    # the real command, not a stubbed renderer: without a budget, width and
+    # height run out of memory and depth (d1 = 1) runs without end
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    args = [sys.executable, "-m", "corrdyn.cli", "limitset", "--config",
+            str(CONFIGS / "accept_c12_det_limitset.json"), "--set", f"{size}=1000000000000",
+            "--set", f"out={tmp_path / 'out.ppm'}"]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=5, env=env,
+                          preexec_fn=_limit_address_space)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert "budget" in done.stderr and not (tmp_path / "out.ppm").exists()
+
+
+def test_limitset_budget_key_bounds_pixels_times_depth(tmp_path, capsys):
+    # c12 is 160 x 160 pixels to depth 14: 358,400 pixel steps
+    args = ["limitset", "--config", str(CONFIGS / "accept_c12_det_limitset.json"),
+            "--set", f"out={tmp_path / 'out.ppm'}"]
+    assert main(args + ["--set", "budget=358399"]) == 1
+    assert capsys.readouterr().err == (
+        "error: raster of 160x160 pixels to depth 14 exceeds budget 358399\n")
+    assert main(args + ["--set", "budget=358400"]) == 0
 
 
 @pytest.mark.parametrize(

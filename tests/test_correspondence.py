@@ -20,7 +20,7 @@ from corrdyn.correspondence import (
     ramification_points,
     tree_size,
 )
-from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate
+from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate, UsageError
 from corrdyn.families import family_correspondence, family_involution
 from corrdyn.graphpoly import GraphPolynomial
 from corrdyn.polynomials import ComplexPolynomial
@@ -117,6 +117,13 @@ def test_fiber_degenerate_vertical_line():
     C = Correspondence(components=((GraphPolynomial(c), 1),))
     with pytest.raises(FiberDegenerate):
         C.forward(pt(1))
+
+
+@pytest.mark.parametrize("coeffs", [[[1], [1]], [[1, 1]]], ids=["no_w", "no_z"])
+def test_component_without_z_or_w_is_refused_at_construction(coeffs):
+    # d1 or d2 would be 0, which the orbit tree cannot grow from
+    with pytest.raises(UsageError, match="poly must have both z and w"):
+        Correspondence(components=((GraphPolynomial(np.array(coeffs)), 1),))
 
 
 def test_branch_invariant():

@@ -289,6 +289,28 @@ def test_energy_distance_memory_is_two_row_buffers(f4):
     assert peak < 160e6
 
 
+def test_energy_distance_memory_is_one_row_block(f4):
+    a = pullback_dirac_tree(f4, pt(0.3 + 0.2j), 12)
+    b = pullback_dirac_tree(f4, pt(-3), 12)
+    assert a.weights.size == b.weights.size == 4096
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2048 x 4096 float64 distance block is 67 MB, the 128 x 4096 term buffer 4 MB
+    assert peak < 90e6
+
+
+def test_energy_distance_matches_oracle_on_a_partial_term_block_of_a_partial_block():
+    # 2,300 rows: one 2,048 block, then 252 = 128 + 124 rows; 300 rows: 128 + 128 + 44
+    rng = np.random.default_rng(11)
+    a, b = _random_cloud(rng, 300), _random_cloud(rng, 2300)
+    assert energy_distance(a, b) == oracle_energy_distance(a, b)
+    assert energy_distance(b, a) == oracle_energy_distance(b, a)
+
+
 # -- backward iteration of rational maps -------------------------------------------
 
 def test_brolin_squaring_unit_circle():
