@@ -23,10 +23,9 @@ from .sphere import embed_chart, embed_projective, point_charts
 
 ATOM_MERGE_TOL = 1e-9
 
-# energy_distance sums the distances of _ENERGY_ROWS rows in one BLAS call,
-# so that block size fixes the last bit of every result.  The squares, sums
-# and square roots that fill it are elementwise, so filling it _TERM_ROWS
-# rows at a time gives the same bits with a term buffer 16x smaller.
+# energy_distance sums _ENERGY_ROWS rows of distances per BLAS call, so that
+# size fixes the last bit of every result; the squares, sums and square roots
+# that fill the rows are elementwise, so _TERM_ROWS is free to change.
 _ENERGY_ROWS = 2048
 _TERM_ROWS = 128
 
@@ -250,9 +249,11 @@ def energy_distance(c1: WeightedCloud, c2: WeightedCloud, max_atoms: int = 4096)
     Computed exactly over atom pairs after deterministic stratified
     subsampling to max_atoms.  Zero iff the (subsampled) clouds agree as
     measures; a proxy for weak convergence on the sphere.  The pair
-    distances of a block of _ENERGY_ROWS rows fill one preallocated
-    (block, N) buffer, _TERM_ROWS rows at a time through a (_TERM_ROWS, N)
-    term buffer, never as a (block, N, 3) difference tensor.
+    distances of 2,048 rows fill one preallocated (2048, N) float64 block,
+    128 rows at a time through a (128, N) term buffer (about 72 MB for two
+    4,096-atom clouds), never a (rows, N, 3) difference tensor.  The block
+    is summed in one BLAS product, whose summation order depends on its
+    size, so a smaller block would move the last bit of the result.
     """
     x, wx = _stratified_subsample(c1, max_atoms)
     y, wy = _stratified_subsample(c2, max_atoms)
