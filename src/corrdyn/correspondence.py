@@ -8,6 +8,7 @@ count images/preimages of a generic point with multiplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,12 @@ from .errors import (
     DegreeBoundExceeded,
     DegreeTooLow,
     DiscriminantDegenerate,
+    FiberDegenerate,
     InexactDivision,
     InterpolationIllConditioned,
     UsageError,
 )
-from .graphpoly import MERGE_TOL, GraphPolynomial, identity_graph, mobius_graph
+from .graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap
 from .roots import roots_with_clusters
@@ -101,14 +103,14 @@ class FiberResult:
         return [p for p, _ in self.points]
 
 
-def _merge_weighted(items: list[tuple[SpherePoint, int, float]]) -> FiberResult:
-    """Merge points within MERGE_TOL chordal; multiplicities add."""
-    items = sorted(items, key=lambda t: t[0].sort_key())
-    groups = greedy_groups([p for p, _, _ in items], MERGE_TOL)
-    return FiberResult(
-        tuple((items[g[0]][0], sum(items[i][1] for i in g)) for g in groups),
-        tuple(max(items[i][2] for i in g) for g in groups),
-    )
+def _centroid(points: list[SpherePoint]) -> SpherePoint:
+    """A cluster's point: itself when alone, infinity when it holds infinity,
+    else the mean of the plane values, as roots_with_clusters takes it."""
+    if len(points) == 1:
+        return points[0]
+    if any(p.is_infinity for p in points):
+        return INF
+    return SpherePoint.from_complex(sum(p.to_complex() for p in points) / len(points))
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,8 @@ class Correspondence:
     """Holomorphic correspondence on the sphere.
 
     components : tuple of (GraphPolynomial, multiplicity), direct strategy
-    chain      : tuple of Correspondence factors; chain[-1] applied first
+    chain      : tuple of direct Correspondence factors; chain[-1] applied
+                 first (the factors of a chained factor are spliced in)
 
     A component poly that lacks z or w raises UsageError.
     """
@@ -129,7 +132,7 @@ class Correspondence:
         if bool(self.components) == bool(self.chain):
             raise ValueError("exactly one of components/chain must be set")
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "chain", tuple(self.chain))
+        object.__setattr__(self, "chain", tuple(f for c in self.chain for f in (c.chain or (c,))))
         for gp, _ in self.components:
             if min(gp.deg_z, gp.deg_w) == 0:
                 raise UsageError(
@@ -147,19 +150,13 @@ class Correspondence:
     def d1(self) -> int:
         if self.is_direct:
             return sum(n * gp.deg_w for gp, n in self.components)
-        out = 1
-        for c in self.chain:
-            out *= c.d1
-        return out
+        return math.prod(c.d1 for c in self.chain)
 
     @property
     def d2(self) -> int:
         if self.is_direct:
             return sum(n * gp.deg_z for gp, n in self.components)
-        out = 1
-        for c in self.chain:
-            out *= c.d2
-        return out
+        return math.prod(c.d2 for c in self.chain)
 
     def transpose(self) -> "Correspondence":
         """The inverse correspondence (graph reflected in the diagonal)."""
@@ -181,22 +178,31 @@ class Correspondence:
     # -- evaluation ---------------------------------------------------------
 
     def forward(self, z: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
-        """Multivalued image of z, total multiplicity d1 at generic points."""
-        if self.is_direct:
-            items = []
-            for gp, n in self.components:
-                for w, m in gp.fiber(z, cluster_radius):
-                    items.append((w, n * m, gp.residual(z, w)))
-            return _merge_weighted(items)
-        frontier = [(z, 1, 0.0)]
-        for c in reversed(self.chain):
-            nxt = []
-            for p, mult, res in frontier:
-                fr = c.forward(p, cluster_radius)
-                for (w, m), r in zip(fr.points, fr.residuals):
-                    nxt.append((w, mult * m, max(res, r)))
-            frontier = nxt
-        return _merge_weighted(frontier)
+        """Multivalued image of z, total multiplicity d1 at generic points.
+
+        One row of forward_batch, stage by stage; each child keeps its worst
+        stage residual.  Children within cluster_radius chordal (in sort_key
+        order) are one point (_centroid) with their count as multiplicity.
+        A stage fiber that vanishes identically raises FiberDegenerate.
+        """
+        Z1, Z2 = (np.array([c]) for c in z.projective())
+        res = np.zeros(1)
+        for stage in reversed(self.chain or (self,)):
+            W1, W2, L = stage.forward_batch(Z1, Z2)
+            if np.isnan(W1).any():
+                raise FiberDegenerate(f"a stage fiber on the way from {z} vanishes identically")
+            r = np.zeros(W1.shape)
+            for idx, (gp, _) in enumerate(stage.components):
+                r = np.where(L == idx, gp.residuals(Z1[:, None], Z2[:, None], W1, W2), r)
+            res = np.maximum(res[:, None], r).ravel()
+            Z1, Z2 = W1.ravel(), W2.ravel()
+        kids = sorted(zip((SpherePoint.from_projective(a, b) for a, b in zip(Z1, Z2)), res),
+                      key=lambda kid: kid[0].sort_key())
+        groups = greedy_groups([p for p, _ in kids], cluster_radius)
+        return FiberResult(
+            tuple((_centroid([kids[i][0] for i in g]), len(g)) for g in groups),
+            tuple(max(float(kids[i][1]) for i in g) for g in groups),
+        )
 
     def backward(self, w: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
         """Multivalued preimage of w, total multiplicity d2 generically."""
@@ -212,17 +218,11 @@ class Correspondence:
         sorted, and a degenerate stage fiber leaves NaN pairs.
         """
         if self.is_direct:
-            parts1, parts2, labs = [], [], []
+            parts = []
             for idx, (gp, n) in enumerate(self.components):
                 w1, w2 = gp.fiber_batch(Z1, Z2)
-                for _ in range(n):
-                    parts1.append(w1)
-                    parts2.append(w2)
-                    labs.append(np.full(w1.shape, idx, dtype=np.int16))
-            W1 = np.concatenate(parts1, axis=-1)
-            W2 = np.concatenate(parts2, axis=-1)
-            L = np.concatenate(labs, axis=-1)
-            return W1, W2, L
+                parts += [(w1, w2, np.full(w1.shape, idx, dtype=np.int16))] * n
+            return tuple(np.concatenate(arrs, axis=-1) for arrs in zip(*parts))
         shape = np.asarray(Z1).shape
         cur1 = np.asarray(Z1, dtype=complex).ravel()
         cur2 = np.asarray(Z2, dtype=complex).ravel()
@@ -241,13 +241,8 @@ class Correspondence:
         if self.is_direct:
             return min(gp.residual(z, w) for gp, _ in self.components)
         head, rest = self.chain[0], self.chain[1:]
-        if not rest:
-            return head.graph_residual(z, w)
-        mid = Correspondence(chain=rest) if len(rest) > 1 else rest[0]
-        best = np.inf
-        for u in mid.forward(z).support():
-            best = min(best, head.graph_residual(u, w))
-        return float(best)
+        mids = Correspondence(chain=rest).forward(z).support() if rest else [z]
+        return float(min(head.graph_residual(u, w) for u in mids))
 
     def to_json(self) -> dict:
         data = {"d1": self.d1, "d2": self.d2}
@@ -339,9 +334,7 @@ def map_graph(R: RationalMap, backward: bool = False, name: str = "") -> Corresp
 
 def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     """Composition with C2 applied first: (C1 o C2)(z) = U_{w in C2(z)} C1(w)."""
-    f1 = C1.chain if not C1.is_direct else (C1,)
-    f2 = C2.chain if not C2.is_direct else (C2,)
-    return Correspondence(chain=tuple(f1) + tuple(f2))
+    return Correspondence(chain=(C1, C2))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from .polynomials import complex_pairs
 from .roots import projective_roots_batch, roots_with_clusters
 from .sphere import SpherePoint
 
-MERGE_TOL = 1e-9
-
 
 def _tight(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     scale = np.max(np.abs(coeffs))
@@ -72,14 +70,16 @@ class GraphPolynomial:
         wp = np.stack([np.asarray(w1, dtype=complex) ** j * np.asarray(w2, dtype=complex) ** (n - j) for j in range(n + 1)])
         return np.einsum("ij,i...,j...->...", self.coeffs, zp, wp)
 
+    def residuals(self, z1, z2, w1, w2) -> np.ndarray:
+        """Scaled homogeneous residuals |B(z, w)| / max|coeff| of broadcast
+        arrays of pairs (z1, z2) and (w1, w2), each pair unit-normalized."""
+        nz = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
+        nw = np.sqrt(np.abs(w1) ** 2 + np.abs(w2) ** 2)
+        return np.abs(self.eval_homogeneous(z1 / nz, z2 / nz, w1 / nw, w2 / nw)) / self.scale
+
     def residual(self, p: SpherePoint, q: SpherePoint) -> float:
         """Scaled homogeneous residual |B(p, q)| / max|coeff| in [0, large)."""
-        z1, z2 = p.projective()
-        w1, w2 = q.projective()
-        nz = np.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-        nw = np.sqrt(abs(w1) ** 2 + abs(w2) ** 2)
-        v = self.eval_homogeneous(z1 / nz, z2 / nz, w1 / nw, w2 / nw)
-        return float(abs(v)) / self.scale
+        return float(self.residuals(*p.projective(), *q.projective()))
 
     def _w_coefficients(self, Z1, Z2) -> np.ndarray:
         """Specialized w-coefficients over homogeneous base pairs, shape (..., deg_w + 1)."""
@@ -90,8 +90,9 @@ class GraphPolynomial:
     def fiber(self, p: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
         """w-roots over p with multiplicity; degree drops become roots at inf.
 
-        Raises FiberDegenerate when the specialized polynomial vanishes
-        identically (a vertical line over p).
+        Solved by roots_with_clusters, for ramification's branch pairs.  Raises
+        FiberDegenerate when the specialized polynomial vanishes identically
+        (a vertical line over p).
         """
         z1, z2 = p.projective()
         cw = self._w_coefficients(np.asarray(z1), np.asarray(z2))
@@ -145,7 +146,7 @@ class GraphPolynomial:
             W2 = np.where(dead[..., None], np.nan, W2)
         # normalize pairs to max-modulus 1 for stability
         mag = np.maximum(np.abs(W1), np.abs(W2))
-        mag = np.where(mag == 0, 1.0, mag)
+        mag = np.where(mag > 0, mag, 1.0)  # NaN rows stay NaN, without a warning
         return W1 / mag, W2 / mag
 
     # -- serialization ------------------------------------------------------

@@ -4,9 +4,10 @@ projective_roots_batch is the one root finder: companion-matrix eigenvalues,
 in the chart where each root lies in the unit disk, polished by Newton.  A
 coefficient array's length fixes the nominal degree; top coefficients at or
 below DROP_TOL of the largest are a degree drop, and the dropped degree is a
-root at infinity.  roots_with_clusters solves one polynomial that way and
-merges roots closer than cluster_radius into a single root at their centroid
-with summed multiplicity; poly_roots adds a residual check.
+root at infinity.  roots_with_clusters solves one polynomial that way, then
+polishes and merges roots closer than cluster_radius into one at their
+centroid with summed multiplicity, for the one-polynomial solves (ramification,
+rational_preimages, critical_points); poly_roots adds a residual check.
 """
 
 from __future__ import annotations

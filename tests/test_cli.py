@@ -104,6 +104,27 @@ def test_orbit_command(tmp_path):
     assert data["count"] == 3
 
 
+def test_orbit_over_a_dead_fiber_row_prints_no_warning(tmp_path):
+    # B = (z - 1) w vanishes identically over the seed 1: its row is pruned
+    # silently, in a real process whose stderr is read whole
+    cfg = tmp_path / "orbit.json"
+    poly = {"deg_z": 1, "deg_w": 1, "coeffs": [[0, 0], [-1, 0], [0, 0], [1, 0]]}
+    cfg.write_text(json.dumps({
+        "correspondence": {"kind": "explicit",
+                           "data": {"components": [{"poly": poly, "multiplicity": 1}]}},
+        "seeds": [[1, 0], [0.5, 0]],
+        "n": 3,
+        "out": str(tmp_path / "orbits.json"),
+    }))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "corrdyn.cli", "orbit", "--config", str(cfg)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0
+    assert not [line for line in done.stderr.splitlines() if "Warning" in line]
+
+
 def test_override_flag(tmp_path, capsys):
     cfg = tmp_path / "orbit.json"
     cfg.write_text(

@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 
+import object_lane_fibers
+
 from corrdyn.correspondence import (
     Correspondence,
     _branch_base_candidates,
@@ -22,7 +24,7 @@ from corrdyn.correspondence import (
 )
 from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate, UsageError
 from corrdyn.families import family_correspondence, family_involution
-from corrdyn.graphpoly import GraphPolynomial
+from corrdyn.graphpoly import GraphPolynomial, mobius_graph
 from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import MobiusMap, RationalMap, critical_points, mobius_apply, polynomial_map, rational_eval
 from corrdyn.sampling import random_rational_map
@@ -117,6 +119,86 @@ def test_fiber_degenerate_vertical_line():
     C = Correspondence(components=((GraphPolynomial(c), 1),))
     with pytest.raises(FiberDegenerate):
         C.forward(pt(1))
+
+
+def test_fiber_degenerate_in_a_later_stage_of_a_chain():
+    # the shift z + 1 sends 0 to 1, over which (z - 1) w has its vertical line
+    c = np.zeros((2, 2), dtype=complex)
+    c[0, 1] = -1.0
+    c[1, 1] = 1.0
+    dead = Correspondence(components=((GraphPolynomial(c), 1),))
+    C = compose(dead, mobius_correspondence(MobiusMap(1, 1, 0, 1)))
+    with pytest.raises(FiberDegenerate):
+        C.forward(pt(0))
+
+
+# -- the per-point lane against the object-lane oracle ------------------------
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    cases = {f"cov_degree_{d}": deleted_covering(random_rational_map(rng, d)) for d in (2, 3, 4, 5)}
+    cases.update({f"family_a{a}": family_correspondence(a) for a in (4, 5, 10)})
+    cases["cov_R_after_cov_S"] = compose(
+        deleted_covering(random_rational_map(rng, 3)), deleted_covering(random_rational_map(rng, 4))
+    )
+    cases["two_components_one_double"] = Correspondence(
+        components=((cov_graph(Q), 1), (mobius_graph(MobiusMap(2, 1, 1, 3)), 2))
+    )
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+def _assert_same_fiber(got, want):
+    assert got.total_multiplicity == want.total_multiplicity
+    assert len(got.points) == len(want.points)
+    assert max(got.residuals) < 1e-8
+    rest = list(want.points)
+    for p, m in got.points:
+        k = min(range(len(rest)), key=lambda i: chordal_distance(p, rest[i][0]))
+        q, n = rest.pop(k)
+        assert chordal_distance(p, q) < 1e-9 and m == n
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_forward_and_backward_match_object_lane(name):
+    C = ORACLE_CASES[name]
+    rng = np.random.default_rng(23)
+    bases = [pt(0), INF] + [pt(complex(*rng.normal(size=2))) for _ in range(6)]
+    for z in bases:
+        _assert_same_fiber(C.forward(z), object_lane_fibers.forward(C, z))
+        _assert_same_fiber(C.backward(z), object_lane_fibers.backward(C, z))
+
+
+@pytest.mark.parametrize("C, z", [
+    (deleted_covering(Q), pt(2)),
+    (family_correspondence(4), pt(-2)),
+    (family_correspondence(5), pt(-2)),
+    (family_correspondence(10), pt(-2)),
+], ids=["Q_at_2", "family_a4_at_-2", "family_a5_at_-2", "family_a10_at_-2"])
+def test_double_fibers_match_object_lane(C, z):
+    got = C.forward(z)
+    assert [m for _, m in got.points] == [2]
+    _assert_same_fiber(got, object_lane_fibers.forward(C, z))
+    _assert_same_fiber(C.backward(z), object_lane_fibers.backward(C, z))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_forward_points_are_forward_batch_entries_bit_for_bit(name):
+    # at a generic point every cluster is one child, kept as solved: the
+    # per-point API and the orbit and entropy trees read the same numbers
+    C = ORACLE_CASES[name]
+    z = pt(0.31 - 0.62j)
+    W1, W2, _ = C.forward_batch(*(np.array([c]) for c in z.projective()))
+    row = sorted((SpherePoint.from_projective(a, b) for a, b in zip(W1[0], W2[0])),
+                 key=lambda p: p.sort_key())
+    fr = C.forward(z)
+    if name == "two_components_one_double":  # the doubled component's children coincide
+        row = [p for i, p in enumerate(row) if p not in row[:i]]
+    else:
+        assert all(m == 1 for _, m in fr.points)
+    assert fr.support() == row
 
 
 @pytest.mark.parametrize("coeffs", [[[1], [1]], [[1, 1]]], ids=["no_w", "no_z"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,3 +178,13 @@ def test_fiber_batch_quadratic_sends_a_vanishing_root_to_infinity(b, first):
     assert W1[0, 0] == first and W2[0, 0] == 0
     # the second root, 1 / (-b), is at or near infinity
     assert W1[0, 1] == 1 and abs(W2[0, 1]) < 1e-13
+
+
+def test_fiber_batch_dead_row_is_nan_without_a_warning():
+    # B = (z - 1) w vanishes identically over z = 1; the row over z = 0.5 lives
+    gp = GraphPolynomial(np.array([[0, -1], [0, 1]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W1, W2 = gp.fiber_batch(np.array([1, 0.5], dtype=complex), np.ones(2, dtype=complex))
+    assert np.isnan(W1[0]).all() and np.isnan(W2[0]).all()
+    assert W1[1, 0] == 0 and W2[1, 0] == -1
