@@ -480,8 +480,7 @@ def _polish_branch_pair(gp: GraphPolynomial, z0: SpherePoint, w0: SpherePoint):
     for _ in range(25):
         f1 = _bivar_eval(c, u, v)
         f2 = _bivar_eval(cw, u, v)
-        j11 = _bivar_eval(cz, u, v)
-        j12 = _bivar_eval(cw, u, v)
+        j11, j12 = _bivar_eval(cz, u, v), f2
         j21 = _bivar_eval(czw, u, v)
         j22 = _bivar_eval(cww, u, v)
         det = j11 * j22 - j12 * j21

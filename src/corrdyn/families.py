@@ -18,8 +18,8 @@ import numpy as np
 from .correspondence import Correspondence, compose, deleted_covering, mobius_correspondence
 from .errors import BadParameter, BranchAmbiguity, DegreeMismatch, NotAnInvolution
 from .polynomials import ComplexPolynomial
-from .rational import MobiusMap, RationalMap, mobius_apply, mobius_is_involution, polynomial_map
-from .sphere import SpherePoint, chordal_distance, uniform_sphere_points
+from .rational import MobiusMap, RationalMap, mobius_is_involution, polynomial_map
+from .sphere import SpherePoint, chart_pairs, chart_values, embed_chart, point_charts, uniform_sphere_charts
 
 CUBIC_CHEBYSHEV = polynomial_map([0, -3, 0, 1])  # z^3 - 3z
 
@@ -155,18 +155,14 @@ def fixed_point_branch_coefficients(
     (c2, c4, fit_residual).
     """
     av = _param(a)
-    C = family_correspondence(av)
     thetas = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     zs = 1.0 + fit_radius * np.exp(1j * thetas)
+    W1, W2, _ = family_correspondence(av).forward_batch(zs, np.ones_like(zs))
     prev = 1.0 + 0j
     ws = np.empty(n_samples, dtype=complex)
     for k, z in enumerate(zs):
-        fib = C.forward(SpherePoint.from_complex(z))
-        cands = []
-        for p, mult in fib.points:
-            if p.is_infinity:
-                continue
-            cands.extend([p.to_complex()] * mult)
+        finite = W2[k] != 0
+        cands = (W1[k][finite] / W2[k][finite]).tolist()
         if not cands:
             raise BranchAmbiguity("fiber escaped to infinity during tracking")
         dists = sorted(((abs(c - prev), c) for c in cands), key=lambda t: t[0])
@@ -218,15 +214,23 @@ class RegionSpec:
         else:
             raise BadParameter(f"unknown region kind {self.kind!r}")
 
-    def contains(self, p: SpherePoint) -> bool:
+    def mask(self, z1, z2):
+        """Membership of the homogeneous pairs z1/z2 (arrays), the one region rule.
+
+        A pair with |z2| <= 1e-15 |z1| is the point at infinity, which lies
+        only in complements."""
         if self.kind == "complement":
-            return not self.of.contains(p)
-        if p.is_infinity:
-            return False
-        z = p.to_complex()
+            return ~self.of.mask(z1, z2)
+        finite = np.abs(z2) > 1e-15 * np.abs(z1)
+        w = np.where(finite, z1 / np.where(finite, z2, 1.0), 0.0)
         if self.kind == "disk":
-            return abs(z - self.center) < self.radius
-        return ((z - self.point) * np.conj(self.normal)).real > 0
+            inside = np.abs(w - self.center) < self.radius
+        else:
+            inside = ((w - self.point) * np.conj(self.normal)).real > 0
+        return inside & finite
+
+    def contains(self, p: SpherePoint) -> bool:
+        return bool(self.mask(*(np.array([c]) for c in p.projective()))[0])
 
     def to_json(self) -> dict:
         if self.kind == "disk":
@@ -244,12 +248,17 @@ class RegionSpec:
         return {"kind": "complement", "of": self.of.to_json()}
 
 
-def _apply_object(obj, p: SpherePoint) -> list[SpherePoint]:
-    if isinstance(obj, MobiusMap):
-        return [mobius_apply(obj, p)]
-    if isinstance(obj, Correspondence):
-        return obj.forward(p).support()
-    raise BadParameter("expected a Moebius map or a correspondence")
+def _violations(C: Correspondence, region: RegionSpec, values, reciprocal) -> list:
+    """The first 16 (point, image) embeddings, in sample then batch order, of
+    samples inside the region with an image of C inside it too."""
+    z1, z2 = chart_pairs(values, reciprocal)
+    inside = np.flatnonzero(region.mask(z1, z2))
+    W1, W2, _ = C.forward_batch(z1[inside], z2[inside])
+    rows, cols = (idx[:16] for idx in np.nonzero(region.mask(W1, W2)))
+    points = embed_chart(values[inside[rows]], reciprocal[inside[rows]])
+    images = embed_chart(*chart_values(W1[rows, cols], W2[rows, cols]))
+    return [{"point": tuple(p), "image": tuple(q)}
+            for p, q in zip(points.tolist(), images.tolist())]
 
 
 def klein_pair_check(
@@ -266,47 +275,27 @@ def klein_pair_check(
 
     Checks that factor1 moves delta1 off itself, factor2 moves delta2 off
     itself, and that sphere-uniform samples (outside small disks around the
-    declared punctures) are covered by the union.  Report only: returns a
-    JSON-ready dict with witnesses, never raises on failure.
+    declared punctures) are covered by the union.  Each factor is a Moebius
+    map or a correspondence.  Report only: returns a JSON-ready dict with
+    witnesses, never raises on failure.
     """
+    factors = [mobius_correspondence(f) if isinstance(f, MobiusMap) else f
+               for f in (factor1, factor2)]
+    if not all(isinstance(f, Correspondence) for f in factors):
+        raise BadParameter("expected a Moebius map or a correspondence")
     rng = np.random.default_rng(rng_seed)
-    report = {
-        "rng_seed": rng_seed,
-        "n_samples": n_samples,
-        "factor1_violations": [],
-        "factor2_violations": [],
-        "covering_misses": [],
-    }
-
-    def check_factor(obj, region, key):
-        pts = uniform_sphere_points(n_samples, rng)
-        pts = [p for p in pts if region.contains(p)]
-        for p in pts:
-            for img in _apply_object(obj, p):
-                if region.contains(img):
-                    if len(report[key]) < 16:
-                        report[key].append(
-                            {
-                                "point": p.embed_r3(),
-                                "image": img.embed_r3(),
-                            }
-                        )
-                    else:
-                        return
-
-    check_factor(factor1, delta1, "factor1_violations")
-    check_factor(factor2, delta2, "factor2_violations")
-
-    punct = [SpherePoint.from_complex(q) if not isinstance(q, SpherePoint) else q for q in punctures]
-    for p in uniform_sphere_points(n_samples, rng):
-        if any(chordal_distance(p, q) < puncture_radius for q in punct):
-            continue
-        if not (delta1.contains(p) or delta2.contains(p)):
-            if len(report["covering_misses"]) < 16:
-                report["covering_misses"].append({"point": p.embed_r3()})
-    report["passed"] = not (
-        report["factor1_violations"]
-        or report["factor2_violations"]
-        or report["covering_misses"]
-    )
+    report = {"rng_seed": rng_seed, "n_samples": n_samples}
+    for k, (C, region) in enumerate(zip(factors, (delta1, delta2)), 1):
+        report[f"factor{k}_violations"] = _violations(C, region, *uniform_sphere_charts(n_samples, rng))
+    values, reciprocal = uniform_sphere_charts(n_samples, rng)
+    z1, z2 = chart_pairs(values, reciprocal)
+    xyz = embed_chart(values, reciprocal)
+    punct = embed_chart(*point_charts(
+        q if isinstance(q, SpherePoint) else SpherePoint.from_complex(q) for q in punctures))
+    # chordal distance is the distance of the embeddings
+    near = (np.linalg.norm(xyz[:, None] - punct[None], axis=-1) < puncture_radius).any(axis=1)
+    missed = ~(near | delta1.mask(z1, z2) | delta2.mask(z1, z2))
+    report["covering_misses"] = [{"point": tuple(p)} for p in xyz[missed][:16].tolist()]
+    report["passed"] = not any(
+        report[key] for key in ("factor1_violations", "factor2_violations", "covering_misses"))
     return report

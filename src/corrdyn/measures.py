@@ -17,7 +17,7 @@ import numpy as np
 
 from .correspondence import Correspondence, map_graph, tree_size
 from .errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
-from .rational import MobiusMap, RationalMap, mobius_apply, rational_preimages
+from .rational import MobiusMap, RationalMap, rational_preimages
 from .sphere import RECIPROCAL, STANDARD, SpherePoint, chart_pairs, chart_values, chordal_distance
 from .sphere import embed_chart, embed_projective, point_charts
 
@@ -214,8 +214,9 @@ def _provenance(C: Correspondence, z0: SpherePoint, method: str, rng_seed) -> di
 
 def pushforward_mobius(cloud: WeightedCloud, M: MobiusMap) -> WeightedCloud:
     """Image cloud under a Moebius map; weights unchanged."""
-    atoms = ((mobius_apply(M, p), w) for p, w in cloud.atoms)
-    return WeightedCloud.from_atoms(atoms, cloud.generation, dict(cloud.provenance))
+    z1, z2 = cloud.projective()
+    values, reciprocal = chart_values(M.a * z1 + M.b * z2, M.c * z1 + M.d * z2)
+    return WeightedCloud(values, reciprocal, cloud.weights, cloud.generation, dict(cloud.provenance))
 
 
 # ---------------------------------------------------------------------------

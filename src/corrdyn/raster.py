@@ -63,16 +63,8 @@ class Viewport:
 
 
 def _region_mask(region: RegionSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Vectorized membership; the point at infinity is only in complements."""
-    if region.kind == "complement":
-        return ~_region_mask(region.of, z1, z2)
-    finite = np.abs(z2) > 1e-15 * np.abs(z1)
-    w = np.where(finite, z1 / np.where(finite, z2, 1.0), 0.0)
-    if region.kind == "disk":
-        inside = np.abs(w - region.center) < region.radius
-    else:
-        inside = ((w - region.point) * np.conj(region.normal)).real > 0
-    return inside & finite
+    """RegionSpec.mask, under the name perfbench's raster.mask span traces."""
+    return region.mask(z1, z2)
 
 
 # Pixels whose branches one frontier step moves together (whole rows, at

@@ -234,36 +234,33 @@ def greedy_groups(items, tol: float, dist=chordal_distance) -> list[list[int]]:
     return groups
 
 
-def uniform_sphere_points(n: int, rng) -> list[SpherePoint]:
-    """n points drawn uniformly from the sphere (normalized 3D Gaussians)."""
-    out = []
-    while len(out) < n:
-        x, y, u = rng.normal(size=3)
-        r = math.sqrt(x * x + y * y + u * u)
-        if r < 1e-12:
-            continue
-        x, y, u = x / r, y / r, u / r
-        # invert the stereographic embedding: z = (x + i y)/(1 - u)
-        if u > 1 - 1e-12:
-            out.append(INF)
-        else:
-            out.append(SpherePoint.from_complex(complex(x, y) / (1 - u)))
-    return out
+def _sphere_charts(x, y, u):
+    """Chart coordinates (values, reciprocal flags) of the unit vectors (x, y, u):
+    the inverse stereographic embedding z = (x + i y)/(1 - u), divided as Python
+    divides a complex by a real, and infinity where u > 1 - 1e-12."""
+    re, im = (x + y * 0.0) / (1.0 - u), (y - x * 0.0) / (1.0 - u)
+    return chart_from_complex(np.where(u > 1 - 1e-12, np.inf, re), im)
+
+
+def uniform_sphere_charts(n: int, rng):
+    """Chart coordinates of n points drawn uniformly from the sphere: one
+    rng.normal(size=(n, 3)) draw of 3D Gaussians, normalized."""
+    x, y, u = rng.normal(size=(n, 3)).T
+    r = np.sqrt(x * x + y * y + u * u)
+    return _sphere_charts(x / r, y / r, u / r)
 
 
 def fibonacci_net(n: int, index):
     """Chart coordinates of the points `index` of the n-point Fibonacci lattice,
     a deterministic quasi-uniform sphere net.  Point k depends only on k and n:
     height u = 1 - 2(k + 1/2)/n, longitude k times the golden angle, and
-    z = (x + i y)/(1 - u) divided as Python divides a complex by a real.
+    z = (x + i y)/(1 - u) (_sphere_charts).
     """
     k = np.asarray(index, dtype=float)
     u = 1.0 - 2.0 * (k + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     th = GOLDEN_ANGLE * k
-    x, y = r * np.cos(th), r * np.sin(th)
-    re, im = (x + y * 0.0) / (1.0 - u), (y - x * 0.0) / (1.0 - u)
-    return chart_from_complex(np.where(u > 1 - 1e-12, np.inf, re), im)
+    return _sphere_charts(r * np.cos(th), r * np.sin(th), u)
 
 
 def fibonacci_sphere_points(n: int) -> list[SpherePoint]:

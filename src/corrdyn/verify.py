@@ -30,7 +30,7 @@ from .rational import (
 from .roots import poly_roots
 from .polynomials import poly_from_roots
 from .sampling import random_complex, random_involution, random_points, random_rational_map
-from .sphere import SpherePoint, chordal_distance, embed_projective, point_charts, uniform_sphere_points
+from .sphere import SpherePoint, chordal_distance, embed_projective, uniform_sphere_charts
 
 
 def _result(name, passed, witnesses=None, info=None):
@@ -321,7 +321,7 @@ def suite_invariance_inequality(rng_seed: int) -> dict:
 def suite_separation_monotonicity(rng_seed: int) -> dict:
     """Separated counts at depth 4 grow as eps falls; labeled counts dominate."""
     rng = np.random.default_rng(rng_seed)
-    tree = _LevelTree(family_correspondence(4), *point_charts(uniform_sphere_points(20, rng)), 4)
+    tree = _LevelTree(family_correspondence(4), *uniform_sphere_charts(20, rng), 4)
     bad = []
     rows = []  # [eps, KT, DS]
     for eps in (0.4, 0.2, 0.1, 0.05):

@@ -1,5 +1,5 @@
-"""Reference Fibonacci net built one SpherePoint at a time, kept as the oracle
-for corrdyn.sphere.fibonacci_net."""
+"""Reference sphere nets built one SpherePoint at a time, kept as the oracles
+for corrdyn.sphere.fibonacci_net and corrdyn.sphere.uniform_sphere_charts."""
 
 from __future__ import annotations
 
@@ -22,3 +22,20 @@ def fibonacci_sphere_points(n: int) -> list[SpherePoint]:
         else:
             pts.append(SpherePoint.from_complex(complex(x, y) / (1 - u)))
     return pts
+
+
+def uniform_sphere_points(n: int, rng) -> list[SpherePoint]:
+    """n points drawn uniformly from the sphere (normalized 3D Gaussians)."""
+    out = []
+    while len(out) < n:
+        x, y, u = rng.normal(size=3)
+        r = math.sqrt(x * x + y * y + u * u)
+        if r < 1e-12:
+            continue
+        x, y, u = x / r, y / r, u / r
+        # invert the stereographic embedding: z = (x + i y)/(1 - u)
+        if u > 1 - 1e-12:
+            out.append(INF)
+        else:
+            out.append(SpherePoint.from_complex(complex(x, y) / (1 - u)))
+    return out

@@ -5,7 +5,7 @@ import pytest
 
 from corrdyn import families
 from corrdyn.config import read_region
-from corrdyn.correspondence import compose_graph_poly
+from corrdyn.correspondence import Correspondence, compose_graph_poly
 from corrdyn.errors import BadParameter, BranchAmbiguity, DegreeMismatch, NotAnInvolution
 from corrdyn.families import (
     CUBIC_CHEBYSHEV,
@@ -29,9 +29,11 @@ from corrdyn.rational import (
     mobius_projectively_equal,
     polynomial_map,
 )
+from corrdyn.raster import _region_mask
 from corrdyn.roots import roots_with_clusters
-from corrdyn.sampling import random_involution, random_rational_map
-from corrdyn.sphere import SpherePoint, chordal_distance
+from corrdyn.sampling import random_involution, random_points, random_rational_map
+from corrdyn.sphere import INF, SpherePoint, chordal_distance
+import object_lane_klein
 
 
 def pt(z):
@@ -226,11 +228,25 @@ def test_branch_ambiguity_when_radius_too_large():
 
 def test_branch_ambiguity_on_an_exact_distance_tie(monkeypatch):
     # a fiber whose two points lie at exactly the same distance from z = 1
-    tied = [(pt(1 + 0.01j), 1), (pt(1 - 0.01j), 1)]
-    stub = SimpleNamespace(forward=lambda z: SimpleNamespace(points=tied))
+    tied = np.array([1 + 0.01j, 1 - 0.01j])
+
+    def forward_batch(z1, z2):
+        shape = (z1.size, tied.size)
+        return np.broadcast_to(tied, shape), np.ones(shape, complex), np.zeros(shape, np.int16)
+
+    stub = SimpleNamespace(forward_batch=forward_batch)
     monkeypatch.setattr(families, "family_correspondence", lambda a: stub)
     with pytest.raises(BranchAmbiguity):
         fixed_point_branch_coefficients(4)
+
+
+def test_branch_tracking_makes_no_per_point_forward_call(monkeypatch):
+    def refuse(self, z, cluster_radius=1e-6):
+        raise AssertionError("per-point forward called")
+
+    monkeypatch.setattr(Correspondence, "forward", refuse)
+    c2, c4, res = fixed_point_branch_coefficients(4)
+    assert abs(c2 - (4 - 7) / 9) < 1e-4 and res < 1e-6
 
 
 # -- exceptional seeds ---------------------------------------------------------
@@ -263,6 +279,36 @@ def test_region_membership():
     assert rt.contains(pt(2)) and not rt.contains(pt(0.5))
     with pytest.raises(BadParameter):
         RegionSpec("disk", radius=-1)
+
+
+REGIONS = [
+    RegionSpec("disk", center=0.3 - 0.2j, radius=1.5),
+    RegionSpec("half_plane", point=1 + 0j, normal=-1 + 0j),
+    RegionSpec("half_plane", point=0.5j, normal=1 - 2j),
+    RegionSpec("complement", of=RegionSpec("disk", center=1.75 + 0j, radius=0.75)),
+    RegionSpec("complement", of=RegionSpec("complement", of=RegionSpec("half_plane", normal=1j))),
+]
+
+
+@pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+def test_region_contains_is_its_mask(region):
+    points = random_points(np.random.default_rng(4), 300, scale=3.0) + [pt(0), INF]
+    z1, z2 = (np.array(c) for c in zip(*(p.projective() for p in points)))
+    mask = region.mask(z1, z2)
+    assert [region.contains(p) for p in points] == mask.tolist()
+    assert np.array_equal(_region_mask(region, z1, z2), mask)
+    assert 0 < mask.sum() < len(points)
+
+
+def test_half_plane_has_no_point_past_1e15():
+    # |z2| <= 1e-15 |z1| is the point at infinity, as the raster has always treated it
+    far = pt(1e16)
+    for region in REGIONS:
+        if region.kind == "half_plane":
+            assert not region.contains(far)
+            assert RegionSpec("complement", of=region).contains(far)
+    right = RegionSpec("half_plane", point=0j, normal=1 + 0j)
+    assert not right.contains(far) and right.contains(pt(1e14))
 
 
 def test_klein_whole_sphere_fails():
@@ -305,3 +351,46 @@ def test_klein_report_deterministic():
     r1 = klein_pair_check(family_involution(4), family_correspondence(4).chain[1], disk, disk, **args)
     r2 = klein_pair_check(family_involution(4), family_correspondence(4).chain[1], disk, disk, **args)
     assert r1 == r2
+
+
+def _klein_cases():
+    whole = RegionSpec("complement", of=RegionSpec("disk", center=0j, radius=1e-9))
+    j_side = RegionSpec("half_plane", point=1 + 0j, normal=-1 + 0j)
+    cov_side = RegionSpec("complement", of=RegionSpec("disk", center=1.75 + 0j, radius=0.75))
+    disk = RegionSpec("disk", center=0j, radius=0.5)
+    factors = (family_involution(4), family_correspondence(4).chain[1])
+    return {
+        "whole_sphere": (factors + (whole, whole), dict(n_samples=500, rng_seed=1)),
+        "half_plane": (factors + (j_side, cov_side),
+                       dict(n_samples=2000, rng_seed=2, punctures=(1 + 0j,))),
+        "disk": (factors + (disk, disk), dict(n_samples=300, rng_seed=9)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_klein_cases()))
+def test_klein_report_matches_object_lane(case):
+    args, kwargs = _klein_cases()[case]
+    got = klein_pair_check(*args, **kwargs)
+    want = object_lane_klein.klein_pair_check(*args, **kwargs)
+    assert got["passed"] == want["passed"]
+    assert got["covering_misses"] == want["covering_misses"]
+    # a Moebius factor has one image per sample, so its witnesses pair up
+    assert [v["point"] for v in got["factor1_violations"]] == [
+        v["point"] for v in want["factor1_violations"]]
+    for g, w in zip(got["factor1_violations"], want["factor1_violations"]):
+        assert max(abs(a - b) for a, b in zip(g["image"], w["image"])) < 1e-12
+    # a correspondence's witnesses lie on the same samples, in the same order
+    got_samples, want_samples = (
+        list(dict.fromkeys(v["point"] for v in rep["factor2_violations"])) for rep in (got, want))
+    k = min(len(got_samples), len(want_samples))
+    assert got_samples[:k] == want_samples[:k] and bool(got_samples) == bool(want_samples)
+
+
+def test_klein_factor_type_is_checked_before_sampling(monkeypatch):
+    def refuse(n, rng):
+        raise AssertionError("sampled before the factor check")
+
+    monkeypatch.setattr(families, "uniform_sphere_charts", refuse)
+    disk = RegionSpec("disk", center=0j, radius=0.5)
+    with pytest.raises(BadParameter):
+        klein_pair_check(family_involution(4), "not a factor", disk, disk)

@@ -372,7 +372,7 @@ def test_partition_entropy_uniform_over_cells():
 def test_partition_cells_cover_and_disjoint():
     part = GridPartition(4, 4)
     rng = np.random.default_rng(2)
-    from corrdyn.sphere import uniform_sphere_points
+    from per_point_net import uniform_sphere_points
 
     points = uniform_sphere_points(500, rng) + [INF, pt(0)]
     cells = part.cells_of_embedded(np.array([p.embed_r3() for p in points]))

@@ -138,6 +138,45 @@ def test_clouds_build_no_points_per_atom():
     assert not hasattr(GridPartition, "cell_of")
 
 
+#: the per-point lane: fibers and Moebius images one SpherePoint at a time, and the
+#: per-point sphere sampler (kept as a test oracle in tests/per_point_net.py)
+PER_POINT_CALLS = {"forward", "backward", "mobius_apply", "uniform_sphere_points"}
+
+
+def _per_point_calls(tree: ast.Module) -> list[str]:
+    """Uses of PER_POINT_CALLS as attributes (C.forward), names or imported names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in PER_POINT_CALLS]
+    return found
+
+
+@pytest.mark.parametrize("module", ["families.py", "measures.py"])
+def test_families_and_measures_run_on_chart_arrays(module):
+    # Klein checks, branch tracking and pushforwards go through forward_batch,
+    # RegionSpec.mask and the sphere's chart-array helpers
+    assert _per_point_calls(ast.parse((SRC / module).read_text(encoding="utf-8"))) == []
+
+
+def test_per_point_call_is_found():
+    tree = ast.parse(
+        "from .rational import mobius_apply\nC.forward(p)\nC.forward_batch(z1, z2)\n"
+        "C.transpose().backward(q)\nuniform_sphere_points(5, rng)\n"
+    )
+    assert sorted(_per_point_calls(tree)) == [
+        "backward (line 4)", "forward (line 2)", "mobius_apply (line 1)",
+        "uniform_sphere_points (line 5)",
+    ]
+
+
 def test_entropy_seeds_build_no_points():
     # seed nets are chart arrays from sphere.fibonacci_net and sphere.chart_from_complex;
     # SpherePoint seeds are converted once, at the API edge, by sphere.point_charts

@@ -18,10 +18,10 @@ from corrdyn.sphere import (
     fibonacci_net,
     greedy_groups,
     point_charts,
-    uniform_sphere_points,
+    uniform_sphere_charts,
 )
 from corrdyn.entropy import _plan_seeds
-from per_point_net import fibonacci_sphere_points
+from per_point_net import fibonacci_sphere_points, uniform_sphere_points
 
 finite_complex = st.builds(
     complex,
@@ -223,6 +223,19 @@ def test_fibonacci_net_is_the_per_point_net_bitwise(n):
     th = GOLDEN_ANGLE * np.arange(n, dtype=float)
     assert _bits(np.cos(th)) == _bits([math.cos(t) for t in th.tolist()])
     assert _bits(np.sin(th)) == _bits([math.sin(t) for t in th.tolist()])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_uniform_sphere_charts_are_the_per_point_sampler_bitwise(seed):
+    # one (n, 3) normal draw is the stream of n draws of size 3
+    got = uniform_sphere_charts(2000, np.random.default_rng(seed))
+    want = point_charts(uniform_sphere_points(2000, np.random.default_rng(seed)))
+    assert _chart_bits(*got) == _chart_bits(*want)
+    # the generator is left where the per-point sampler leaves it
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    uniform_sphere_charts(7, rng_a)
+    uniform_sphere_points(7, rng_b)
+    assert rng_a.normal() == rng_b.normal()
 
 
 def test_fibonacci_sphere_points_are_the_net_charts():
