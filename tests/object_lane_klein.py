@@ -25,6 +25,23 @@ def _apply_object(obj, p: SpherePoint) -> list[SpherePoint]:
     raise BadParameter("expected a Moebius map or a correspondence")
 
 
+def sample_hits(obj, region, pts):
+    """Yield (p, its images inside region) for every sample p inside region
+    that has such an image, in sample order, with no cap on their number."""
+    for p in pts:
+        if region.contains(p):
+            images = [img for img in _apply_object(obj, p) if region.contains(img)]
+            if images:
+                yield p, images
+
+
+def factor2_samples(n_samples: int, rng_seed: int) -> list[SpherePoint]:
+    """The samples klein_pair_check draws for its second factor."""
+    rng = np.random.default_rng(rng_seed)
+    uniform_sphere_points(n_samples, rng)
+    return uniform_sphere_points(n_samples, rng)
+
+
 def klein_pair_check(
     factor1,
     factor2,
@@ -46,20 +63,12 @@ def klein_pair_check(
     }
 
     def check_factor(obj, region, key):
-        pts = uniform_sphere_points(n_samples, rng)
-        pts = [p for p in pts if region.contains(p)]
-        for p in pts:
-            for img in _apply_object(obj, p):
-                if region.contains(img):
-                    if len(report[key]) < 16:
-                        report[key].append(
-                            {
-                                "point": p.embed_r3(),
-                                "image": img.embed_r3(),
-                            }
-                        )
-                    else:
-                        return
+        for p, images in sample_hits(obj, region, uniform_sphere_points(n_samples, rng)):
+            for img in images:
+                if len(report[key]) < 16:
+                    report[key].append({"point": p.embed_r3(), "image": img.embed_r3()})
+                else:
+                    return
 
     check_factor(factor1, delta1, "factor1_violations")
     check_factor(factor2, delta2, "factor2_violations")

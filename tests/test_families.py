@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -379,11 +380,28 @@ def test_klein_report_matches_object_lane(case):
         v["point"] for v in want["factor1_violations"]]
     for g, w in zip(got["factor1_violations"], want["factor1_violations"]):
         assert max(abs(a - b) for a, b in zip(g["image"], w["image"])) < 1e-12
-    # a correspondence's witnesses lie on the same samples, in the same order
-    got_samples, want_samples = (
-        list(dict.fromkeys(v["point"] for v in rep["factor2_violations"])) for rep in (got, want))
-    k = min(len(got_samples), len(want_samples))
-    assert got_samples[:k] == want_samples[:k] and bool(got_samples) == bool(want_samples)
+    # a correspondence's witnesses lie on the oracle's hit samples, in order, up
+    # to the sample where the report's 16 witnesses ran out
+    factor2, delta2 = args[1], args[3]
+    hits = [(p.embed_r3(), [img.embed_r3() for img in images])
+            for p, images in object_lane_klein.sample_hits(
+                factor2, delta2,
+                object_lane_klein.factor2_samples(kwargs["n_samples"], kwargs["rng_seed"]))]
+    witnesses = got["factor2_violations"]
+    got_samples = list(dict.fromkeys(v["point"] for v in witnesses))
+    assert got_samples == [p for p, _ in hits[:len(got_samples)]]
+    assert len(witnesses) == 16 or len(got_samples) == len(hits)
+    assert bool(witnesses) == bool(want["factor2_violations"])
+
+    def near(a, images):
+        return any(math.dist(a, b) < 1e-9 for b in images)
+
+    oracle_images = dict(hits)
+    for v in witnesses:  # every image is one of the oracle's, in its region
+        assert near(v["image"], oracle_images[v["point"]])
+    for p in got_samples[:-1]:  # a sample before the last is reported whole
+        assert all(near(b, [v["image"] for v in witnesses if v["point"] == p])
+                   for b in oracle_images[p])
 
 
 def test_klein_factor_type_is_checked_before_sampling(monkeypatch):
