@@ -14,7 +14,7 @@ import sys
 
 from . import verify as verify_mod
 from .config import REQUIRED, Section, boolean, build_correspondence, complex_number, integer
-from .config import json_object, list_of, load_config, make_parent, point, read_metric
+from .config import list_of, load_config, make_parent, point, read_map, read_metric
 from .config import read_protocol, read_region, read_viewport, string, thread_count
 from .config import write_bytes, write_json, write_text
 from .correspondence import cov_graph
@@ -23,7 +23,6 @@ from .errors import CorrdynError, SeedRejected, UsageError
 from .families import exceptional_seeds
 from .measures import energy_distance, metric_entropy_estimate, pullback_dirac_mc
 from .measures import pullback_dirac_tree, pullback_dirac_tree_levels
-from .rational import RationalMap
 from .raster import Viewport, render_survival_set
 from .sphere import SpherePoint, chordal_distance
 
@@ -33,7 +32,7 @@ from .sphere import SpherePoint, chordal_distance
 
 def cmd_cov(cfg: Section) -> int:
     """Write the deleted-covering graph polynomial of a rational map."""
-    R = RationalMap.from_json(cfg.field("map", json_object))
+    R = cfg.field("map", read_map)
     out = cfg.field("out", string)
     cfg.close()
     gp = cov_graph(R)

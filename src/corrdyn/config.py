@@ -2,10 +2,13 @@
 
 Every reproducible run is a single JSON file; command-line `--set key=value`
 pairs override individual (possibly nested, dot-separated) fields.  Values
-are parsed as JSON when possible, otherwise kept as strings.  Every value is
-read here by one typed field reader, reader(value, path, **range), under one
-number rule (`polynomials.is_number`); a `Section` refuses the keys no reader
-read.  A value that cannot run raises UsageError naming its dotted path.
+are parsed as JSON when possible, otherwise kept as strings.  Every value,
+down to the coefficients of a map or a graph polynomial, is read here by one
+typed field reader, reader(value, path, **range), under one number rule
+(`is_number`); a `Section` refuses the keys no reader read, at every level.
+A value that cannot run raises UsageError naming its dotted path, for
+example `data.components[0].poly.coeffs[2] must be a number or an [re, im]
+pair, got true`.
 """
 
 from __future__ import annotations
@@ -13,14 +16,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from .correspondence import Correspondence, compose, deleted_covering, map_graph, mobius_correspondence
 from .entropy import EntropyProtocol, seed_net
 from .errors import UsageError
 from .families import RegionSpec, composed_covering_pair, family_correspondence
+from .graphpoly import GraphPolynomial
 from .measures import GridPartition
-from .polynomials import is_number
 from .rational import MobiusMap, RationalMap
 from .raster import Viewport
 from .sphere import SpherePoint
@@ -34,7 +40,8 @@ def load_config(path: str | None, overrides=()) -> dict:
                 cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except FileNotFoundError as exc:
             raise UsageError(f"config file not found: {path}") from exc
-        except ValueError as exc:  # not JSON, not UTF-8, or an integer past int()'s digit limit
+        except (ValueError, RecursionError) as exc:
+            # not JSON, not UTF-8, an integer past int()'s digit limit, or nested past the stack
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError("config root must be a JSON object")
@@ -44,6 +51,8 @@ def load_config(path: str | None, overrides=()) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw, parse_float=_finite, parse_constant=_finite)
+        except RecursionError as exc:
+            raise UsageError(f"override {key!r} is nested past the stack") from exc
         except ValueError:
             value = raw
         node = cfg
@@ -90,6 +99,11 @@ class Section:
         unknown = sorted(set(self.data) - self.read)
         if unknown:
             raise UsageError(f"{self.name} has unknown key(s): {', '.join(unknown)}")
+
+
+def is_number(x) -> bool:
+    """The JSON number rule: an int or float, not a boolean, within the float range."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _valid(ok: bool, value, what: str, kind: str):
@@ -212,36 +226,86 @@ def read_metric(data, name: str = "metric"):
     return metric
 
 
-def build_correspondence(spec) -> Correspondence:
+def read_map(data, name: str = "map") -> RationalMap:
+    """A rational map {num, den}: coefficient lists, ascending degree."""
+    s = Section(data, name)
+    num, den = (s.field(key, list_of, item=complex_number) for key in ("num", "den"))
+    s.close()
+    return RationalMap(num, den)
+
+
+def read_poly(data, name: str = "poly") -> GraphPolynomial:
+    """A graph polynomial {deg_z, deg_w, coeffs}: (deg_z + 1)(deg_w + 1)
+    coefficients of z^i w^j, row by row (i major), not all zero."""
+    s = Section(data, name)
+    m, n = (s.field(key, integer, least=0) for key in ("deg_z", "deg_w"))
+    coeffs = s.field("coeffs", list_of, item=complex_number, length=(m + 1) * (n + 1))
+    s.close()
+    _valid(any(coeffs), s.data["coeffs"], f"{name}.coeffs", "a list with a nonzero coefficient")
+    return GraphPolynomial(np.reshape(coeffs, (m + 1, n + 1)))
+
+
+def read_component(data, name: str) -> tuple:
+    """One direct component {poly, multiplicity >= 1}."""
+    s = Section(data, name)
+    component = (s.field("poly", read_poly), s.field("multiplicity", integer))
+    s.close()
+    return component
+
+
+def read_correspondence_data(data, name: str = "data") -> Correspondence:
+    """A correspondence as Correspondence.to_json writes it: exactly one of
+    components [{poly, multiplicity}, ...] and chain [data, ...] (last factor
+    applied first); d1 and d2, when given, must be the bidegree it builds."""
+    s = Section(data, name)
+    given = [k for k in ("components", "chain") if k in s.data]
+    _valid(len(given) == 1, data, name, "an object with exactly one of components and chain")
+    key = given[0]
+    reader = read_component if key == "components" else read_correspondence_data
+    # read here, not by list_of, so that a chain level costs two stack frames,
+    # as in the JSON decoder: a chain that parses is read, but for its last levels
+    parts = [reader(v, f"{name}.{key}[{i}]") for i, v in enumerate(s.field(key, list_of))]
+    degrees = {k: s.field(k, integer, None) for k in ("d1", "d2")}
+    s.close()
+    C = Correspondence(**{key: parts})
+    for k, built in (("d1", C.d1), ("d2", C.d2)):
+        _valid(degrees[k] in (None, built), degrees[k], f"{name}.{k}", f"{built}, the built {k}")
+    return C
+
+
+def build_correspondence(spec, prefix: str = "") -> Correspondence:
     """Correspondence from its config description: family_a {a}; covering {map};
     covering_pair {R, S}; map_graph {map, orientation}; mobius {matrix:
     [[a,b],[c,d]]}; compose {factors: [spec...]} (last factor applied first);
-    explicit {data: Correspondence JSON}."""
-    s = Section(spec, "correspondence spec", prefix="")
+    explicit {data: read_correspondence_data}.  Field paths start with prefix."""
+    s = Section(spec, prefix.rstrip(".") or "correspondence spec", prefix=prefix)
     kind = s.field("kind", string, options=(
         "family_a", "covering", "covering_pair", "map_graph", "mobius", "compose", "explicit"))
     if kind == "family_a":
         C = family_correspondence(s.field("a", complex_number))
     elif kind == "covering":
-        C = deleted_covering(RationalMap.from_json(s.field("map", json_object)))
+        C = deleted_covering(s.field("map", read_map))
     elif kind == "covering_pair":
-        C = composed_covering_pair(*(RationalMap.from_json(s.field(k, json_object)) for k in "RS"))
+        C = composed_covering_pair(*(s.field(k, read_map) for k in "RS"))
     elif kind == "map_graph":
         orientation = s.field("orientation", string, "forward", options=("forward", "backward"))
-        C = map_graph(RationalMap.from_json(s.field("map", json_object)),
-                      backward=orientation == "backward")
+        C = map_graph(s.field("map", read_map), backward=orientation == "backward")
     elif kind == "mobius":
-        m = s.field("matrix")
+        m, what = s.field("matrix"), prefix + "matrix"
         square = type(m) is list and len(m) == 2 and all(type(r) is list and len(r) == 2 for r in m)
-        _valid(square, m, "matrix", "2x2, [[a, b], [c, d]]")
-        C = mobius_correspondence(MobiusMap(*(complex_number(x, "matrix") for x in m[0] + m[1])))
+        _valid(square, m, what, "2x2, [[a, b], [c, d]]")
+        C = mobius_correspondence(MobiusMap(*(complex_number(x, what) for x in m[0] + m[1])))
     elif kind == "compose":
-        factors = [build_correspondence(f) for f in s.field("factors", list_of)]
+        factors = [build_correspondence(f, f"{prefix}factors[{i}].")
+                   for i, f in enumerate(s.field("factors", list_of))]
         C = factors[-1]
         for f in reversed(factors[:-1]):
             C = compose(f, C)
     else:
-        C = Correspondence.from_json(s.field("data", json_object))
+        try:
+            C = s.field("data", read_correspondence_data)
+        except RecursionError as exc:  # a chain just short of the JSON decoder's depth limit
+            raise UsageError(f"{prefix}data nests chains past the stack") from exc
     s.close()
     return C
 

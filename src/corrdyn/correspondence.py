@@ -254,27 +254,6 @@ class Correspondence:
             data["chain"] = [c.to_json() for c in self.chain]
         return data
 
-    @staticmethod
-    def from_json(data) -> "Correspondence":
-        """Correspondence from {"components": [{"poly", "multiplicity"}, ...]} or
-        {"chain": [correspondence, ...]}; a malformed one raises UsageError."""
-        if type(data) is not dict:
-            raise UsageError(f"correspondence data must be an object, got {data!r}")
-        comps = data.get("components")
-        if comps:
-            if type(comps) is not list or not all(
-                type(c) is dict and "poly" in c and type(c.get("multiplicity")) is int
-                and c["multiplicity"] >= 1 for c in comps
-            ):
-                raise UsageError(f"components must be [{{poly, multiplicity >= 1}}, ...], got {comps!r}")
-            return Correspondence(components=tuple(
-                (GraphPolynomial.from_json(c["poly"]), c["multiplicity"]) for c in comps
-            ))
-        chain = data.get("chain")
-        if type(chain) is not list or not chain:
-            raise UsageError(f"correspondence data needs non-empty components or chain, got {data!r}")
-        return Correspondence(chain=tuple(Correspondence.from_json(c) for c in chain))
-
 
 def is_on_graph(C: Correspondence, z: SpherePoint, w: SpherePoint, tol: float = 1e-8):
     """(membership, residual): True iff some component / witness path has

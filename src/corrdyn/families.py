@@ -54,12 +54,7 @@ class FamilyParameterA:
 
 
 def _param(a) -> complex:
-    if isinstance(a, FamilyParameterA):
-        return a.a
-    a = complex(a)
-    if abs(a - 1) <= 1e-12:
-        raise BadParameter("parameter a = 1 is excluded")
-    return a
+    return (a if isinstance(a, FamilyParameterA) else FamilyParameterA(a)).a
 
 
 def family_involution(a) -> MobiusMap:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberDegenerate, UsageError
-from .polynomials import complex_pairs
+from .errors import FiberDegenerate
 from .roots import projective_roots_batch, roots_with_clusters
 from .sphere import SpherePoint
 
@@ -154,24 +153,6 @@ class GraphPolynomial:
     def to_json(self) -> dict:
         flat = [[c.real, c.imag] for c in self.coeffs.ravel()]
         return {"deg_z": self.deg_z, "deg_w": self.deg_w, "coeffs": flat}
-
-    @staticmethod
-    def from_json(data) -> "GraphPolynomial":
-        """Graph from {"deg_z", "deg_w", "coeffs"}, the (deg_z + 1)(deg_w + 1)
-        coefficients row by row; a malformed or all-zero one raises
-        UsageError.  Correspondence refuses a poly that lacks z or w."""
-        if type(data) is not dict or not {"deg_z", "deg_w", "coeffs"} <= set(data):
-            raise UsageError(f"poly must be an object with deg_z, deg_w and coeffs, got {data!r}")
-        m, n = data["deg_z"], data["deg_w"]
-        flat = complex_pairs(data["coeffs"], "coeffs")
-        if type(m) is not int or type(n) is not int or min(m, n) < 0 or len(flat) != (m + 1) * (n + 1):
-            raise UsageError(
-                f"poly needs integers deg_z, deg_w >= 0 and (deg_z + 1)(deg_w + 1) coeffs, "
-                f"got deg_z={m!r}, deg_w={n!r} and {len(flat)} coeffs"
-            )
-        if not any(flat):
-            raise UsageError("poly coeffs must not all be zero")
-        return GraphPolynomial(np.array(flat, dtype=complex).reshape(m + 1, n + 1))
 
 
 def mobius_graph(M) -> GraphPolynomial:

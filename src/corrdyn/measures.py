@@ -176,12 +176,13 @@ def pullback_dirac_mc(
     multiplicity.  The RNG is counter-based, keyed by (rng_seed, path), so
     results do not depend on evaluation order or batching.  Raises
     BudgetExceeded, before anything is built, when the n_paths x n choice
-    table exceeds the budget.
+    table or one step's n_paths x d2 preimages exceed the budget.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if n_paths * n > budget:
-        raise BudgetExceeded(f"{n_paths} walks of {n} steps exceed budget {budget}")
+    if n_paths * max(n, C.d2) > budget:
+        raise BudgetExceeded(
+            f"{n_paths} walks of {n} steps over {C.d2} preimages exceed budget {budget}")
     prov = _provenance(C, z0, "monte_carlo", rng_seed)
     if n == 0:
         return WeightedCloud.from_atoms(((z0, 1.0),), 0, prov)
@@ -394,6 +395,8 @@ def metric_entropy_estimate(
         labels[:, nlev] = part.cells_of_embedded(xyz).min(axis=1)
         if nlev < N_max - 1:
             W1, W2, _ = C.forward_batch(cur1, cur2)
+            if np.any(np.isnan(W1)):
+                raise FiberDegenerate(f"degenerate fiber at refinement level {nlev}")
             cur1, cur2 = W1.ravel(), W2.ravel()
     hs = []
     ids = np.zeros(n_atoms, dtype=np.int64)

@@ -8,12 +8,9 @@ a nominal degree that the polynomial alone does not know (see roots.py).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import UsageError
 
 NEG_INF = float("-inf")
 
@@ -130,27 +127,8 @@ class ComplexPolynomial:
         """JSON form: array of [re, im] pairs, ascending degree."""
         return [[c.real, c.imag] for c in self.coefficients]
 
-    @staticmethod
-    def from_json(data, what: str = "polynomial") -> "ComplexPolynomial":
-        """Polynomial from its JSON form; any other shape raises UsageError naming `what`."""
-        return ComplexPolynomial(complex_pairs(data, what))
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ComplexPolynomial({list(self.coefficients)})"
-
-
-def complex_pairs(data, what: str) -> list[complex]:
-    """A JSON list of [re, im] number pairs as complex numbers, else UsageError naming `what`."""
-    if type(data) is not list or not all(
-        type(p) is list and len(p) == 2 and all(is_number(x) for x in p) for p in data
-    ):
-        raise UsageError(f"{what} must be a list of [re, im] number pairs, got {data!r}")
-    return [complex(re, im) for re, im in data]
-
-
-def is_number(x) -> bool:
-    """The JSON number rule: an int or float, not a boolean, within the float range."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _coerce(p) -> ComplexPolynomial:

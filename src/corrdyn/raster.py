@@ -95,11 +95,12 @@ def render_survival_set(
     the block it shares, and the thread pool maps over the fixed blocks in
     order, so the image is identical for any thread count.  Raises
     BudgetExceeded, before anything is allocated, when width x height x
-    max(depth, 1) exceeds the budget.
+    max(depth, 1) x d1 (the branches one step makes of each) exceeds the budget.
     """
-    if width * height * max(depth, 1) > budget:
+    if width * height * max(depth, 1) * C.d1 > budget:
+        images = f" with {C.d1} images a step" if C.d1 > 1 else ""
         raise BudgetExceeded(
-            f"raster of {width}x{height} pixels to depth {depth} exceeds budget {budget}"
+            f"raster of {width}x{height} pixels to depth {depth}{images} exceeds budget {budget}"
         )
     xs = viewport.re_min + (np.arange(width) + 0.5) * (viewport.re_max - viewport.re_min) / width
     ys = viewport.im_min + (np.arange(height) + 0.5) * (viewport.im_max - viewport.im_min) / height

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLow, Indeterminate, UsageError
+from .errors import DegreeTooLow, Indeterminate
 from .polynomials import ComplexPolynomial
 from .roots import poly_roots, roots_with_clusters
 from .sphere import INF, SpherePoint, chordal_from_complex
@@ -57,13 +57,6 @@ class RationalMap:
 
     def to_json(self) -> dict:
         return {"num": self.numerator.to_json(), "den": self.denominator.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "RationalMap":
-        """Map from {"num": ..., "den": ...}; a malformed one raises UsageError."""
-        if type(data) is not dict or not {"num", "den"} <= set(data):
-            raise UsageError(f"rational map must be an object with num and den, got {data!r}")
-        return RationalMap(*(ComplexPolynomial.from_json(data[k], k) for k in ("num", "den")))
 
 
 def polynomial_map(coefficients) -> RationalMap:

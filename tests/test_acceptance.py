@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from corrdyn.cli import main as cli_main
-from corrdyn.config import build_correspondence, read_protocol
+from corrdyn.config import build_correspondence, read_map, read_protocol
 from corrdyn.correspondence import (
     compose_graph_poly,
     cov_graph,
@@ -442,8 +442,8 @@ def test_criterion_09_cubic_pair_entropy():
     # checked-in report notes say so, and a representative candidate fails
     assert cfg["report_notes"], "config must carry the Klein status note"
     candidate = klein_pair_check(
-        deleted_covering(RationalMap.from_json(cfg["correspondence"]["R"])),
-        deleted_covering(RationalMap.from_json(cfg["correspondence"]["S"])),
+        deleted_covering(read_map(cfg["correspondence"]["R"])),
+        deleted_covering(read_map(cfg["correspondence"]["S"])),
         RegionSpec("half_plane", point=0j, normal=1 + 0j),
         RegionSpec("half_plane", point=0j, normal=-1 + 0j),
         n_samples=2000,

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from corrdyn import cli
 from corrdyn.cli import main
-from corrdyn.config import build_correspondence, point
+from corrdyn.config import build_correspondence, point, read_poly
 from corrdyn.correspondence import Correspondence
-from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
+from corrdyn.graphpoly import identity_graph, mobius_graph
 from corrdyn.measures import WeightedCloud
 from corrdyn.rational import MobiusMap
 from corrdyn.raster import RasterImage
@@ -48,7 +48,7 @@ def test_cov_command(tmp_path, capsys):
     assert main(["cov", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "deg_z=2 deg_w=2" in out
-    gp = GraphPolynomial.from_json(json.loads((tmp_path / "cov_out.json").read_text()))
+    gp = read_poly(json.loads((tmp_path / "cov_out.json").read_text()))
     want = np.array([[-3, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
     assert np.allclose(gp.coeffs, want)
 
@@ -68,7 +68,7 @@ def test_cov_quadratic_pattern_gives_mobius_graph(tmp_path):
         )
     )
     assert main(["cov", "--config", str(cfg)]) == 0
-    gp = GraphPolynomial.from_json(json.loads((tmp_path / "cov2_out.json").read_text()))
+    gp = read_poly(json.loads((tmp_path / "cov2_out.json").read_text()))
     assert gp.deg_z == 1 and gp.deg_w == 1
 
 
@@ -738,6 +738,9 @@ def test_non_finite_number_in_an_override_is_a_usage_error(tmp_path, capsys, lit
          "R must be an object"),
         ({"kind": "map_graph", "map": [1, 2]}, "map must be an object"),
         ({"kind": "explicit", "data": 3}, "data must be an object"),
+        ({"kind": "compose", "factors": [{"kind": "mobius", "matrix": [[1, 0], [0, 1]]},
+                                         {"kind": "covering", "map": {"num": [1], "den": 3}}]},
+         "factors[1].map.den must be a non-empty list"),
     ],
 )
 def test_malformed_correspondence_spec_is_a_usage_error(tmp_path, capsys, monkeypatch, spec,
@@ -797,30 +800,34 @@ def _explicit(data):
     return f"correspondence={json.dumps({'kind': 'explicit', 'data': data})}"
 
 
+_COMPONENT = {"poly": _POLY, "multiplicity": 1}
+
+
 @pytest.mark.parametrize(
     "command, override, message",
     [
-        ("cov", 'map={"num": 3}', "rational map must be an object with num and den"),
+        ("cov", 'map={"num": 3}', "map.num must be a non-empty list"),
         ("cov", 'map={"num": [[0, 0], [0, 0], [1, 0]], "den": "x"}',
-         "den must be a list of [re, im] number pairs"),
+         "map.den must be a non-empty list"),
         ("cov", 'map={"num": [[0, 0], [true, 0], [1, 0]], "den": [[1, 0]]}',
-         "num must be a list of [re, im] number pairs"),
+         "map.num[1] must be a number or an [re, im] pair"),
         ("cov", 'map={"num": [[0, 0], [0, 0, 1]], "den": [[1, 0]]}',
-         "num must be a list of [re, im] number pairs"),
+         "map.num[1] must be a number or an [re, im] pair"),
         ("cov", f'map={{"num": [[{HUGE}, 0], [1, 0]], "den": [[1, 0]]}}',
-         "num must be a list of [re, im] number pairs"),
-        ("orbit", _explicit({}), "correspondence data needs non-empty components or chain"),
-        ("orbit", _explicit({"chain": 3}), "correspondence data needs non-empty components or chain"),
-        ("orbit", _explicit({"chain": [3]}), "correspondence data must be an object"),
-        ("orbit", _explicit({"components": [{"poly": 3}]}), "components must be"),
+         "map.num[0] must be a number or an [re, im] pair"),
+        ("orbit", _explicit({}), "data must be an object with exactly one of components and chain"),
+        ("orbit", _explicit({"chain": 3}), "data.chain must be a non-empty list"),
+        ("orbit", _explicit({"chain": [3]}), "data.chain[0] must be an object"),
+        ("orbit", _explicit({"components": [{"poly": 3}]}), "data.components[0].poly must be"),
         ("orbit", _explicit({"components": [{"poly": _POLY, "multiplicity": 1.5}]}),
-         "components must be"),
+         "data.components[0].multiplicity must be an integer >= 1"),
         ("orbit", _explicit({"components": [{"poly": 3, "multiplicity": 1}]}),
-         "poly must be an object with deg_z, deg_w and coeffs"),
+         "data.components[0].poly must be an object"),
         ("orbit", _explicit({"components": [{"poly": {**_POLY, "deg_w": 2}, "multiplicity": 1}]}),
-         "poly needs integers deg_z, deg_w >= 0"),
+         "data.components[0].poly.coeffs must be a list of 6"),
         ("orbit", _explicit({"components": [{"poly": {**_POLY, "coeffs": "x"}, "multiplicity": 1}]}),
-         "coeffs must be a list of [re, im] number pairs"),
+         "data.components[0].poly.coeffs must be a list of 4"),
+        # the constructor's refusal: the poly is read, then trimmed
         ("orbit", _explicit({"components": [{"poly": _NO_W, "multiplicity": 1}]}),
          "poly must have both z and w, got deg_z=1 and deg_w=0"),
         ("orbit", _explicit({"components": [{"poly": {**_NO_W, "deg_w": 1, "coeffs": [
@@ -831,13 +838,30 @@ def _explicit(data):
          "poly must have both z and w, got deg_z=0 and deg_w=1"),
         ("orbit", _explicit({"components": [{"poly": {**_POLY, "coeffs": [[0, 0]] * 4},
                                              "multiplicity": 1}]}),
-         "poly coeffs must not all be zero"),
+         "data.components[0].poly.coeffs must be a list with a nonzero coefficient"),
+        ("cov", 'map={"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]], "colour": 3}',
+         "map has unknown key(s): colour"),
+        ("orbit", _explicit({"components": [{"poly": {**_POLY, "note": "w - z"},
+                                             "multiplicity": 1}]}),
+         "data.components[0].poly has unknown key(s): note"),
+        ("orbit", _explicit({"components": [{**_COMPONENT, "weight": 2}]}),
+         "data.components[0] has unknown key(s): weight"),
+        ("orbit", _explicit({"components": [_COMPONENT], "name": "x"}),
+         "data has unknown key(s): name"),
+        ("orbit", _explicit({"components": [_COMPONENT], "chain": "junk"}),
+         "data must be an object with exactly one of components and chain"),
+        ("orbit", _explicit({"components": [_COMPONENT], "d1": 2}),
+         "data.d1 must be 1, the built d1, got 2"),
+        ("orbit", _explicit({"chain": [{"components": [_COMPONENT], "d2": 3}]}),
+         "data.chain[0].d2 must be 1, the built d2, got 3"),
     ],
     ids=["map_without_den", "den_not_a_list", "boolean_coefficient", "triple_coefficient",
          "oversized_coefficient",
          "empty_data", "chain_not_a_list", "chain_of_numbers", "component_without_multiplicity",
          "fractional_multiplicity", "poly_not_an_object", "coeff_count", "coeffs_not_a_list",
-         "poly_without_w", "zero_w_coefficients", "poly_without_z", "zero_poly"],
+         "poly_without_w", "zero_w_coefficients", "poly_without_z", "zero_poly",
+         "unknown_map_key", "unknown_poly_key", "unknown_component_key", "unknown_data_key",
+         "components_and_chain", "d1_not_built", "chained_d2_not_built"],
 )
 def test_malformed_map_or_data_contents_are_a_usage_error(tmp_path, capsys, command, override,
                                                           message):
@@ -848,6 +872,33 @@ def test_malformed_map_or_data_contents_are_a_usage_error(tmp_path, capsys, comm
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {message}")
     assert not out.exists()
+
+
+def test_poly_coefficients_are_numbers_or_pairs():
+    gp = read_poly({"deg_z": 1, "deg_w": 1, "coeffs": [0, [-1, 0], 1.0, [0, 0]]})
+    assert np.array_equal(gp.coeffs, read_poly(_POLY).coeffs)
+
+
+def test_chain_nested_300_deep_is_read(tmp_path):
+    # a chain level costs the reader as many stack frames as the JSON decoder
+    data = {"components": [_COMPONENT]}
+    for _ in range(300):
+        data = {"chain": [data]}
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"correspondence": {"kind": "explicit", "data": data},
+                                "seeds": [0.5], "n": 1, "out": str(tmp_path / "out.json")}))
+    assert main(["orbit", "--config", str(path)]) == 0
+
+
+def test_json_nested_past_the_stack_is_one_usage_error_line(tmp_path, capsys):
+    path = tmp_path / "cov.json"
+    path.write_text('{"map": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = f"out={tmp_path / 'out.json'}"
+    assert main(["cov", "--config", str(path), "--set", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config file is not valid JSON: ") and err.count("\n") == 1
+    assert main(["cov", "--set", "map=" + "[" * 100_000 + "]" * 100_000, "--set", out]) == 2
+    assert capsys.readouterr().err == "usage error: override 'map' is nested past the stack\n"
 
 
 def test_explicit_correspondence_round_trips_through_the_config():
@@ -931,21 +982,57 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
 
+def _run_child(args):
+    """The CLI in a child process, with a 5 s timeout and 2 GiB of address space."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "corrdyn.cli", *args], capture_output=True,
+                          text=True, timeout=5, env=env, preexec_fn=_limit_address_space)
+
+
 @pytest.mark.parametrize("size", ["width", "height", "depth"])
 def test_limitset_size_past_the_budget_is_one_error_line_in_a_real_run(tmp_path, size):
     # the real command, not a stubbed renderer: without a budget, width and
     # height run out of memory and depth (d1 = 1) runs without end
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    args = [sys.executable, "-m", "corrdyn.cli", "limitset", "--config",
-            str(CONFIGS / "accept_c12_det_limitset.json"), "--set", f"{size}=1000000000000",
-            "--set", f"out={tmp_path / 'out.ppm'}"]
-    done = subprocess.run(args, capture_output=True, text=True, timeout=5, env=env,
-                          preexec_fn=_limit_address_space)
+    done = _run_child(["limitset", "--config", str(CONFIGS / "accept_c12_det_limitset.json"),
+                       "--set", f"{size}=1000000000000", "--set", f"out={tmp_path / 'out.ppm'}"])
     assert done.returncode == 1
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
     assert "budget" in done.stderr and not (tmp_path / "out.ppm").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("orbit", None), ("entropy", "accept_c07_entropy_z2.json"),
+     ("equidist", "accept_c12_det_equidist.json"), ("limitset", "accept_c12_det_limitset.json")],
+)
+def test_fiber_width_past_the_budget_is_one_error_line_in_a_real_run(tmp_path, command, config):
+    # w = z with multiplicity 10^12: every fiber is 10^12 points wide
+    key = "out_prefix" if command == "equidist" else "out"
+    spec = {"kind": "explicit",
+            "data": {"components": [{"poly": _POLY, "multiplicity": 10 ** 12}]}}
+    args = [command] + (["--config", str(CONFIGS / config)] if config else
+                        ["--set", "seeds=[[0.5, 0]]", "--set", "n=2"])
+    args += ["--set", f"correspondence={json.dumps(spec)}", "--set", f"{key}={tmp_path / 'out'}"]
+    done = _run_child(args)
+    assert done.returncode in (1, 2)
+    assert len(done.stderr.splitlines()) == 1 and "budget" in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_metric_on_a_dead_fiber_row_is_one_error_line_in_a_real_run(tmp_path):
+    # B = (z - 1) w vanishes identically over z = 1, where the metric cloud sits
+    poly = {"deg_z": 1, "deg_w": 1, "coeffs": [[0, 0], [-1, 0], [0, 0], [1, 0]]}
+    spec = {"kind": "explicit", "data": {"components": [{"poly": poly, "multiplicity": 1}]}}
+    out = tmp_path / "out.json"
+    done = _run_child(["entropy", "--config", str(CONFIGS / "accept_c11_metric_fa4.json"),
+                       "--set", f"correspondence={json.dumps(spec)}", "--set", SHRUNK_PROTOCOL,
+                       "--set", "metric.cloud_seed=0.5", "--set", "metric.cloud_generation=1",
+                       "--set", "metric.N_max=3", "--set", f"out={out}"])
+    assert done.returncode == 1
+    assert done.stderr == "error: degenerate fiber at refinement level 0\n"
+    assert not out.exists()
 
 
 def test_limitset_budget_key_bounds_pixels_times_depth(tmp_path, capsys):
@@ -956,6 +1043,16 @@ def test_limitset_budget_key_bounds_pixels_times_depth(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: raster of 160x160 pixels to depth 14 exceeds budget 358399\n")
     assert main(args + ["--set", "budget=358400"]) == 0
+
+
+def test_limitset_budget_counts_every_image_of_a_step(tmp_path, capsys):
+    # family a = 4 has d1 = 2: 4 x 4 pixels to depth 1 make 32 images
+    args = ["limitset", "--config", str(CONFIGS / "demo_limitset_fa4.json"), "--set", "width=4",
+            "--set", "height=4", "--set", "depth=1", "--set", f"out={tmp_path / 'out.ppm'}"]
+    assert main(args + ["--set", "budget=31"]) == 1
+    assert capsys.readouterr().err == (
+        "error: raster of 4x4 pixels to depth 1 with 2 images a step exceeds budget 31\n")
+    assert main(args + ["--set", "budget=32"]) == 0
 
 
 @pytest.mark.parametrize(

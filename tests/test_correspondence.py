@@ -6,6 +6,7 @@ import pytest
 
 import object_lane_fibers
 
+from corrdyn.config import read_correspondence_data
 from corrdyn.correspondence import (
     Correspondence,
     _branch_base_candidates,
@@ -346,7 +347,7 @@ def test_membership_examples():
 
 def test_correspondence_json_round_trip():
     C = family_correspondence(4)
-    C2 = Correspondence.from_json(C.to_json())
+    C2 = read_correspondence_data(C.to_json())
     assert (C2.d1, C2.d2) == (2, 2)
     z = pt(0.3 + 0.7j)
     a = sorted(p.sort_key() for p in C.forward(z).support())

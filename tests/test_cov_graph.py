@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corrdyn.config import read_poly
 from corrdyn.correspondence import cov_graph
 from corrdyn.errors import DegreeTooLow, InexactDivision
 from corrdyn.graphpoly import GraphPolynomial
@@ -102,7 +103,7 @@ def test_diagonal_deleted_diagnostic():
 
 def test_graph_json_round_trip():
     gp = cov_graph(polynomial_map([0, -3, 0, 1]))
-    gp2 = GraphPolynomial.from_json(gp.to_json())
+    gp2 = read_poly(gp.to_json())
     assert np.allclose(gp.coeffs, gp2.coeffs)
 
 

@@ -1,13 +1,21 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrdyn.correspondence import compose, deleted_covering, identity_correspondence, map_graph
-from corrdyn.errors import BudgetExceeded, ExceptionalStart
+from corrdyn.correspondence import (
+    Correspondence,
+    compose,
+    deleted_covering,
+    identity_correspondence,
+    map_graph,
+)
+from corrdyn.errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
 from corrdyn.families import family_correspondence, family_involution
+from corrdyn.graphpoly import GraphPolynomial
 from corrdyn.measures import (
     GridPartition,
     WeightedCloud,
@@ -404,6 +412,17 @@ def test_metric_entropy_budget():
         metric_entropy_estimate(
             family_correspondence(4), cloud, GridPartition(4, 4), 12, budget=1000
         )
+
+
+def test_metric_entropy_refuses_a_dead_fiber_row():
+    # B = (z - 1) w vanishes identically over z = 1, the only preimage of 0.5
+    C = Correspondence(components=((GraphPolynomial(np.array([[0, -1], [0, 1]])), 1),))
+    cloud = pullback_dirac_tree(C, pt(0.5), 1)
+    assert np.allclose(cloud.projective(), [[1], [1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiberDegenerate, match="level 0"):
+            metric_entropy_estimate(C, cloud, GridPartition(4, 4), 3)
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from corrdyn.config import complex_number, list_of
 from corrdyn.polynomials import ComplexPolynomial, poly_from_roots
 
 
@@ -51,5 +52,5 @@ def test_poly_from_roots():
 
 def test_json_round_trip():
     p = ComplexPolynomial([1 + 2j, 0, -3.5j])
-    q = ComplexPolynomial.from_json(p.to_json())
+    q = ComplexPolynomial(list_of(p.to_json(), "p", item=complex_number))
     assert p == q

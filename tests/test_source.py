@@ -191,9 +191,10 @@ def test_entropy_seeds_build_no_points():
     assert "math.cos" not in text and "math.sin" not in text
 
 
-#: the modules where a config value or a file format is read; verify.run_suites
-#: also refuses an unknown suite name
-USAGE_MODULES = {"config.py", "polynomials.py", "rational.py", "graphpoly.py", "correspondence.py"}
+#: the modules where a config value is read (correspondence.py for the
+#: constructor's refusal of a poly without z or w); verify.run_suites also
+#: refuses an unknown suite name
+USAGE_MODULES = {"config.py", "correspondence.py"}
 
 
 def _usage_raises(tree: ast.Module) -> list[str]:
