@@ -218,6 +218,9 @@ class Correspondence:
         sorted, and a degenerate stage fiber leaves NaN pairs.
         """
         if self.is_direct:
+            if len(self.components) == 1 and self.components[0][1] == 1:
+                w1, w2 = self.components[0][0].fiber_batch(Z1, Z2)
+                return w1, w2, np.zeros(w1.shape, dtype=np.int16)
             parts = []
             for idx, (gp, n) in enumerate(self.components):
                 w1, w2 = gp.fiber_batch(Z1, Z2)

@@ -129,12 +129,9 @@ class _LevelTree:
         # collapse duplicate siblings (merged roots enumerated once)
         for a in range(1, d1):
             for b in range(a):
-                same = (
-                    valid[:, a]
-                    & valid[:, b]
-                    & (((xyz[:, a] - xyz[:, b]) ** 2).sum(-1) <= DEDUP_TOL ** 2)
-                )
-                valid[:, a] &= ~same
+                sq = (xyz[:, a] - xyz[:, b]) ** 2
+                d2 = (sq[:, 0] + sq[:, 1]) + sq[:, 2]  # summed in the order .sum(-1) takes
+                valid[:, a] &= ~(valid[:, a] & valid[:, b] & (d2 <= DEDUP_TOL ** 2))
         return W1, W2, xyz, valid, L
 
 

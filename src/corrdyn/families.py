@@ -213,9 +213,10 @@ class RegionSpec:
         """Membership of the homogeneous pairs z1/z2 (arrays), the one region rule.
 
         A pair with |z2| <= 1e-15 |z1| is the point at infinity, which lies
-        only in complements."""
+        only in complements; a pair with a NaN coordinate (a dead fiber's
+        image) lies in no region."""
         if self.kind == "complement":
-            return ~self.of.mask(z1, z2)
+            return ~(self.of.mask(z1, z2) | np.isnan(z1) | np.isnan(z2))
         finite = np.abs(z2) > 1e-15 * np.abs(z1)
         w = np.where(finite, z1 / np.where(finite, z2, 1.0), 0.0)
         if self.kind == "disk":

@@ -31,6 +31,34 @@ def _tight(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return out
 
 
+def _powers(Z, m: int, ones) -> list:
+    """[Z**0, ..., Z**m], each once, with the bits of numpy's **: Z**1 is Z
+    but for a signed zero, made (+0, +0); Z**2 is Z * Z; higher ones stay **."""
+    powers = [ones, Z[()] if Z.all() else Z ** 1]
+    if m >= 2:
+        powers.append(Z * Z)
+    return powers + [Z ** k for k in range(3, m + 1)]
+
+
+def _quadratic_fiber(cw: np.ndarray):
+    """(W1, W2, mag) of the normalized quadratics cw (..., 3): closed-form roots
+    and their max-moduli, a double degree drop as the root (1, 0) of modulus 1."""
+    a, b, c = cw[..., 2], cw[..., 1], cw[..., 0]
+    qq = np.sqrt(b * b - 4 * a * c)
+    # align sqrt sign with b to avoid cancellation
+    np.negative(qq, out=qq, where=(b.real * qq.real + b.imag * qq.imag) < 0)
+    qq = -(b + qq) / 2.0
+    W1, W2 = np.empty((2,) + cw.shape[:-1] + (2,), dtype=complex)
+    W1[..., 0], W1[..., 1], W2[..., 0], W2[..., 1] = qq, c, a, qq
+    aq, aa, ac = np.abs(qq), np.abs(a), np.abs(c)
+    mag = np.stack([np.maximum(aq, aa), np.maximum(ac, aq)], axis=-1)
+    small = aq < 1e-14
+    if small.any():  # both components ~0 (double degree drop): root at infinity
+        tiny = np.stack([small & (aa < 1e-14), (ac < 1e-14) & small], axis=-1)
+        W1[tiny], W2[tiny], mag[tiny] = 1.0, 0.0, 1.0
+    return W1, W2, mag
+
+
 @dataclass(frozen=True)
 class GraphPolynomial:
     """One irreducible-component polynomial of a correspondence graph."""
@@ -81,9 +109,16 @@ class GraphPolynomial:
         return float(self.residuals(*p.projective(), *q.projective()))
 
     def _w_coefficients(self, Z1, Z2) -> np.ndarray:
-        """Specialized w-coefficients over homogeneous base pairs, shape (..., deg_w + 1)."""
+        """Specialized w-coefficients over homogeneous base pairs, shape (..., deg_w + 1).
+
+        Column i is Z1**i * Z2**(m - i), bit for bit, the ones included (1*z is not z)."""
         m = self.deg_z
-        zp = np.stack([Z1 ** i * Z2 ** (m - i) for i in range(m + 1)], axis=-1)
+        shape = np.broadcast_shapes(np.shape(Z1), np.shape(Z2))
+        ones = np.ones(shape, dtype=complex)[()]  # a numpy scalar for 0-d bases, as Z1**0 was
+        p1, p2 = _powers(Z1, m, ones), _powers(Z2, m, ones)
+        zp = np.empty(shape + (m + 1,), dtype=complex)
+        for i in range(m + 1):
+            zp[..., i] = p1[i] * p2[m - i]
         return zp @ self.coeffs
 
     def fiber(self, p: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
@@ -115,37 +150,26 @@ class GraphPolynomial:
         """
         n = self.deg_w
         cw = self._w_coefficients(np.asarray(Z1, dtype=complex), np.asarray(Z2, dtype=complex))
-        scale = np.max(np.abs(cw), axis=-1)
+        scale = np.abs(cw[..., 0])  # the row max as a chain: np.max over a short axis is slow
+        for k in range(1, n + 1):
+            np.maximum(scale, np.abs(cw[..., k]), out=scale)
         dead = ~(scale >= 1e-250)
-        scale = np.where(dead, 1.0, scale)
-        cw = cw / scale[..., None]
+        scale[dead] = 1.0
+        cw /= scale[..., None]
         if n == 1:
-            W1 = -cw[..., 0][..., None]
-            W2 = cw[..., 1][..., None]
+            W1, W2 = -cw[..., :1], cw[..., 1:]
+            mag = np.maximum(np.abs(W1), np.abs(W2))
         elif n == 2:
-            a, b, c = cw[..., 2], cw[..., 1], cw[..., 0]
-            disc = b * b - 4 * a * c
-            sq = np.sqrt(disc)
-            # align sqrt sign with b to avoid cancellation
-            flip = (b.real * sq.real + b.imag * sq.imag) < 0
-            sq = np.where(flip, -sq, sq)
-            qq = -(b + sq) / 2.0
-            W1 = np.stack([qq, c], axis=-1)
-            W2 = np.stack([a, qq], axis=-1)
-            # both components ~0 (double degree drop): root at infinity
-            tiny = (np.abs(W1) < 1e-14) & (np.abs(W2) < 1e-14)
-            W1 = np.where(tiny, 1.0, W1)
-            W2 = np.where(tiny, 0.0, W2)
+            W1, W2, mag = _quadratic_fiber(cw)
         else:
-            W1, W2 = projective_roots_batch(np.where(dead[..., None], 0.0, cw).reshape(-1, n + 1))
-            W1 = W1.reshape(cw.shape[:-1] + (n,))
-            W2 = W2.reshape(cw.shape[:-1] + (n,))
-        if np.any(dead):
-            W1 = np.where(dead[..., None], np.nan, W1)
-            W2 = np.where(dead[..., None], np.nan, W2)
+            cw[dead] = 0.0
+            roots = projective_roots_batch(cw.reshape(-1, n + 1))
+            W1, W2 = (W.reshape(cw.shape[:-1] + (n,)) for W in roots)
+            mag = np.maximum(np.abs(W1), np.abs(W2))
+        if dead.any():
+            W1[dead], W2[dead], mag[dead] = np.nan, np.nan, 1.0
         # normalize pairs to max-modulus 1 for stability
-        mag = np.maximum(np.abs(W1), np.abs(W2))
-        mag = np.where(mag > 0, mag, 1.0)  # NaN rows stay NaN, without a warning
+        mag[~(mag > 0)] = 1.0  # NaN rows stay NaN, without a warning
         return W1 / mag, W2 / mag
 
     # -- serialization ------------------------------------------------------

@@ -121,8 +121,7 @@ def render_survival_set(
             W1, W2, _ = C.forward_batch(z1, z2)
             npix = np.repeat(pix, W1.shape[-1])
             c1, c2 = W1.ravel(), W2.ravel()
-            keep = np.isfinite(c1.real) & np.isfinite(c2.real)
-            keep[keep] = _region_mask(region, c1[keep], c2[keep])
+            keep = _region_mask(region, c1, c2)  # dead children (NaN pairs) lie in no region
             npix, c1, c2 = npix[keep], c1[keep], c2[keep]
             if npix.size:
                 # dedupe per pixel on a quarter-pixel grid, canonical order

@@ -146,10 +146,11 @@ def embed_projective(z1, z2):
     Python's, so the last bit can differ.  embed_chart is the bit-identical
     array form.  A (0, 0) pair maps to (0, 0, 0) instead of dividing by zero.
     """
-    n = np.abs(z1) ** 2 + np.abs(z2) ** 2
+    a1, a2 = np.abs(z1) ** 2, np.abs(z2) ** 2
+    n = a1 + a2
     n = np.where(n == 0, 1.0, n)
     w = 2.0 * z1 * np.conj(z2) / n
-    return np.stack([w.real, w.imag, (np.abs(z1) ** 2 - np.abs(z2) ** 2) / n], axis=-1)
+    return np.stack([w.real, w.imag, (a1 - a2) / n], axis=-1)
 
 
 def chart_values(z1, z2):

@@ -1,10 +1,12 @@
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import object_lane_fibers
+import stacked_fiber_kernel
 
 from corrdyn.config import read_correspondence_data
 from corrdyn.correspondence import (
@@ -24,7 +26,7 @@ from corrdyn.correspondence import (
     tree_size,
 )
 from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate, UsageError
-from corrdyn.families import family_correspondence, family_involution
+from corrdyn.families import composed_covering_pair, family_correspondence, family_involution
 from corrdyn.graphpoly import GraphPolynomial, mobius_graph
 from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import MobiusMap, RationalMap, critical_points, mobius_apply, polynomial_map, rational_eval
@@ -131,6 +133,41 @@ def test_fiber_degenerate_in_a_later_stage_of_a_chain():
     C = compose(dead, mobius_correspondence(MobiusMap(1, 1, 0, 1)))
     with pytest.raises(FiberDegenerate):
         C.forward(pt(0))
+
+
+def test_chained_forward_batch_dead_row_is_nan_without_a_warning():
+    # the shift z + 1 sends 0 to 1, over which (z - 1)(w^2 + 1) vanishes
+    # identically; the NaN pairs then pass through cov(Q) as dead entries
+    f = np.array([1, 0, 1], dtype=complex)
+    dead = Correspondence(components=((GraphPolynomial(np.array([-f, f])), 1),))
+    C = compose(deleted_covering(Q), compose(dead, mobius_correspondence(MobiusMap(1, 1, 0, 1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W1, W2, _ = C.forward_batch(np.array([0, 0.3, 1], dtype=complex), np.array([1, 1, 0], dtype=complex))
+    assert W1.shape == (3, 4)
+    assert np.isnan(W1[0]).all() and np.isnan(W2[0]).all()
+    assert np.isfinite(W1[1:]).all() and np.isfinite(W2[1:]).all()
+
+
+KERNEL_CASES = {
+    "family_a4": family_correspondence(4),
+    "covering_pair": composed_covering_pair(Q, polynomial_map([0, 0, 0, 1])),
+    "cov_R4_after_cov_Q": compose(deleted_covering(polynomial_map([0.1, -1, 0, 0.3 + 0.2j, 1])),
+                                  deleted_covering(Q)),
+    "two_components_one_double": Correspondence(
+        components=((cov_graph(Q), 1), (mobius_graph(MobiusMap(2, 1, 1, 3)), 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_forward_batch_is_the_stacked_kernel_bit_for_bit(name):
+    C = KERNEL_CASES[name]
+    z1, z2 = stacked_fiber_kernel.kernel_bases(np.random.default_rng(5), 200)
+    got = C.forward_batch(z1, z2)
+    want = stacked_fiber_kernel.forward_batch(C, z1, z2)
+    for g, w in zip(got[:2], want[:2]):
+        stacked_fiber_kernel.assert_same_bits(g, w)
+    assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
 
 
 # -- the per-point lane against the object-lane oracle ------------------------

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import stacked_fiber_kernel
 
 from corrdyn.config import read_poly
 from corrdyn.correspondence import cov_graph
 from corrdyn.errors import DegreeTooLow, InexactDivision
-from corrdyn.graphpoly import GraphPolynomial
+from corrdyn.graphpoly import GraphPolynomial, _powers
 from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import RationalMap, polynomial_map
 from corrdyn.sampling import random_rational_map
@@ -189,3 +191,61 @@ def test_fiber_batch_dead_row_is_nan_without_a_warning():
         W1, W2 = gp.fiber_batch(np.array([1, 0.5], dtype=complex), np.ones(2, dtype=complex))
     assert np.isnan(W1[0]).all() and np.isnan(W2[0]).all()
     assert W1[1, 0] == 0 and W2[1, 0] == -1
+
+
+@pytest.mark.parametrize("f", [[1, 0, 1], [1, -2, 0, 1]], ids=["deg_w_2", "deg_w_3"])
+def test_fiber_batch_dead_row_is_nan_without_a_warning_at_higher_degree(f):
+    # B = (z - 1) f(w) vanishes identically over z = 1; over 0.5 and infinity the
+    # specialized polynomial is a multiple of f, so those rows hold the roots of f
+    f = np.array(f, dtype=complex)
+    gp = GraphPolynomial(np.array([-f, f]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W1, W2 = gp.fiber_batch(np.array([1, 0.5, 1], dtype=complex), np.array([1, 1, 0], dtype=complex))
+    assert np.isnan(W1[0]).all() and np.isnan(W2[0]).all()
+    for w1, w2 in zip(W1[1:], W2[1:]):
+        dist = np.abs((w1 / w2)[:, None] - np.roots(f[::-1])[None])
+        assert dist.min(axis=0).max() < 1e-12 and dist.min(axis=1).max() < 1e-12
+
+
+# -- the batch kernel against the stacked kernel it replaced -------------------
+
+@pytest.mark.parametrize("zero_d", [False, True], ids=["array", "0-d"])
+def test_powers_are_numpy_powers_bit_for_bit(zero_d):
+    # the kernel takes each power once as ones, Z, Z * Z and Z ** k; each must be
+    # Z ** k itself, signed zeros included (Z ** 1 makes any zero (+0, +0))
+    rng = np.random.default_rng(2)
+    z = np.concatenate([stacked_fiber_kernel.SIGNED_ZEROS, [np.nan, complex(5, -0.0), complex(-0.0, 5)],
+                        rng.normal(size=64) + 1j * rng.normal(size=64)])
+    for Z in ([np.asarray(x) for x in z] if zero_d else [z]):
+        ones = np.ones(Z.shape, dtype=complex)[()]
+        for k, power in enumerate(_powers(Z, 4, ones)):
+            stacked_fiber_kernel.assert_same_bits(power, Z ** k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    deg_z=st.integers(1, 4),
+    deg_w=st.integers(1, 4),
+    drop=st.integers(0, 2),
+    drop_row=st.sampled_from([0, -1]),
+    zero_root=st.booleans(),
+    vanish=st.booleans(),
+)
+def test_fiber_batch_is_the_stacked_kernel_bit_for_bit(seed, deg_z, deg_w, drop, drop_row, zero_root, vanish):
+    # single and double degree drops over 0 or infinity, w = 0 roots, and with
+    # vanish a zero z^0 row: B = z B', whose fiber over 0 vanishes identically
+    rng = np.random.default_rng(seed)
+    c = _fiber_drop_graph(rng, deg_z, deg_w, min(drop, deg_w), drop_row, zero_root).coeffs.copy()
+    if vanish:
+        c[0] = 0
+    gp = GraphPolynomial(c)
+    assume(min(gp.deg_z, gp.deg_w) >= 1)
+    z1, z2 = stacked_fiber_kernel.kernel_bases(rng)
+    for got, want in zip(gp.fiber_batch(z1, z2), stacked_fiber_kernel.fiber_batch(gp, z1, z2)):
+        stacked_fiber_kernel.assert_same_bits(got, want)
+    for a, b in zip(z1, z2):  # the per-point fiber's 0-d specialization
+        a, b = np.asarray(a), np.asarray(b)
+        stacked_fiber_kernel.assert_same_bits(
+            gp._w_coefficients(a, b), stacked_fiber_kernel.w_coefficients(gp, a, b))

@@ -33,7 +33,7 @@ from corrdyn.rational import (
 from corrdyn.raster import _region_mask
 from corrdyn.roots import roots_with_clusters
 from corrdyn.sampling import random_involution, random_points, random_rational_map
-from corrdyn.sphere import INF, SpherePoint, chordal_distance
+from corrdyn.sphere import INF, SpherePoint, chordal_distance, uniform_sphere_charts
 import object_lane_klein
 
 
@@ -310,6 +310,29 @@ def test_half_plane_has_no_point_past_1e15():
             assert RegionSpec("complement", of=region).contains(far)
     right = RegionSpec("half_plane", point=0j, normal=1 + 0j)
     assert not right.contains(far) and right.contains(pt(1e14))
+
+
+@pytest.mark.parametrize("region", REGIONS + [RegionSpec("complement", of=r) for r in REGIONS[:3]], ids=[
+    "disk", "half_plane", "half_plane_slanted", "complement_of_disk", "complement_of_complement",
+    "complement_of_disk_2", "complement_of_half_plane", "complement_of_half_plane_slanted"])
+def test_nan_pair_lies_in_no_region(region):
+    # a dead fiber's image is a NaN pair: inside no disk, half-plane or complement
+    nan = complex(np.nan, np.nan)
+    z1 = np.array([nan, 1, nan, complex(np.nan, 0), 0.5])
+    z2 = np.array([1, nan, nan, 1, complex(0, np.nan)])
+    assert not region.mask(z1, z2).any()
+
+
+def test_dead_fiber_image_is_no_klein_violation():
+    # every image of this stub is a NaN pair, so no sample has an image in the region
+    def forward_batch(z1, z2):
+        W = np.full((z1.size, 2), complex(np.nan, np.nan))
+        return W, W, np.zeros(W.shape, dtype=np.int16)
+
+    stub = SimpleNamespace(forward_batch=forward_batch)
+    region = RegionSpec("complement", of=RegionSpec("disk", center=0j, radius=0.5))
+    values, reciprocal = uniform_sphere_charts(200, np.random.default_rng(0))
+    assert families._violations(stub, region, values, reciprocal) == []
 
 
 def test_klein_whole_sphere_fails():
