@@ -218,13 +218,12 @@ class Correspondence:
         sorted, and a degenerate stage fiber leaves NaN pairs.
         """
         if self.is_direct:
-            if len(self.components) == 1 and self.components[0][1] == 1:
-                w1, w2 = self.components[0][0].fiber_batch(Z1, Z2)
-                return w1, w2, np.zeros(w1.shape, dtype=np.int16)
             parts = []
             for idx, (gp, n) in enumerate(self.components):
                 w1, w2 = gp.fiber_batch(Z1, Z2)
                 parts += [(w1, w2, np.full(w1.shape, idx, dtype=np.int16))] * n
+            if len(parts) == 1:  # one simple component: its fibers need no copy
+                return parts[0]
             return tuple(np.concatenate(arrs, axis=-1) for arrs in zip(*parts))
         shape = np.asarray(Z1).shape
         cur1 = np.asarray(Z1, dtype=complex).ravel()

@@ -32,9 +32,9 @@ def _tight(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
 
 
 def _powers(Z, m: int, ones) -> list:
-    """[Z**0, ..., Z**m], each once, with the bits of numpy's **: Z**1 is Z
-    but for a signed zero, made (+0, +0); Z**2 is Z * Z; higher ones stay **."""
-    powers = [ones, Z[()] if Z.all() else Z ** 1]
+    """[Z**0, ..., Z**m] with the bits of numpy's **: Z**0 is the shared ones,
+    Z**2 is Z * Z, and the others stay ** (Z**1 makes a signed zero (+0, +0))."""
+    powers = [ones, Z ** 1]
     if m >= 2:
         powers.append(Z * Z)
     return powers + [Z ** k for k in range(3, m + 1)]

@@ -212,7 +212,7 @@ def test_fiber_batch_dead_row_is_nan_without_a_warning_at_higher_degree(f):
 
 @pytest.mark.parametrize("zero_d", [False, True], ids=["array", "0-d"])
 def test_powers_are_numpy_powers_bit_for_bit(zero_d):
-    # the kernel takes each power once as ones, Z, Z * Z and Z ** k; each must be
+    # the kernel takes the powers as ones, Z ** 1, Z * Z and Z ** k; each must be
     # Z ** k itself, signed zeros included (Z ** 1 makes any zero (+0, +0))
     rng = np.random.default_rng(2)
     z = np.concatenate([stacked_fiber_kernel.SIGNED_ZEROS, [np.nan, complex(5, -0.0), complex(-0.0, 5)],
