@@ -2,9 +2,8 @@
 
     corrdyn <cov|orbit|entropy|equidist|limitset|verify> --config FILE [--set k=v ...]
 
-Exit codes: 0 success, 1 math/runtime error, 2 usage or parse error.  The
-CORRDYN_THREADS environment variable sets the limitset raster's thread
-count; outputs are byte identical for identical configs regardless of it.
+Exit codes: 0 success, 1 math/runtime error, 2 usage or parse error.
+Outputs are byte identical for identical configs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 from . import verify as verify_mod
 from .config import REQUIRED, Section, boolean, build_correspondence, complex_number, integer
 from .config import list_of, load_config, make_parent, point, read_map, read_metric
-from .config import read_protocol, read_region, read_viewport, string, thread_count
+from .config import read_protocol, read_region, read_viewport, string
 from .config import write_bytes, write_json, write_text
 from .correspondence import cov_graph
 from .entropy import EntropyProtocol, entropy_estimate, enumerate_orbits
@@ -167,7 +166,6 @@ def cmd_limitset(cfg: Section) -> int:
         depth=cfg.field("depth", integer, 18, least=0),
         frontier_cap=cfg.field("frontier_cap", integer, 64),
         budget=cfg.field("budget", integer, 2 ** 30),
-        threads=thread_count(),
     )
     cfg.close()
     C = build_correspondence(spec)

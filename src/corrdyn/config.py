@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -308,15 +307,6 @@ def build_correspondence(spec, prefix: str = "") -> Correspondence:
             raise UsageError(f"{prefix}data nests chains past the stack") from exc
     s.close()
     return C
-
-
-def thread_count() -> int:
-    raw = os.environ.get("CORRDYN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"CORRDYN_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def make_parent(path: str) -> None:

@@ -26,7 +26,8 @@ from .graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap
 from .roots import roots_with_clusters
-from .sphere import INF, SpherePoint, chordal_distance, greedy_groups
+from .sphere import INF, SpherePoint, chart_pairs, chordal_distance, fiber_groups, greedy_groups
+from .sphere import point_charts
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +104,6 @@ class FiberResult:
         return [p for p, _ in self.points]
 
 
-def _centroid(points: list[SpherePoint]) -> SpherePoint:
-    """A cluster's point: itself when alone, infinity when it holds infinity,
-    else the mean of the plane values, as roots_with_clusters takes it."""
-    if len(points) == 1:
-        return points[0]
-    if any(p.is_infinity for p in points):
-        return INF
-    return SpherePoint.from_complex(sum(p.to_complex() for p in points) / len(points))
-
-
 @dataclass(frozen=True)
 class Correspondence:
     """Holomorphic correspondence on the sphere.
@@ -180,29 +171,30 @@ class Correspondence:
     def forward(self, z: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
         """Multivalued image of z, total multiplicity d1 at generic points.
 
-        One row of forward_batch, stage by stage; each child keeps its worst
-        stage residual.  Children within cluster_radius chordal (in sort_key
-        order) are one point (_centroid) with their count as multiplicity.
-        A stage fiber that vanishes identically raises FiberDegenerate.
+        One row of forward_batch, stage by stage, grouped within cluster_radius
+        by sphere.fiber_groups.  A group's residual is that of its point: the
+        last stage's best-component residual there from each member's parent,
+        with the earlier stages' worst residual on that member's path.  A stage
+        fiber that vanishes identically raises FiberDegenerate.
         """
         Z1, Z2 = (np.array([c]) for c in z.projective())
-        res = np.zeros(1)
-        for stage in reversed(self.chain or (self,)):
-            W1, W2, L = stage.forward_batch(Z1, Z2)
+        res = np.zeros(1)  # worst residual on the path to each point of (Z1, Z2)
+        stages = list(reversed(self.chain or (self,)))
+        for k, stage in enumerate(stages):
+            W1, W2, _ = stage.forward_batch(Z1, Z2)
             if np.isnan(W1).any():
                 raise FiberDegenerate(f"a stage fiber on the way from {z} vanishes identically")
-            r = np.zeros(W1.shape)
-            for idx, (gp, _) in enumerate(stage.components):
-                r = np.where(L == idx, gp.residuals(Z1[:, None], Z2[:, None], W1, W2), r)
-            res = np.maximum(res[:, None], r).ravel()
-            Z1, Z2 = W1.ravel(), W2.ravel()
-        kids = sorted(zip((SpherePoint.from_projective(a, b) for a, b in zip(Z1, Z2)), res),
-                      key=lambda kid: kid[0].sort_key())
-        groups = greedy_groups([p for p, _ in kids], cluster_radius)
-        return FiberResult(
-            tuple((_centroid([kids[i][0] for i in g]), len(g)) for g in groups),
-            tuple(max(float(kids[i][1]) for i in g) for g in groups),
-        )
+            if k + 1 < len(stages):
+                r = stage._best_residuals(Z1[:, None], Z2[:, None], W1, W2)
+                res = np.maximum(res[:, None], r).ravel()
+                Z1, Z2 = W1.ravel(), W2.ravel()
+        points, residuals = [], []
+        for q, members in fiber_groups(W1.ravel(), W2.ravel(), cluster_radius):
+            up = np.array(members) // W1.shape[-1]  # each member's parent in (Z1, Z2)
+            r = stage._best_residuals(Z1[up], Z2[up], *q.projective())
+            points.append((q, len(members)))
+            residuals.append(float(np.max(np.maximum(res[up], r))))
+        return FiberResult(tuple(points), tuple(residuals))
 
     def backward(self, w: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
         """Multivalued preimage of w, total multiplicity d2 generically."""
@@ -238,10 +230,15 @@ class Correspondence:
 
     # -- membership ---------------------------------------------------------
 
+    def _best_residuals(self, z1, z2, w1, w2) -> np.ndarray:
+        """Scaled residuals of broadcast pairs against the best component of a
+        direct correspondence."""
+        return np.min([gp.residuals(z1, z2, w1, w2) for gp, _ in self.components], axis=0)
+
     def graph_residual(self, z: SpherePoint, w: SpherePoint) -> float:
         """Best scaled residual of (z, w) against the graph (witness path)."""
         if self.is_direct:
-            return min(gp.residual(z, w) for gp, _ in self.components)
+            return float(self._best_residuals(*z.projective(), *w.projective()))
         head, rest = self.chain[0], self.chain[1:]
         mids = Correspondence(chain=rest).forward(z).support() if rest else [z]
         return float(min(head.graph_residual(u, w) for u in mids))
@@ -422,90 +419,81 @@ def _branch_base_candidates(gp: GraphPolynomial) -> list[SpherePoint]:
     return cands
 
 
-def _charted(coeffs: np.ndarray, rec_z: bool, rec_w: bool) -> np.ndarray:
-    c = coeffs
-    if rec_z:
-        c = c[::-1, :]
-    if rec_w:
-        c = c[:, ::-1]
-    return c
+def _polish_branch_pairs(gp: GraphPolynomial, u, rec_z, v, rec_w):
+    """Newton refinement of start pairs on the system B = dB/dw = 0.
 
-
-def _bivar_eval(c: np.ndarray, z: complex, w: complex) -> complex:
-    acc = 0j
-    for row in c[::-1]:
-        inner = 0j
-        for coef in row[::-1]:
-            inner = inner * w + coef
-        acc = acc * z + inner
-    return acc
-
-
-def _polish_branch_pair(gp: GraphPolynomial, z0: SpherePoint, w0: SpherePoint):
-    """Newton refinement of (z, w) on the system B = dB/dw = 0.
-
-    Runs in the reciprocal chart for coordinates starting outside the unit
-    disk, so branch pairs at or near infinity converge as well.  Returns the
-    polished pair or None when the iteration does not converge.
+    (u, rec_z) and (v, rec_w) are the starts' chart coordinates; each runs on
+    the coefficients flipped into its own charts, so pairs at or near infinity
+    converge too.  Returns the polished coordinates and a mask of convergence.
     """
-    rec_z = z0.chart == "reciprocal"
-    rec_w = w0.chart == "reciprocal"
-    c = _charted(gp.coeffs, rec_z, rec_w)
-    m, n = c.shape[0] - 1, c.shape[1] - 1
-    cz = c[1:, :] * np.arange(1, m + 1)[:, None] if m >= 1 else np.zeros((1, n + 1))
-    cw = c[:, 1:] * np.arange(1, n + 1)[None, :] if n >= 1 else np.zeros((m + 1, 1))
-    czw = cw[1:, :] * np.arange(1, m + 1)[:, None] if m >= 1 else np.zeros((1, 1))
-    cww = cw[:, 1:] * np.arange(1, n + 1 - 1)[None, :] if n >= 2 else np.zeros((m + 1, 1))
-    u, v = z0.value, w0.value
+    m, n = gp.deg_z, gp.deg_w
+    flips = np.array([[gp.coeffs, gp.coeffs[:, ::-1]], [gp.coeffs[::-1], gp.coeffs[::-1, ::-1]]])
+    c = flips[rec_z.astype(int), rec_w.astype(int)]  # (starts, m + 1, n + 1)
+    cz = c[:, 1:, :] * np.arange(1, m + 1)[:, None]
+    cw = c[:, :, 1:] * np.arange(1, n + 1)
+    czw = cw[:, 1:, :] * np.arange(1, m + 1)[:, None]
+    cww = cw[:, :, 1:] * np.arange(1, n)
+
+    def value(coeffs):  # sum of coeffs[k, i, j] u_k^i v_k^j over i, j
+        U = u[:, None] ** np.arange(coeffs.shape[1])
+        V = v[:, None] ** np.arange(coeffs.shape[2])
+        return np.einsum("ki,kij,kj->k", U, coeffs, V)
+
     scale = gp.scale
+    live, ok = np.ones((2,) + u.shape, dtype=bool)  # still iterating, not escaped
     for _ in range(25):
-        f1 = _bivar_eval(c, u, v)
-        f2 = _bivar_eval(cw, u, v)
-        j11, j12 = _bivar_eval(cz, u, v), f2
-        j21 = _bivar_eval(czw, u, v)
-        j22 = _bivar_eval(cww, u, v)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14 * scale * scale:
+        f1, f2, j11, j21, j22 = (value(k) for k in (c, cw, cz, czw, cww))
+        det = j11 * j22 - f2 * j21
+        live &= ~(np.abs(det) < 1e-14 * scale * scale)
+        if not live.any():
             break
-        du = (f1 * j22 - f2 * j12) / det
-        dv = (j11 * f2 - j21 * f1) / det
+        with np.errstate(all="ignore"):  # rows that stopped may divide by zero
+            du = np.where(live, (f1 * j22 - f2 * f2) / det, 0)
+            dv = np.where(live, (j11 * f2 - j21 * f1) / det, 0)
         u, v = u - du, v - dv
-        if abs(u) > 3 or abs(v) > 3:
-            return None
-        if abs(du) + abs(dv) < 1e-15 * (1 + abs(u) + abs(v)):
-            break
-    if abs(_bivar_eval(c, u, v)) > 1e-9 * scale or abs(_bivar_eval(cw, u, v)) > 1e-8 * scale:
-        return None
-    z = SpherePoint.from_projective(1.0, u) if rec_z else SpherePoint.from_projective(u, 1.0)
-    w = SpherePoint.from_projective(1.0, v) if rec_w else SpherePoint.from_projective(v, 1.0)
-    return z, w
+        escaped = live & ((np.abs(u) > 3) | (np.abs(v) > 3))
+        ok &= ~escaped
+        live &= ~escaped & ~(np.abs(du) + np.abs(dv) < 1e-15 * (1 + np.abs(u) + np.abs(v)))
+    ok &= (np.abs(value(c)) <= 1e-9 * scale) & (np.abs(value(cw)) <= 1e-8 * scale)
+    return u, v, ok
 
 
 def _confirmed_pairs(gp: GraphPolynomial, cluster_radius: float = 1e-5):
     """A1-type pairs (z0, w0): w0 a multiple point of the fiber over z0.
 
-    Candidates come from the discriminant; since their base coordinates are
-    only approximate, near-double fiber points are polished by Newton on
-    (B, dB/dw) before being accepted.
+    Candidates come from the discriminant, their fibers from one fiber_batch
+    call grouped by sphere.fiber_groups (a dead row is skipped).  They are
+    approximate, so one Newton on (B, dB/dw) polishes each multiple point (kept
+    as found if it fails) and the chart midpoint of each near-double pair
+    (dropped if it fails).
     """
     candidates = _branch_base_candidates(gp)
-    found = []
-    for group in greedy_groups(candidates, 1e-9):
-        z0 = candidates[group[0]]
-        try:
-            fib = gp.fiber(z0, cluster_radius)
-        except Exception:
+    bases = [candidates[g[0]] for g in greedy_groups(candidates, 1e-9)]
+    W1, W2 = gp.fiber_batch(*chart_pairs(*point_charts(bases)))
+    starts = []  # (z0, w0, multiplicity, kept when Newton fails)
+    for z0, row1, row2 in zip(bases, W1, W2):
+        if np.isnan(row1).any():
             continue
+        fib = [(q, len(members)) for q, members in fiber_groups(row1, row2, cluster_radius)]
         for idx, (w0, mult) in enumerate(fib):
             if mult >= 2:
-                found.append((_polish_branch_pair(gp, z0, w0) or (z0, w0), mult))
+                starts.append((z0, w0, mult, True))
                 continue
-            # near-double split by candidate error: polish and confirm
-            for w1, m1 in fib[idx + 1 :]:
-                if m1 == 1 and chordal_distance(w0, w1) < 5e-3:
-                    polished = _polish_branch_pair(gp, z0, _midpoint(w0, w1))
-                    if polished is not None:
-                        found.append((polished, 2))
+            # near-double split by candidate error: polish from the midpoint
+            for q, mq in fib[idx + 1 :]:
+                if mq == 1 and chordal_distance(w0, q) < 5e-3:
+                    mid = SpherePoint((w0.value + q.value) / 2.0, w0.chart) if w0.chart == q.chart else w0
+                    starts.append((z0, mid, 2, False))
+    (u, rz), (v, rw) = point_charts(s[0] for s in starts), point_charts(s[1] for s in starts)
+    u, v, ok = _polish_branch_pairs(gp, u, rz, v, rw)
+    (z1, z2), (w1, w2) = chart_pairs(u, rz), chart_pairs(v, rw)  # Newton may leave the disk
+    found = []
+    for k, (z0, w0, mult, keep) in enumerate(starts):
+        if ok[k]:
+            pair = SpherePoint.from_projective(z1[k], z2[k]), SpherePoint.from_projective(w1[k], w2[k])
+            found.append((pair, mult))
+        elif keep:
+            found.append(((z0, w0), mult))
     # one pair per group of pairs within 1e-7 in both coordinates
     groups = greedy_groups([pair for pair, _ in found], 1e-7, _pair_distance)
     return [found[g[0]] for g in groups]
@@ -513,12 +501,6 @@ def _confirmed_pairs(gp: GraphPolynomial, cluster_radius: float = 1e-5):
 
 def _pair_distance(p, q) -> float:
     return max(chordal_distance(p[0], q[0]), chordal_distance(p[1], q[1]))
-
-
-def _midpoint(p: SpherePoint, q: SpherePoint) -> SpherePoint:
-    if p.chart == q.chart:
-        return SpherePoint.from_projective((p.value + q.value) / 2.0, 1.0) if p.chart == "standard" else SpherePoint.from_projective(1.0, (p.value + q.value) / 2.0)
-    return p
 
 
 def ramification_pairs(C: Correspondence, side: int, degree_bound: int = 16):

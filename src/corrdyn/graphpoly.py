@@ -1,10 +1,11 @@
 """Bivariate graph polynomials B(z, w) and their fiber extraction.
 
 Coefficients are stored densely as a matrix coeffs[i, j] of z^i w^j.  Fibers
-are computed chart-aware: substituting a reciprocal-chart base point uses the
+are computed chart-aware, many base points at once (fiber_batch; the
+per-point fiber is one of its rows): a reciprocal-chart base point uses the
 z-homogenized coefficients, and degree drops of the specialized w-polynomial
-are compensated by roots at infinity, matching the closure of the affine
-graph in the product of two spheres.
+are roots at infinity, matching the closure of the affine graph in the
+product of two spheres.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiberDegenerate
-from .roots import projective_roots_batch, roots_with_clusters
-from .sphere import SpherePoint
+from .roots import projective_roots_batch
+from .sphere import SpherePoint, fiber_groups
 
 
 def _tight(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -41,8 +42,9 @@ def _powers(Z, m: int, ones) -> list:
 
 
 def _quadratic_fiber(cw: np.ndarray):
-    """(W1, W2, mag) of the normalized quadratics cw (..., 3): closed-form roots
-    and their max-moduli, a double degree drop as the root (1, 0) of modulus 1."""
+    """(W1, W2, mag) of the normalized quadratics cw (..., 3): closed-form roots and
+    their max-moduli.  A root pair near (0, 0) is (1, 0) at infinity when it is the
+    first (a double degree drop), (0, 1) when the second (a double root at 0)."""
     a, b, c = cw[..., 2], cw[..., 1], cw[..., 0]
     qq = np.sqrt(b * b - 4 * a * c)
     # align sqrt sign with b to avoid cancellation
@@ -53,9 +55,10 @@ def _quadratic_fiber(cw: np.ndarray):
     aq, aa, ac = np.abs(qq), np.abs(a), np.abs(c)
     mag = np.stack([np.maximum(aq, aa), np.maximum(ac, aq)], axis=-1)
     small = aq < 1e-14
-    if small.any():  # both components ~0 (double degree drop): root at infinity
-        tiny = np.stack([small & (aa < 1e-14), (ac < 1e-14) & small], axis=-1)
-        W1[tiny], W2[tiny], mag[tiny] = 1.0, 0.0, 1.0
+    if small.any():
+        drop, zero = small & (aa < 1e-14), (ac < 1e-14) & small
+        W1[drop, 0], W2[drop, 0], mag[drop, 0] = 1.0, 0.0, 1.0
+        W1[zero, 1], W2[zero, 1], mag[zero, 1] = 0.0, 1.0, 1.0
     return W1, W2, mag
 
 
@@ -122,18 +125,17 @@ class GraphPolynomial:
         return zp @ self.coeffs
 
     def fiber(self, p: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
-        """w-roots over p with multiplicity; degree drops become roots at inf.
+        """w-points over p with multiplicity; degree drops become points at inf.
 
-        Solved by roots_with_clusters, for ramification's branch pairs.  Raises
+        One row of fiber_batch, grouped within cluster_radius by the rule
+        Correspondence.forward uses (sphere.fiber_groups).  Raises
         FiberDegenerate when the specialized polynomial vanishes identically
         (a vertical line over p).
         """
-        z1, z2 = p.projective()
-        cw = self._w_coefficients(np.asarray(z1), np.asarray(z2))
-        if not np.any(cw):
+        W1, W2 = self.fiber_batch(*(np.array([c]) for c in p.projective()))
+        if np.isnan(W1).any():
             raise FiberDegenerate(f"graph polynomial vanishes identically over {p}")
-        clusters = roots_with_clusters(cw, cluster_radius)
-        return [(SpherePoint.from_complex(r), mult) for r, mult in clusters]
+        return [(q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)]
 
     # -- vectorized lane ----------------------------------------------------
 

@@ -8,7 +8,6 @@ gray levels, survivors in black, like a classical escape-time renderer.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -67,6 +66,17 @@ def _region_mask(region: RegionSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     return region.mask(z1, z2)
 
 
+def _frontier_images(d1: int, depth: int, frontier_cap: int) -> int:
+    """The images one pixel's frontier may make: the sum over steps s = 1..depth
+    of min(frontier_cap, d1^(s-1)) * d1.  A depth of 10^12 costs a few steps."""
+    total, branches = 0, 1
+    for s in range(depth):
+        if branches >= frontier_cap or d1 <= 1:  # every later step adds the same
+            return total + (depth - s) * min(branches, frontier_cap) * d1
+        total, branches = total + branches * d1, branches * d1
+    return total
+
+
 # Pixels whose branches one frontier step moves together (whole rows, at
 # least one).  Larger blocks cut per-call overhead but hold a larger
 # frontier: at 640 wide, 8,192 ran slower than 4,096 and peaked 2.8 MB higher.
@@ -81,7 +91,6 @@ def render_survival_set(
     height: int,
     depth: int = 18,
     frontier_cap: int = 64,
-    threads: int = 1,
     budget: int = 2 ** 30,
 ) -> RasterImage:
     """Mark pixels whose forward orbit admits a branch staying in the region.
@@ -92,12 +101,11 @@ def render_survival_set(
     leaving the region and deduplicated per pixel on a quarter-pixel grid;
     at most frontier_cap branches per pixel are kept (canonical order), so
     the render cost is linear in depth.  A pixel's branches do not depend on
-    the block it shares, and the thread pool maps over the fixed blocks in
-    order, so the image is identical for any thread count.  Raises
-    BudgetExceeded, before anything is allocated, when width x height x
-    max(depth, 1) x d1 (the branches one step makes of each) exceeds the budget.
+    the block it shares.  Raises BudgetExceeded, before anything is
+    allocated, when width x height x _frontier_images (at least one step)
+    exceeds the budget.
     """
-    if width * height * max(depth, 1) * C.d1 > budget:
+    if width * height * _frontier_images(C.d1, max(depth, 1), frontier_cap) > budget:
         images = f" with {C.d1} images a step" if C.d1 > 1 else ""
         raise BudgetExceeded(
             f"raster of {width}x{height} pixels to depth {depth}{images} exceeds budget {budget}"
@@ -147,12 +155,7 @@ def render_survival_set(
 
     rows = max(1, _BLOCK_PIXELS // width)
     blocks = [range(r, min(r + rows, height)) for r in range(0, height, rows)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(do_rows, blocks))
-    else:
-        results = [do_rows(b) for b in blocks]
-    depth_map = np.vstack(results)
+    depth_map = np.vstack([do_rows(b) for b in blocks])
 
     # grayscale: survivors black, immediate escapes white
     frac = np.clip(depth_map.astype(float) / depth, 0.0, 1.0) if depth else np.ones(depth_map.shape)

@@ -6,8 +6,9 @@ coefficient array's length fixes the nominal degree; top coefficients at or
 below DROP_TOL of the largest are a degree drop, and the dropped degree is a
 root at infinity.  roots_with_clusters solves one polynomial that way, then
 polishes and merges roots closer than cluster_radius into one at their
-centroid with summed multiplicity, for the one-polynomial solves (ramification,
-rational_preimages, critical_points); poly_roots adds a residual check.
+centroid with summed multiplicity, for the one-polynomial solves
+(rational_preimages, critical_points and ramification's discriminant, not
+graph fibers); poly_roots adds a residual check.
 """
 
 from __future__ import annotations

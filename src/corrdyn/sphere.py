@@ -235,6 +235,29 @@ def greedy_groups(items, tol: float, dist=chordal_distance) -> list[list[int]]:
     return groups
 
 
+def _centroid(points: list[SpherePoint]) -> SpherePoint:
+    """A group's point: itself when alone, infinity when it holds infinity, the
+    mean of the chart values when all lie in the reciprocal chart (so two large
+    opposite roots mean a point near infinity), else the mean of the plane values."""
+    if len(points) == 1:
+        return points[0]
+    if any(p.is_infinity for p in points):
+        return INF
+    if all(p.chart == RECIPROCAL for p in points):
+        return SpherePoint(sum(p.value for p in points) / len(points), RECIPROCAL)
+    return SpherePoint.from_complex(sum(p.to_complex() for p in points) / len(points))
+
+
+def fiber_groups(z1, z2, tol: float) -> list[tuple[SpherePoint, list[int]]]:
+    """The one rule that makes a fiber of homogeneous pairs (z1, z2) a multiset:
+    the points in sort_key order, in greedy chordal groups within tol, each
+    group as (its _centroid, the indices of its members)."""
+    points = [SpherePoint.from_projective(a, b) for a, b in zip(z1, z2)]
+    order = sorted(range(len(points)), key=lambda i: points[i].sort_key())
+    groups = greedy_groups([points[i] for i in order], tol)
+    return [(_centroid([points[order[i]] for i in g]), [order[i] for i in g]) for g in groups]
+
+
 def _sphere_charts(x, y, u):
     """Chart coordinates (values, reciprocal flags) of the unit vectors (x, y, u):
     the inverse stereographic embedding z = (x + i y)/(1 - u), divided as Python

@@ -3,7 +3,9 @@
 The kernel as it stood before the lean rewrite: the powers Z1^i and Z2^(m-i)
 taken afresh for every column and stacked, the row scale as np.max over the
 coefficient axis, and the quadratic roots stacked and masked through np.where
-copies.  Every value the shipped kernel returns must equal this one's float64
+copies (with the one correction made since: a second quadratic root whose
+pair is ~(0, 0) is a double root at 0, not a root at infinity).  Every value
+the shipped kernel returns must equal this one's float64
 bits, with NaN at the same entries (assert_same_bits), over bases that hold
 the signed zeros, infinities and NaN pairs where bits can part (kernel_bases).
 """
@@ -43,10 +45,11 @@ def fiber_batch(gp, Z1, Z2):
         qq = -(b + sq) / 2.0
         W1 = np.stack([qq, c], axis=-1)
         W2 = np.stack([a, qq], axis=-1)
-        # both components ~0 (double degree drop): root at infinity
+        # both components ~0: the first root is at infinity (a double degree
+        # drop), the second at 0 (a double root at 0)
         tiny = (np.abs(W1) < 1e-14) & (np.abs(W2) < 1e-14)
-        W1 = np.where(tiny, 1.0, W1)
-        W2 = np.where(tiny, 0.0, W2)
+        W1 = np.where(tiny, [1.0, 0.0], W1)
+        W2 = np.where(tiny, [0.0, 1.0], W2)
     else:
         W1, W2 = projective_roots_batch(np.where(dead[..., None], 0.0, cw).reshape(-1, n + 1))
         W1 = W1.reshape(cw.shape[:-1] + (n,))

@@ -1002,6 +1002,17 @@ def test_limitset_size_past_the_budget_is_one_error_line_in_a_real_run(tmp_path,
     assert "budget" in done.stderr and not (tmp_path / "out.ppm").exists()
 
 
+def test_limitset_frontier_cap_past_the_budget_is_one_error_line_in_a_real_run(tmp_path):
+    # the budget counts the branches the frontier may hold: at a cap of 10^12 the demo's
+    # frontier could double at each of 40 steps, 2^40 images a pixel in all
+    done = _run_child(["limitset", "--config", str(CONFIGS / "demo_limitset_fa4.json"),
+                       "--set", "frontier_cap=1000000000000", "--set", "depth=40",
+                       "--set", f"out={tmp_path / 'out.ppm'}"])
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert "budget" in done.stderr and not (tmp_path / "out.ppm").exists()
+
+
 @pytest.mark.parametrize(
     "command, config",
     [("orbit", None), ("entropy", "accept_c07_entropy_z2.json"),

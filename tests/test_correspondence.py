@@ -8,6 +8,7 @@ import pytest
 import object_lane_fibers
 import stacked_fiber_kernel
 
+from corrdyn import correspondence
 from corrdyn.config import read_correspondence_data
 from corrdyn.correspondence import (
     Correspondence,
@@ -338,6 +339,14 @@ def test_cubic_ramification_z_coords_in_critical_set():
     assert zs == [-1.0, 1.0, "inf"]
 
 
+def test_cube_ramification_holds_the_double_root_at_zero():
+    # over z = 0 the fiber of cov(z^3) is w^2 = 0: the pair (0, 0), with (inf, inf)
+    pairs = ramification_pairs(deleted_covering(polynomial_map([0, 0, 0, 1])), side=2)
+    assert [m for _, m in pairs] == [2, 2] and pairs[0][0] == (INF, INF)
+    z, w = pairs[1][0]
+    assert chordal_distance(z, pt(0)) < 1e-12 and chordal_distance(w, pt(0)) < 1e-12
+
+
 def test_family_inverse_critical_values():
     C = family_correspondence(4)
     vals = critical_values(C, side=1)
@@ -350,6 +359,43 @@ def test_ramification_reflection_for_symmetric_graphs():
     a1 = {(str(np.round(z.embed_r3(), 5)), str(np.round(w.embed_r3(), 5))) for (z, w), _ in ramification_pairs(C, side=1)}
     a2 = {(str(np.round(w.embed_r3(), 5)), str(np.round(z.embed_r3(), 5))) for (z, w), _ in ramification_pairs(C, side=2)}
     assert a1 == a2
+
+
+def test_ramification_skips_a_dead_fiber_row(monkeypatch):
+    # B = (z - 1)(w^2 - z) vanishes identically over z = 1 (a NaN row of fiber_batch);
+    # the branch pairs of w^2 = z are (0, 0) and (inf, inf)
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 2], c[0, 2], c[2, 0], c[1, 0] = 1, -1, -1, 1
+    gp = GraphPolynomial(c)
+    monkeypatch.setattr(correspondence, "_branch_base_candidates", lambda g: [INF, pt(1), pt(0)])
+    pairs = ramification_pairs(Correspondence(components=((gp, 1),)), side=1)
+    assert pairs == [((INF, INF), 2), ((pt(0), pt(0)), 2)]
+
+
+def test_forward_near_infinity_reports_the_residual_of_its_point():
+    # verify's sixth ramification map at rng_seed 0, on the transposed covering graph: over
+    # this discriminant root two fiber roots lie 3.7e-6 chordal from infinity on opposite
+    # sides of it, and their plane mean 0.79 + 0.44i is off the graph (residual 0.51)
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        R = random_rational_map(rng, int(rng.integers(3, 6)))
+    gp = cov_graph(R).transpose()
+    z0 = pt(-0.3158809237033299 - 0.1768964996104448j)
+    fr = Correspondence(components=((gp, 1),)).forward(z0, cluster_radius=1e-5)
+    (q, m), = [(q, m) for q, m in fr.points if m == 2]
+    assert gp.residual(z0, q) < 1e-9
+    for (q, m), r in zip(fr.points, fr.residuals):
+        assert r == pytest.approx(gp.residual(z0, q), rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("name", ["cov_degree_2", "cov_degree_3", "cov_degree_5"])
+def test_fiber_is_a_forward_row_grouped_by_the_same_rule(name):
+    C = ORACLE_CASES[name]
+    gp = C.single_graph()
+    rng = np.random.default_rng(29)
+    for z in [pt(0), INF] + [pt(complex(*rng.normal(size=2))) for _ in range(4)]:
+        for radius in (1e-6, 0.5):
+            assert gp.fiber(z, radius) == list(C.forward(z, radius).points)
 
 
 def test_discriminant_degenerate_for_multiple_component():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import object_lane_fibers
 import stacked_fiber_kernel
 
 from corrdyn.config import read_poly
@@ -166,7 +167,7 @@ def test_fiber_batch_matches_fiber(seed, deg_z, deg_w, drop, drop_row, zero_root
     assert W1.shape == W2.shape == (len(bases), gp.deg_w)
     for p, w1, w2 in zip(bases, W1, W2):
         want = _oracle_fiber(gp, p)
-        _assert_fiber_matches(gp.fiber(p), want)
+        _assert_fiber_matches(object_lane_fibers.fiber(gp, p), want)
         batch = [(SpherePoint.from_projective(a, b), 1) for a, b in zip(w1, w2)]
         _assert_fiber_matches(batch, want)
 
@@ -181,6 +182,15 @@ def test_fiber_batch_quadratic_sends_a_vanishing_root_to_infinity(b, first):
     assert W1[0, 0] == first and W2[0, 0] == 0
     # the second root, 1 / (-b), is at or near infinity
     assert W1[0, 1] == 1 and abs(W2[0, 1]) < 1e-13
+
+
+def test_fiber_batch_quadratic_keeps_a_double_root_at_zero():
+    # cov(z^3) is z^2 + z w + w^2: over z = 0 it is w^2, whose closed-form second root
+    # is the pair (0, 0); it is the double root 0, not a root at infinity
+    gp = cov_graph(polynomial_map([0, 0, 0, 1]))
+    W1, W2 = gp.fiber_batch(np.zeros(1, dtype=complex), np.ones(1, dtype=complex))
+    assert np.array_equal(W1, [[0, 0]]) and np.abs(W2).min() == 1
+    assert gp.fiber(SpherePoint.from_complex(0)) == [(SpherePoint.from_complex(0), 2)]
 
 
 def test_fiber_batch_dead_row_is_nan_without_a_warning():

@@ -191,6 +191,35 @@ def test_entropy_seeds_build_no_points():
     assert "math.cos" not in text and "math.sin" not in text
 
 
+def _silent_broad_handlers(tree: ast.Module) -> list[str]:
+    """`except Exception` and bare `except:` handlers whose body is only pass or continue."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or getattr(node.type, "id", None) in ("Exception", "BaseException"))
+        and all(isinstance(stmt, (ast.Pass, ast.Continue)) for stmt in node.body)
+    ]
+
+
+def test_no_error_is_swallowed():
+    # a broad handler that drops what it caught hides faults; verify's suites catch
+    # Exception too, but record the error as a failed witness
+    found = [f"{p.name}: {line}" for p in sorted(SRC.glob("*.py"))
+             for line in _silent_broad_handlers(ast.parse(p.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_silent_broad_handler_is_found():
+    tree = ast.parse(
+        "for x in y:\n    try:\n        f()\n    except Exception:\n        continue\n"
+        "try:\n    g()\nexcept:\n    pass\n"
+        "try:\n    h()\nexcept Exception as exc:\n    log(exc)\n"
+        "try:\n    k()\nexcept ValueError:\n    pass\n"
+    )
+    assert sorted(_silent_broad_handlers(tree)) == ["line 4", "line 8"]
+
+
 #: the modules where a config value is read (correspondence.py for the
 #: constructor's refusal of a poly without z or w); verify.run_suites also
 #: refuses an unknown suite name

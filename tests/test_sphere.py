@@ -15,6 +15,7 @@ from corrdyn.sphere import (
     chart_values,
     chordal_distance,
     embed_chart,
+    fiber_groups,
     fibonacci_net,
     greedy_groups,
     point_charts,
@@ -179,6 +180,23 @@ def test_greedy_groups_join_the_first_group_in_reach():
     # members are compared with the group's first item only, not its last
     assert greedy_groups([0, 0.3, 0.6], 0.35, dist) == [[0, 1], [2]]
     assert greedy_groups([pt(1), pt(1 + 1e-10), INF], 1e-9) == [[0, 1], [2]]
+
+
+def test_fiber_groups_take_each_group_mean_in_its_chart():
+    # 5e5 and -5e5 + 1j lie 4e-6 chordal apart, on opposite sides of infinity: their
+    # group's point is the mean of their reciprocal values, near infinity, not the
+    # plane mean 0.5j; groups come in sort_key order, members as indices
+    z1 = np.array([5e5, -5e5 + 1j, 0.5, 0.5 + 1e-8, 0], dtype=complex)
+    groups = fiber_groups(z1, np.ones(5, dtype=complex), 1e-5)
+    assert [sorted(m) for _, m in groups] == [[0, 1], [4], [2, 3]]
+    (far, _), (zero, _), (half, _) = groups
+    assert far.chart == RECIPROCAL and far.value == (1 / 5e5 + 1 / (-5e5 + 1j)) / 2
+    assert chordal_distance(far, INF) < 1e-11
+    assert zero == SpherePoint(0j)  # alone: the point as solved
+    assert half == pt((0.5 + (0.5 + 1e-8)) / 2)  # the plane mean in the standard chart
+    # a group that holds infinity is infinity
+    (point, members), = fiber_groups(np.ones(2, dtype=complex), np.array([0, 1e-9], dtype=complex), 1e-5)
+    assert point == INF and sorted(members) == [0, 1]
 
 
 # -- seed nets as chart arrays, bit for bit ---------------------------------------

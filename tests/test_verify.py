@@ -3,9 +3,19 @@ import pytest
 from corrdyn import verify
 
 
-@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda f: f.__name__.removeprefix("suite_"))
-def test_suite_passes_at_seed_zero(suite):
-    result = suite(0)
+def _name(suite):
+    return suite.__name__.removeprefix("suite_")
+
+
+# every suite at rng_seed 0, and ramification (whose candidates sit near fiber
+# roots at infinity) at rng_seed 1 to 7 as well
+@pytest.mark.parametrize(
+    "suite, rng_seed",
+    [(s, 0) for s in verify.ALL_SUITES] + [(verify.suite_ramification, k) for k in range(1, 8)],
+    ids=[_name(s) for s in verify.ALL_SUITES] + [f"ramification-rng_seed{k}" for k in range(1, 8)],
+)
+def test_suite_passes_at_seed_zero(suite, rng_seed):
+    result = suite(rng_seed)
     assert result["passed"], result.get("witnesses")
 
 
