@@ -261,18 +261,18 @@ def is_on_graph(C: Correspondence, z: SpherePoint, w: SpherePoint, tol: float = 
     return res < tol, res
 
 
-def tree_size(roots: int, d: int, depth: int, budget: int, every_level: bool = False) -> int:
-    """Nodes at level `depth` (at levels 0..depth with every_level) of a tree
-    with `roots` roots and d children per node, or budget + 1 once that
-    passes the budget: a depth of 10^12 costs at most log2(budget) steps."""
+def tree_size(roots: int, d: int, depth: int, budget: int) -> int:
+    """Nodes at levels 0..depth of a tree with `roots` roots and d children per
+    node, or budget + 1 once that passes the budget: a depth of 10^12 costs at
+    most log2(budget) steps."""
     if d <= 1 or not roots:
-        return min(roots * (depth + 1 if every_level else 1), budget + 1)
+        return min(roots * (depth + 1), budget + 1)
     level = total = roots
     for _ in range(depth):
         if total > budget:
             break
         level *= d
-        total = total + level if every_level else level
+        total += level
     return min(total, budget + 1)
 
 
@@ -414,8 +414,7 @@ def _branch_base_candidates(gp: GraphPolynomial) -> list[SpherePoint]:
     poly = ComplexPolynomial(coeffs).trimmed(1e-9)
     cands: list[SpherePoint] = [INF]
     if not poly.is_zero and poly.degree >= 1:
-        for r, _ in roots_with_clusters(poly.coefficients, cluster_radius=1e-5):
-            cands.append(SpherePoint.from_complex(r))
+        cands += [r for r, _ in roots_with_clusters(poly.coefficients, cluster_radius=1e-5)]
     return cands
 
 

@@ -146,7 +146,7 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
     the budget.
     """
     seeds = list(seeds)
-    if tree_size(len(seeds), max(1, C.d1), n, budget, every_level=True) > budget:
+    if tree_size(len(seeds), max(1, C.d1), n, budget) > budget:
         raise BudgetExceeded(
             f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
         )
@@ -485,7 +485,7 @@ def _plan_seeds(count: int, d1: int, n_max: int, budget: int):
     past int64 indices, raises BudgetExceeded."""
     if not count < 2 ** 63:  # also inf and nan
         raise BudgetExceeded(f"a seed net of {count} points is past int64 seed indices")
-    per_seed = tree_size(1, d1, n_max, budget, every_level=True)
+    per_seed = tree_size(1, d1, n_max, budget)
     if per_seed > budget:
         raise BudgetExceeded(f"one seed's tree to depth {n_max} exceeds budget {budget}")
     max_seeds = budget // per_seed

@@ -225,9 +225,6 @@ class RegionSpec:
             inside = ((w - self.point) * np.conj(self.normal)).real > 0
         return inside & finite
 
-    def contains(self, p: SpherePoint) -> bool:
-        return bool(self.mask(*(np.array([c]) for c in p.projective()))[0])
-
     def to_json(self) -> dict:
         if self.kind == "disk":
             return {

@@ -8,8 +8,6 @@ a counter-based RNG (reproducible and order-independent).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -82,18 +80,6 @@ class WeightedCloud:
         lines = (f"{v.real!r},{v.imag!r},{chart},{wt!r}" for v, chart, wt in self._rows())
         return "\n".join(["re,im,chart,weight", *lines]) + "\n"
 
-    @staticmethod
-    def from_csv(text: str, generation: int = 0, provenance=None) -> "WeightedCloud":
-        rows = list(csv.reader(io.StringIO(text)))[1:]
-        if any(chart not in (STANDARD, RECIPROCAL) for _, _, chart, _ in rows):
-            raise ValueError("cloud CSV chart must be standard or reciprocal")
-        return WeightedCloud.from_atoms(
-            ((SpherePoint(complex(float(re_), float(im_)), chart), float(wt))
-             for re_, im_, chart, wt in rows),
-            generation,
-            provenance,
-        )
-
 
 def _merge_atoms(z1, z2, weights, generation: int = 0, provenance=None) -> WeightedCloud:
     """Cloud of the points z1/z2, summing the weights of atoms within ATOM_MERGE_TOL.
@@ -142,7 +128,7 @@ def pullback_dirac_tree_levels(
     if ns and ns[0] < 0:
         raise ValueError("generations must be nonnegative")
     n_max = ns[-1] if ns else 0
-    if tree_size(1, max(C.d1, C.d2), n_max, budget, every_level=True) > budget:
+    if tree_size(1, max(C.d1, C.d2), n_max, budget) > budget:
         raise BudgetExceeded(f"preimage tree at depth {n_max} exceeds budget {budget}")
     prov = _provenance(C, z0, "full_tree", None)
     out = {}
@@ -384,7 +370,7 @@ def metric_entropy_estimate(
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     n_atoms = cloud.weights.size
-    if tree_size(n_atoms, C.d1, N_max - 1, budget, every_level=True) > budget:
+    if tree_size(n_atoms, C.d1, N_max - 1, budget) > budget:
         raise BudgetExceeded(f"orbits of {n_atoms} atoms to depth {N_max - 1} exceed budget {budget}")
     labels = np.empty((n_atoms, N_max), dtype=np.int64)
     cur1, cur2 = cloud.projective()

@@ -47,10 +47,6 @@ class ComplexPolynomial:
     def is_zero(self) -> bool:
         return self.degree == NEG_INF
 
-    @property
-    def leading(self) -> complex:
-        return complex(self.coefficients[-1])
-
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
         z = np.asarray(z, dtype=complex)

@@ -38,15 +38,6 @@ class RasterImage:
         header = f"P6\n{self.width} {self.height}\n255\n".encode()
         return header + self.pixels.tobytes()
 
-    @staticmethod
-    def from_ppm(data: bytes) -> "RasterImage":
-        parts = data.split(b"\n", 3)
-        if parts[0] != b"P6":
-            raise ValueError("not a binary PPM")
-        w, h = (int(t) for t in parts[1].split())
-        px = np.frombuffer(parts[3], dtype=np.uint8)[: w * h * 3].reshape(h, w, 3)
-        return RasterImage(w, h, px.copy())
-
 
 @dataclass(frozen=True)
 class Viewport:
@@ -105,10 +96,11 @@ def render_survival_set(
     allocated, when width x height x _frontier_images (at least one step)
     exceeds the budget.
     """
-    if width * height * _frontier_images(C.d1, max(depth, 1), frontier_cap) > budget:
-        images = f" with {C.d1} images a step" if C.d1 > 1 else ""
+    images = width * height * _frontier_images(C.d1, max(depth, 1), frontier_cap)
+    if images > budget:
         raise BudgetExceeded(
-            f"raster of {width}x{height} pixels to depth {depth}{images} exceeds budget {budget}"
+            f"raster of {width}x{height} pixels to depth {depth} at frontier_cap {frontier_cap} "
+            f"makes {images} images, past budget {budget}"
         )
     xs = viewport.re_min + (np.arange(width) + 0.5) * (viewport.re_max - viewport.re_min) / width
     ys = viewport.im_min + (np.arange(height) + 0.5) * (viewport.im_max - viewport.im_min) / height

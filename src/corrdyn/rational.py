@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DegreeTooLow, Indeterminate
 from .polynomials import ComplexPolynomial
 from .roots import poly_roots, roots_with_clusters
-from .sphere import INF, SpherePoint, chordal_from_complex
+from .sphere import INF, SpherePoint, chordal_distance
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,8 @@ class RationalMap:
             rd = [r for r, _ in roots_with_clusters(den.coefficients)]
             for a in rn:
                 for b in rd:
-                    if chordal_from_complex(a, b) < 1e-10:
-                        raise Indeterminate(
-                            f"numerator and denominator share a root near {a:.6g}"
-                        )
+                    if chordal_distance(a, b) < 1e-10:
+                        raise Indeterminate(f"numerator and denominator share a root near {a}")
 
     @property
     def degree(self) -> int:

@@ -4,11 +4,11 @@ projective_roots_batch is the one root finder: companion-matrix eigenvalues,
 in the chart where each root lies in the unit disk, polished by Newton.  A
 coefficient array's length fixes the nominal degree; top coefficients at or
 below DROP_TOL of the largest are a degree drop, and the dropped degree is a
-root at infinity.  roots_with_clusters solves one polynomial that way, then
-polishes and merges roots closer than cluster_radius into one at their
-centroid with summed multiplicity, for the one-polynomial solves
-(rational_preimages, critical_points and ramification's discriminant, not
-graph fibers); poly_roots adds a residual check.
+root at infinity.  roots_with_clusters solves one polynomial as one row of
+it and groups the row by sphere.fiber_groups, the rule that makes a fiber a
+multiset, for the one-polynomial solves (rational_preimages,
+critical_points and ramification's discriminant); poly_roots adds a
+residual check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonConvergence, ZeroPolynomial
 from .polynomials import ComplexPolynomial
-from .sphere import SpherePoint, chordal_from_complex, greedy_groups
+from .sphere import RECIPROCAL, SpherePoint, chordal_distance, fiber_groups
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 
@@ -25,40 +25,14 @@ DEFAULT_CLUSTER_RADIUS = 1e-6
 DROP_TOL = 1e-11
 
 
-def _projective_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|p(z)| / max(1, |z|)^deg, bounded for arbitrarily large roots."""
-    inside = np.abs(z) <= 1.0
-    out = np.empty(z.shape, dtype=float)
-    out[inside] = np.abs(np.polyval(coeffs[::-1], z[inside]))
-    zo = z[~inside]
-    if zo.size:
-        out[~inside] = np.abs(np.polyval(coeffs, 1.0 / zo))
-    return out
-
-
-def _polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    dp = (np.arange(1, coeffs.size) * coeffs[1:])[::-1]
-    p = coeffs[::-1]
-    z = roots.copy()
-    for _ in range(sweeps):
-        pv = np.polyval(p, z)
-        dv = np.polyval(dp, z)
-        with np.errstate(all="ignore"):
-            step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0.0)
-        step = np.where(np.abs(step) < 1.0, step, 0.0)  # reject wild Newton steps
-        z = z - step
-    return z
-
-
 def roots_with_clusters(
     coefficients, cluster_radius: float = DEFAULT_CLUSTER_RADIUS
-) -> list[tuple[complex, int]]:
-    """All roots of the ascending coefficients, as (centroid, multiplicity).
+) -> list[tuple[SpherePoint, int]]:
+    """All roots of the ascending coefficients, as (SpherePoint, multiplicity).
 
-    The array's length fixes the nominal degree: a degree drop (top
-    coefficients at or below DROP_TOL of the largest) comes last, as one
-    cluster (inf, drop).  Clustering is chordal so near-infinite roots merge
-    sensibly too.
+    One row of projective_roots_batch over the whole array, whose length fixes
+    the nominal degree (a degree drop is a root at infinity), made a multiset
+    by sphere.fiber_groups within cluster_radius, as a fiber is.
     """
     coeffs = np.atleast_1d(np.asarray(coefficients, dtype=complex))
     scale = np.max(np.abs(coeffs))
@@ -66,19 +40,8 @@ def roots_with_clusters(
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if not np.isfinite(scale):
         raise NonConvergence("polynomial coefficients must be finite", partial=[])
-    coeffs = coeffs / scale  # max-normalized, as projective_roots_batch expects
-    k = int(np.nonzero(np.abs(coeffs) > DROP_TOL)[0][-1])  # degree after the drop
-    W1, W2 = projective_roots_batch(coeffs[None, : k + 1])
-    raw = _polish(coeffs[: k + 1], W1[0] / W2[0])
-    # greedy chordal clustering in a deterministic order
-    raw = raw[np.lexsort((raw.imag, raw.real))]
-    out = []
-    for group in greedy_groups(raw, cluster_radius, chordal_from_complex):
-        cl = raw[group]
-        out.append((complex(np.mean(cl)) if len(cl) > 1 else complex(cl[0]), len(cl)))
-    if k < coeffs.size - 1:
-        out.append((complex(np.inf), coeffs.size - 1 - k))
-    return out
+    W1, W2 = projective_roots_batch(coeffs[None] / scale)
+    return [(q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)]
 
 
 def projective_roots_batch(coeffs: np.ndarray):
@@ -120,9 +83,9 @@ def _roots_of_degree(c: np.ndarray):
     P = np.where(inside[..., None], c[:, None, :], c[:, None, ::-1])
     p, dp = _horner(P, t)
     for _ in range(3):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # a step off a double root (dp = 0) may blow up
             t1 = t - p / dp
-        p1, dp1 = _horner(P, t1)
+            p1, dp1 = _horner(P, t1)
         better = np.abs(p1) < np.abs(p)  # False on NaN: a failed step is dropped
         t = np.where(better, t1, t)
         p = np.where(better, p1, p)
@@ -145,38 +108,35 @@ def _horner(P: np.ndarray, t: np.ndarray):
 def poly_roots(
     p: ComplexPolynomial | np.ndarray, cluster_radius: float = DEFAULT_CLUSTER_RADIUS
 ) -> list[tuple[SpherePoint, int]]:
-    """Roots of p with multiplicity, as sphere points.
+    """Roots of p with multiplicity, as sphere points (roots_with_clusters).
 
     p is a ComplexPolynomial or an ascending coefficient array, whose length
-    fixes the nominal degree (see roots_with_clusters); a degree drop is
-    returned last as a root at infinity.  Raises ZeroPolynomial for p
-    identically zero and NonConvergence when a simple finite root fails the
-    residual check.
+    fixes the nominal degree; a degree drop is a root at infinity.  Raises
+    ZeroPolynomial for p identically zero and NonConvergence when a simple
+    finite root fails the residual check.
     """
     coeffs = p.coefficients if isinstance(p, ComplexPolynomial) else np.asarray(p, dtype=complex)
     clusters = roots_with_clusters(coeffs, cluster_radius)
-    finite = [(r, m) for r, m in clusters if np.isfinite(r)]
     # residual contract for simple finite roots, on the polynomial left after
-    # the degree drop; evaluated scale-free (coefficients max-normalized, the
-    # reversed polynomial used beyond the unit disk) so far roots are not
-    # penalized by |z|^deg roundoff amplification
-    cn = coeffs[: 1 + sum(m for _, m in finite)]
-    cn = cn / np.max(np.abs(cn))
+    # the degree drop; evaluated scale-free (coefficients max-normalized, and
+    # z^-deg p(z) in the reciprocal chart) so far roots are not penalized by
+    # |z|^deg roundoff amplification
+    cn = coeffs / np.max(np.abs(coeffs))
+    cn = cn[: 1 + np.nonzero(np.abs(cn) > DROP_TOL)[0][-1]]
     bad = []
-    for root, mult in finite:
-        if mult != 1:
+    for root, mult in clusters:
+        if mult != 1 or root.is_infinity:
             continue
         # nearly-multiple roots (just outside the cluster radius) get slack
         near_other = any(
-            o_root != root and chordal_from_complex(root, o_root) < 10 * cluster_radius
-            for o_root, _ in finite
+            q != root and chordal_distance(root, q) < 10 * cluster_radius for q, _ in clusters
         )
-        res = float(_projective_residuals(cn, np.array([root]))[0]) / (1.0 + abs(cn[-1]))
+        chart_poly = cn if root.chart == RECIPROCAL else cn[::-1]
+        res = abs(np.polyval(chart_poly, root.value)) / (1.0 + abs(cn[-1]))
         if not np.isfinite(res) or res > (1e-6 if near_other else 1e-8):
             bad.append((root, res))
-    result = [(SpherePoint.from_complex(r), m) for r, m in clusters]
     if bad:
         raise NonConvergence(
-            f"{len(bad)} root(s) failed the residual check", partial=result
+            f"{len(bad)} root(s) failed the residual check", partial=clusters
         )
-    return result
+    return clusters

@@ -134,10 +134,6 @@ def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
     return num / den
 
 
-def chordal_from_complex(z: complex, w: complex) -> float:
-    return chordal_distance(SpherePoint.from_complex(z), SpherePoint.from_complex(w))
-
-
 def embed_projective(z1, z2):
     """Stereographic embedding of homogeneous pairs, shape (..., 3).
 

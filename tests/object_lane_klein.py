@@ -1,9 +1,9 @@
 """Reference Klein pair check, one SpherePoint at a time, kept as the oracle
 for corrdyn.families.klein_pair_check.
 
-Each sample is tested with RegionSpec.contains, mapped by mobius_apply or by
-Correspondence.forward (its clustered support), and the covering check
-measures punctures with chordal_distance.
+Each sample is tested with api_helpers.contains (RegionSpec.mask on one
+pair), mapped by mobius_apply or by Correspondence.forward (its clustered
+support), and the covering check measures punctures with chordal_distance.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from corrdyn.correspondence import Correspondence
 from corrdyn.errors import BadParameter
 from corrdyn.rational import MobiusMap, mobius_apply
 from corrdyn.sphere import SpherePoint, chordal_distance
+from api_helpers import contains
 from per_point_net import uniform_sphere_points
 
 
@@ -29,8 +30,8 @@ def sample_hits(obj, region, pts):
     """Yield (p, its images inside region) for every sample p inside region
     that has such an image, in sample order, with no cap on their number."""
     for p in pts:
-        if region.contains(p):
-            images = [img for img in _apply_object(obj, p) if region.contains(img)]
+        if contains(region, p):
+            images = [img for img in _apply_object(obj, p) if contains(region, img)]
             if images:
                 yield p, images
 
@@ -77,7 +78,7 @@ def klein_pair_check(
     for p in uniform_sphere_points(n_samples, rng):
         if any(chordal_distance(p, q) < puncture_radius for q in punct):
             continue
-        if not (delta1.contains(p) or delta2.contains(p)):
+        if not (contains(delta1, p) or contains(delta2, p)):
             if len(report["covering_misses"]) < 16:
                 report["covering_misses"].append({"point": p.embed_r3()})
     report["passed"] = not (

@@ -215,7 +215,7 @@ def _fixed_point_multiplicities(C, z):
     return [
         m
         for root, m in roots_with_clusters(diag, cluster_radius=1e-5)
-        if chordal_distance(pt(root), z) <= 1e-7
+        if chordal_distance(root, z) <= 1e-7
     ]
 
 

@@ -19,10 +19,10 @@ from corrdyn.cli import main
 from corrdyn.config import build_correspondence, point, read_poly
 from corrdyn.correspondence import Correspondence
 from corrdyn.graphpoly import identity_graph, mobius_graph
-from corrdyn.measures import WeightedCloud
 from corrdyn.rational import MobiusMap
 from corrdyn.raster import RasterImage
 from corrdyn.sphere import SpherePoint
+from api_helpers import cloud_from_csv, raster_from_ppm
 from object_lane_orbits import enumerate_orbits as oracle_orbits
 from per_point_net import fibonacci_sphere_points
 
@@ -175,7 +175,7 @@ def test_equidist_writes_clouds_and_distances(tmp_path):
     )
     assert main(["equidist", "--config", str(cfg)]) == 0
     csv_text = (tmp_path / "eq_seed0_n4.csv").read_text()
-    cloud = WeightedCloud.from_csv(csv_text)
+    cloud = cloud_from_csv(csv_text)
     assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
     sidecar = json.loads((tmp_path / "eq_seed0_n4.json").read_text())
     assert sidecar["method"] == "full_tree"
@@ -205,7 +205,7 @@ def test_limitset_unit_circle(tmp_path):
         )
     )
     assert main(["limitset", "--config", str(cfg)]) == 0
-    img = RasterImage.from_ppm(out.read_bytes())
+    img = raster_from_ppm(out.read_bytes())
     marked = img.pixels[:, :, 0] == 0
     ys, xs = np.nonzero(marked)
     re = -1.6 + (xs + 0.5) * 3.2 / width
@@ -254,7 +254,7 @@ def test_ppm_round_trip(tmp_path):
     px = np.zeros((3, 5, 3), dtype=np.uint8)
     px[1, 2] = (7, 8, 9)
     img = RasterImage(5, 3, px)
-    back = RasterImage.from_ppm(img.to_ppm())
+    back = raster_from_ppm(img.to_ppm())
     assert np.array_equal(img.pixels, back.pixels)
 
 
@@ -335,7 +335,7 @@ def test_limitset_on_quartic_covering(tmp_path):
         "out": str(out),
     }
     assert _run_config(tmp_path, "limitset", cfg) == 0
-    assert RasterImage.from_ppm(out.read_bytes()).width == 24
+    assert raster_from_ppm(out.read_bytes()).width == 24
 
 
 def test_equidist_on_quartic_covering(tmp_path):
@@ -347,7 +347,7 @@ def test_equidist_on_quartic_covering(tmp_path):
         "out_prefix": str(tmp_path / "eq"),
     }
     assert _run_config(tmp_path, "equidist", cfg) == 0
-    cloud = WeightedCloud.from_csv((tmp_path / "eq_seed0_n2.csv").read_text())
+    cloud = cloud_from_csv((tmp_path / "eq_seed0_n2.csv").read_text())
     assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
     assert len(json.loads((tmp_path / "eq_distances.json").read_text())) == 1
 
@@ -491,7 +491,7 @@ def test_limitset_depth_zero_renders_without_warnings(tmp_path, capsys):
         warnings.simplefilter("error")
         assert _run_config(tmp_path, "limitset", cfg) == 0
     assert capsys.readouterr().err == ""
-    assert not RasterImage.from_ppm(out.read_bytes()).pixels.any()
+    assert not raster_from_ppm(out.read_bytes()).pixels.any()
 
 
 def test_equidist_runs_the_largest_rng_seed(tmp_path, capsys):
@@ -1004,13 +1004,16 @@ def test_limitset_size_past_the_budget_is_one_error_line_in_a_real_run(tmp_path,
 
 def test_limitset_frontier_cap_past_the_budget_is_one_error_line_in_a_real_run(tmp_path):
     # the budget counts the branches the frontier may hold: at a cap of 10^12 the demo's
-    # frontier could double at each of 40 steps, 2^40 images a pixel in all
+    # 320 x 320 frontiers could double at each of 40 steps, 2^41 - 2 images a pixel in
+    # all, and the message gives that count, not 320 x 320 x 40 x 2
     done = _run_child(["limitset", "--config", str(CONFIGS / "demo_limitset_fa4.json"),
                        "--set", "frontier_cap=1000000000000", "--set", "depth=40",
                        "--set", f"out={tmp_path / 'out.ppm'}"])
     assert done.returncode == 1
-    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
-    assert "budget" in done.stderr and not (tmp_path / "out.ppm").exists()
+    assert done.stderr == (
+        "error: raster of 320x320 pixels to depth 40 at frontier_cap 1000000000000 makes "
+        f"{320 * 320 * (2 ** 41 - 2)} images, past budget {2 ** 30}\n")
+    assert not (tmp_path / "out.ppm").exists()
 
 
 @pytest.mark.parametrize(
@@ -1052,7 +1055,8 @@ def test_limitset_budget_key_bounds_pixels_times_depth(tmp_path, capsys):
             "--set", f"out={tmp_path / 'out.ppm'}"]
     assert main(args + ["--set", "budget=358399"]) == 1
     assert capsys.readouterr().err == (
-        "error: raster of 160x160 pixels to depth 14 exceeds budget 358399\n")
+        "error: raster of 160x160 pixels to depth 14 at frontier_cap 64 makes 358400 images, "
+        "past budget 358399\n")
     assert main(args + ["--set", "budget=358400"]) == 0
 
 
@@ -1062,8 +1066,10 @@ def test_limitset_budget_counts_every_image_of_a_step(tmp_path, capsys):
             "--set", "height=4", "--set", "depth=1", "--set", f"out={tmp_path / 'out.ppm'}"]
     assert main(args + ["--set", "budget=31"]) == 1
     assert capsys.readouterr().err == (
-        "error: raster of 4x4 pixels to depth 1 with 2 images a step exceeds budget 31\n")
+        "error: raster of 4x4 pixels to depth 1 at frontier_cap 64 makes 32 images, "
+        "past budget 31\n")
     assert main(args + ["--set", "budget=32"]) == 0
+
 
 
 @pytest.mark.parametrize(

@@ -456,12 +456,10 @@ def test_tree_size_stops_past_the_budget():
     for roots, d, depth in itertools.product((0, 1, 3), (1, 2, 5), (0, 1, 4)):
         last = roots * d ** depth
         every = roots * sum(d ** ell for ell in range(depth + 1))
-        for budget in (1, last - 1, last, every, 10 ** 6):
-            assert tree_size(roots, d, depth, budget) == min(last, budget + 1)
-            assert tree_size(roots, d, depth, budget, every_level=True) == min(every, budget + 1)
+        for budget in (1, last - 1, last, every - 1, every, 10 ** 6):
+            assert tree_size(roots, d, depth, budget) == min(every, budget + 1)
     # a trillion levels cost a few steps, for any width
     start = time.monotonic()
-    for d, every_level in ((2, False), (2, True), (1, True)):
-        assert tree_size(1, d, 10 ** 12, 2 ** 20, every_level=every_level) == 2 ** 20 + 1
-    assert tree_size(1, 1, 10 ** 12, 2 ** 20) == 1
+    for d in (2, 1):
+        assert tree_size(1, d, 10 ** 12, 2 ** 20) == 2 ** 20 + 1
     assert time.monotonic() - start < 0.5

@@ -35,6 +35,7 @@ from corrdyn.roots import roots_with_clusters
 from corrdyn.sampling import random_involution, random_points, random_rational_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance, uniform_sphere_charts
 import object_lane_klein
+from api_helpers import contains
 
 
 def pt(z):
@@ -203,7 +204,7 @@ def test_double_fixed_point_of_the_family():
         for j in range(n + 1):
             diag[i + j] += gp.coeffs[i, j]
     clusters = roots_with_clusters(diag, cluster_radius=1e-5)
-    at_one = [mult for root, mult in clusters if abs(root - 1) < 1e-5]
+    at_one = [mult for root, mult in clusters if chordal_distance(root, pt(1)) < 1e-5]
     assert at_one == [2]
 
 
@@ -270,14 +271,14 @@ def test_exceptional_pair_is_backward_absorbing():
 
 def test_region_membership():
     disk = RegionSpec("disk", center=0j, radius=1.0)
-    assert disk.contains(pt(0.5)) and not disk.contains(pt(2))
+    assert contains(disk, pt(0.5)) and not contains(disk, pt(2))
     hp = RegionSpec("half_plane", point=1 + 0j, normal=-1 + 0j)  # Re z < 1
-    assert hp.contains(pt(0)) and not hp.contains(pt(2))
+    assert contains(hp, pt(0)) and not contains(hp, pt(2))
     comp = RegionSpec("complement", of=disk)
-    assert comp.contains(pt(2)) and not comp.contains(pt(0.5))
-    assert comp.contains(SpherePoint.infinity())
+    assert contains(comp, pt(2)) and not contains(comp, pt(0.5))
+    assert contains(comp, SpherePoint.infinity())
     rt = read_region(comp.to_json())
-    assert rt.contains(pt(2)) and not rt.contains(pt(0.5))
+    assert contains(rt, pt(2)) and not contains(rt, pt(0.5))
     with pytest.raises(BadParameter):
         RegionSpec("disk", radius=-1)
 
@@ -296,7 +297,7 @@ def test_region_contains_is_its_mask(region):
     points = random_points(np.random.default_rng(4), 300, scale=3.0) + [pt(0), INF]
     z1, z2 = (np.array(c) for c in zip(*(p.projective() for p in points)))
     mask = region.mask(z1, z2)
-    assert [region.contains(p) for p in points] == mask.tolist()
+    assert [contains(region, p) for p in points] == mask.tolist()
     assert np.array_equal(_region_mask(region, z1, z2), mask)
     assert 0 < mask.sum() < len(points)
 
@@ -306,10 +307,10 @@ def test_half_plane_has_no_point_past_1e15():
     far = pt(1e16)
     for region in REGIONS:
         if region.kind == "half_plane":
-            assert not region.contains(far)
-            assert RegionSpec("complement", of=region).contains(far)
+            assert not contains(region, far)
+            assert contains(RegionSpec("complement", of=region), far)
     right = RegionSpec("half_plane", point=0j, normal=1 + 0j)
-    assert not right.contains(far) and right.contains(pt(1e14))
+    assert not contains(right, far) and contains(right, pt(1e14))
 
 
 @pytest.mark.parametrize("region", REGIONS + [RegionSpec("complement", of=r) for r in REGIONS[:3]], ids=[

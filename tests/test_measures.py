@@ -31,6 +31,7 @@ from corrdyn.measures import (
 )
 from corrdyn.rational import polynomial_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance
+from api_helpers import cloud_from_csv
 from difference_tensor_energy import energy_distance as oracle_energy_distance
 from difference_tensor_energy import stratified_subsample as oracle_subsample
 import object_lane_clouds
@@ -279,7 +280,7 @@ def test_energy_distance_of_shuffled_csv_clouds_matches_oracle(f4):
     for seed in (pt(0.3 + 0.2j), pt(-3)):
         header, *rows = pullback_dirac_tree(f4, seed, 9).to_csv().splitlines()
         rng.shuffle(rows)
-        clouds.append(WeightedCloud.from_csv("\n".join([header, *rows]) + "\n"))
+        clouds.append(cloud_from_csv("\n".join([header, *rows]) + "\n"))
     assert energy_distance(*clouds) == oracle_energy_distance(*clouds)
 
 
@@ -431,7 +432,7 @@ def test_cloud_csv_round_trip(f4):
     cloud = pullback_dirac_tree(f4, pt(0.3 + 0.2j), 6)
     text = cloud.to_csv()
     assert text.splitlines()[0] == "re,im,chart,weight"
-    back = WeightedCloud.from_csv(text)
+    back = cloud_from_csv(text)
     assert len(back.atoms) == len(cloud.atoms)
     for (p, w), (q, v) in zip(cloud.atoms, back.atoms):
         assert p == q and w == v

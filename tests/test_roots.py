@@ -1,9 +1,14 @@
+import cmath
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import object_lane_fibers
 from corrdyn.errors import NonConvergence, ZeroPolynomial
 from corrdyn.polynomials import ComplexPolynomial, poly_from_roots
-from corrdyn.roots import poly_roots
+from corrdyn.roots import poly_roots, roots_with_clusters
 from corrdyn.sphere import chordal_distance, SpherePoint
 
 
@@ -62,7 +67,7 @@ def test_degree_drop_is_a_root_at_infinity(top, at_inf):
     found = poly_roots(np.array([2, -1, top]))
     assert sum(m for _, m in found) == 2
     assert sum(m for p, m in found if p.is_infinity) == at_inf
-    assert abs(found[0][0].to_complex() - 2) < 1e-9
+    assert min(abs(p.to_complex() - 2) for p, _ in found if not p.is_infinity) < 1e-9
 
 
 def test_random_recovery_in_disk_of_radius_five():
@@ -86,7 +91,7 @@ def test_residual_contract_simple_roots():
     p = poly_from_roots([0.5, -2.0, 1j]) * 3.7
     for pt, m in poly_roots(p):
         if m == 1:
-            assert abs(p(pt.to_complex())) / (1 + abs(p.leading)) < 1e-8
+            assert abs(p(pt.to_complex())) / (1 + abs(p.coefficients[-1])) < 1e-8
 
 
 def test_cluster_radius_merging():
@@ -103,3 +108,61 @@ def test_degree_count_with_multiplicity():
     assert sum(m for _, m in found) == 4
     mults = sorted(m for _, m in found)
     assert mults == [1, 3]
+
+
+def test_two_far_roots_cluster_at_infinity():
+    # +-3e5 lie 1.3e-5 apart chordally, both within 7e-6 of inf: the group's
+    # point is the mean of their reciprocal-chart values, not the plane mean 0
+    found = poly_roots(poly_from_roots([3e5, -3e5]), cluster_radius=1e-4)
+    assert [(p.is_infinity, m) for p, m in found] == [(True, 2)]
+
+
+def test_a_degree_drop_is_a_group_of_its_own():
+    found = roots_with_clusters([2, -1, 0])
+    assert sorted((p.is_infinity, m) for p, m in found) == [(False, 1), (True, 1)]
+    (two,) = [p for p, _ in found if not p.is_infinity]
+    assert abs(two.to_complex() - 2) < 1e-12
+
+
+def test_a_failed_newton_step_warns_nothing():
+    # a near double root makes dp exactly 0 in a Newton step of the batch
+    # solver; the step is dropped without a numpy RuntimeWarning on stderr
+    roots = [2.4495085713036344 + 0.27583613675989327j, 2.449508575181733 + 0.2758361389676547j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = roots_with_clusters(poly_from_roots(roots).coefficients)
+    assert [m for _, m in found] == [2]
+
+
+def _same_roots(got, want, tol):
+    """got and want, (SpherePoint, multiplicity) lists, are the same multiset
+    of points within tol chordal."""
+    assert sorted(m for _, m in got) == sorted(m for _, m in want)
+    left = list(got)
+    for q, m in want:
+        k = min((i for i, (p, mp) in enumerate(left) if mp == m),
+                key=lambda i: chordal_distance(left[i][0], q))
+        assert chordal_distance(left.pop(k)[0], q) <= tol
+
+
+# roots on a 0.3 grid in the square of side 3.6, so separated roots stay 0.3 apart
+_grid_roots = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                       min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_roots, st.sampled_from(["separated", "near_double", "degree_drop"]),
+       st.floats(1e-3, 1e-2), st.floats(0.0, 2 * np.pi), st.integers(1, 2),
+       st.sampled_from([0.0, 1e-13]), st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+def test_roots_with_clusters_matches_the_frozen_solve(grid, kind, gap, angle, drop, top, lead):
+    # the oracle is the solve before it was a batch row: its polish and plane
+    # means agree with the grouped row on roots that are simple at the default
+    # cluster radius, a near double 1e-3 to 1e-2 apart included, and on drops
+    roots = [0.3 * complex(a, b) for a, b in grid]
+    if kind == "near_double":
+        roots.append(roots[0] + gap * cmath.exp(1j * angle))
+    coeffs = lead * poly_from_roots(roots).coefficients
+    if kind == "degree_drop":
+        coeffs = np.concatenate([coeffs, np.full(drop, top * np.max(np.abs(coeffs)))])
+    want = [(SpherePoint.from_complex(r), m) for r, m in object_lane_fibers.solve(coeffs)]
+    _same_roots(roots_with_clusters(coeffs), want, 1e-9)

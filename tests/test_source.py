@@ -71,6 +71,22 @@ def test_no_dead_definitions():
     assert dead == []
 
 
+def test_no_test_only_definitions():
+    # a definition only tests use belongs in tests/; the names corrdyn exports
+    # are its public API, which the acceptance criteria use from outside
+    paths = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    exported = {alias.asname or alias.name for node in ast.walk(trees[SRC / "__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    test_only = [
+        f"{p.name}: {name}"
+        for p in sorted(SRC.glob("*.py"))
+        for name in _dead_definitions(trees[p], list(trees.values()))
+        if name.split(" ")[0] not in exported
+    ]
+    assert test_only == []
+
+
 def test_dead_definition_is_found():
     defining = ast.parse(
         "def used():\n    pass\n"

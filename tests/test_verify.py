@@ -7,12 +7,19 @@ def _name(suite):
     return suite.__name__.removeprefix("suite_")
 
 
-# every suite at rng_seed 0, and ramification (whose candidates sit near fiber
-# roots at infinity) at rng_seed 1 to 7 as well
+# every suite at rng_seed 0, and at rng_seed 1 to 7 as well the suites that solve
+# one polynomial: ramification (whose candidates sit near fiber roots at
+# infinity), root recovery and the Riemann-Hurwitz count
+_ROOT_SUITES = [(verify.suite_ramification, "ramification"),
+                (verify.suite_root_recovery, "root_recovery"),
+                (verify.suite_riemann_hurwitz, "riemann_hurwitz_count")]
+
+
 @pytest.mark.parametrize(
     "suite, rng_seed",
-    [(s, 0) for s in verify.ALL_SUITES] + [(verify.suite_ramification, k) for k in range(1, 8)],
-    ids=[_name(s) for s in verify.ALL_SUITES] + [f"ramification-rng_seed{k}" for k in range(1, 8)],
+    [(s, 0) for s in verify.ALL_SUITES] + [(s, k) for s, _ in _ROOT_SUITES for k in range(1, 8)],
+    ids=[_name(s) for s in verify.ALL_SUITES]
+    + [f"{name}-rng_seed{k}" for _, name in _ROOT_SUITES for k in range(1, 8)],
 )
 def test_suite_passes_at_seed_zero(suite, rng_seed):
     result = suite(rng_seed)
