@@ -105,7 +105,11 @@ def cmd_entropy(cfg: Section) -> int:
 
 
 def cmd_equidist(cfg: Section) -> int:
-    """Pullback clouds from one or more seeds, plus an energy-distance table."""
+    """Pullback clouds from one or more seeds, plus an energy-distance table.
+
+    Each cloud's JSON sidecar records its seed point, the correspondence spec
+    as read, the method, rng_seed (null for full_tree) and its generation.
+    """
     out_prefix = cfg.field("out_prefix", string)
     spec = cfg.field("correspondence")
     seeds = cfg.field("seeds", list_of, item=point)
@@ -135,10 +139,16 @@ def cmd_equidist(cfg: Section) -> int:
                 n: pullback_dirac_mc(C, seed, n, n_paths, rng_seed, budget)
                 for n in generations
             }
+        provenance = {
+            "seed_point": [seed.value.real, seed.value.imag, seed.chart],
+            "correspondence": spec,
+            "method": method,
+            "rng_seed": rng_seed if method == "monte_carlo" else None,
+        }
         for n, cloud in levels.items():
             base = f"{out_prefix}_seed{si}_n{n}"
             write_text(base + ".csv", cloud.to_csv())
-            write_json(base + ".json", {**cloud.provenance, "generation": n})
+            write_json(base + ".json", {**provenance, "generation": n})
             clouds[(si, n)] = cloud
     table = [
         {"n": n, "seed_i": i, "seed_j": j,
@@ -172,7 +182,7 @@ def cmd_limitset(cfg: Section) -> int:
     make_parent(out)
     img = render_survival_set(C, region, viewport, **render_args)
     write_bytes(out, img.to_ppm())
-    print(f"raster {img.width}x{img.height} depth={img.metadata['depth']} -> {out}")
+    print(f"raster {img.width}x{img.height} depth={render_args['depth']} -> {out}")
     return 0
 
 

@@ -117,7 +117,6 @@ class Correspondence:
 
     components: tuple = ()
     chain: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         if bool(self.components) == bool(self.chain):
@@ -152,14 +151,8 @@ class Correspondence:
     def transpose(self) -> "Correspondence":
         """The inverse correspondence (graph reflected in the diagonal)."""
         if self.is_direct:
-            return Correspondence(
-                components=tuple((gp.transpose(), n) for gp, n in self.components),
-                name=self.name + "^-1" if self.name else "",
-            )
-        return Correspondence(
-            chain=tuple(c.transpose() for c in reversed(self.chain)),
-            name=self.name + "^-1" if self.name else "",
-        )
+            return Correspondence(components=[(gp.transpose(), n) for gp, n in self.components])
+        return Correspondence(chain=tuple(c.transpose() for c in reversed(self.chain)))
 
     def single_graph(self) -> GraphPolynomial:
         if not (self.is_direct and len(self.components) == 1):
@@ -280,19 +273,19 @@ def tree_size(roots: int, d: int, depth: int, budget: int) -> int:
 # constructors
 # ---------------------------------------------------------------------------
 
-def deleted_covering(R: RationalMap, name: str = "") -> Correspondence:
-    return Correspondence(components=((cov_graph(R), 1),), name=name or "cov")
+def deleted_covering(R: RationalMap) -> Correspondence:
+    return Correspondence(components=((cov_graph(R), 1),))
 
 
-def mobius_correspondence(M: MobiusMap, name: str = "") -> Correspondence:
-    return Correspondence(components=((mobius_graph(M), 1),), name=name or "mobius")
+def mobius_correspondence(M: MobiusMap) -> Correspondence:
+    return Correspondence(components=((mobius_graph(M), 1),))
 
 
 def identity_correspondence() -> Correspondence:
-    return Correspondence(components=((identity_graph(), 1),), name="identity")
+    return Correspondence(components=((identity_graph(), 1),))
 
 
-def map_graph(R: RationalMap, backward: bool = False, name: str = "") -> Correspondence:
+def map_graph(R: RationalMap, backward: bool = False) -> Correspondence:
     """Graph-of-map correspondence of R.
 
     Forward orientation has bidegree (1 : deg R); the backward orientation
@@ -307,7 +300,7 @@ def map_graph(R: RationalMap, backward: bool = False, name: str = "") -> Corresp
     gp = GraphPolynomial(c)  # q(z) w - p(z)
     if backward:
         gp = gp.transpose()
-    return Correspondence(components=((gp, 1),), name=name or "graph")
+    return Correspondence(components=((gp, 1),))
 
 
 def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:

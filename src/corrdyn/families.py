@@ -67,14 +67,14 @@ def family_correspondence(a) -> Correspondence:
     """The (2:2) correspondence j_a after the deleted covering of z^3 - 3z."""
     av = _param(a)
     return compose(
-        mobius_correspondence(family_involution(av), name=f"j[{av:g}]"),
-        deleted_covering(CUBIC_CHEBYSHEV, name="cov3"),
+        mobius_correspondence(family_involution(av)),
+        deleted_covering(CUBIC_CHEBYSHEV),
     )
 
 
 def composed_covering_pair(R: RationalMap, S: RationalMap) -> Correspondence:
     """Composition cov(R) o cov(S), the covering factor of S applied first."""
-    return compose(deleted_covering(R, name="covR"), deleted_covering(S, name="covS"))
+    return compose(deleted_covering(R), deleted_covering(S))
 
 
 def exceptional_seeds(a) -> list[complex]:

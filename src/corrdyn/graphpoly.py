@@ -107,10 +107,6 @@ class GraphPolynomial:
         nw = np.sqrt(np.abs(w1) ** 2 + np.abs(w2) ** 2)
         return np.abs(self.eval_homogeneous(z1 / nz, z2 / nz, w1 / nw, w2 / nw)) / self.scale
 
-    def residual(self, p: SpherePoint, q: SpherePoint) -> float:
-        """Scaled homogeneous residual |B(p, q)| / max|coeff| in [0, large)."""
-        return float(self.residuals(*p.projective(), *q.projective()))
-
     def _w_coefficients(self, Z1, Z2) -> np.ndarray:
         """Specialized w-coefficients over homogeneous base pairs, shape (..., deg_w + 1).
 

@@ -9,7 +9,7 @@ a counter-based RNG (reproducible and order-independent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +39,14 @@ class WeightedCloud:
     values: np.ndarray
     reciprocal: np.ndarray
     weights: np.ndarray
-    generation: int = 0
-    provenance: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_atoms(atoms, generation: int = 0, provenance=None) -> "WeightedCloud":
+    def from_atoms(atoms) -> "WeightedCloud":
         """Cloud of (SpherePoint, weight) pairs, in their order."""
         atoms = tuple(atoms)
         values, reciprocal = point_charts(p for p, _ in atoms)
         weights = np.array([w for _, w in atoms], dtype=float)
-        return WeightedCloud(values, reciprocal, weights, generation, provenance or {})
+        return WeightedCloud(values, reciprocal, weights)
 
     def _rows(self):
         """(value, chart name, weight) per atom, as Python scalars."""
@@ -81,7 +79,7 @@ class WeightedCloud:
         return "\n".join(["re,im,chart,weight", *lines]) + "\n"
 
 
-def _merge_atoms(z1, z2, weights, generation: int = 0, provenance=None) -> WeightedCloud:
+def _merge_atoms(z1, z2, weights) -> WeightedCloud:
     """Cloud of the points z1/z2, summing the weights of atoms within ATOM_MERGE_TOL.
 
     Atoms are sorted by their sphere embedding (the sort_key order) and
@@ -98,7 +96,7 @@ def _merge_atoms(z1, z2, weights, generation: int = 0, provenance=None) -> Weigh
     groups = np.argsort(first)
     keep = order[first[groups]]
     sums = np.bincount(inverse, weights[order])[groups]
-    return WeightedCloud(values[keep], reciprocal[keep], sums, generation, provenance or {})
+    return WeightedCloud(values[keep], reciprocal[keep], sums)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +128,9 @@ def pullback_dirac_tree_levels(
     n_max = ns[-1] if ns else 0
     if tree_size(1, max(C.d1, C.d2), n_max, budget) > budget:
         raise BudgetExceeded(f"preimage tree at depth {n_max} exceeds budget {budget}")
-    prov = _provenance(C, z0, "full_tree", None)
     out = {}
     if 0 in ns:
-        out[0] = WeightedCloud.from_atoms(((z0, 1.0),), 0, dict(prov))
+        out[0] = WeightedCloud.from_atoms(((z0, 1.0),))
     CT = C.transpose()
     a, b = z0.projective()
     z1 = np.array([a], dtype=complex)
@@ -144,7 +141,7 @@ def pullback_dirac_tree_levels(
             raise FiberDegenerate(f"degenerate fiber at level {step - 1}")
         z1, z2 = W1.ravel(), W2.ravel()
         if step in ns:
-            out[step] = _merge_atoms(z1, z2, np.full(z1.size, 1.0 / z1.size), step, dict(prov))
+            out[step] = _merge_atoms(z1, z2, np.full(z1.size, 1.0 / z1.size))
     return out
 
 
@@ -169,9 +166,8 @@ def pullback_dirac_mc(
     if n_paths * max(n, C.d2) > budget:
         raise BudgetExceeded(
             f"{n_paths} walks of {n} steps over {C.d2} preimages exceed budget {budget}")
-    prov = _provenance(C, z0, "monte_carlo", rng_seed)
     if n == 0:
-        return WeightedCloud.from_atoms(((z0, 1.0),), 0, prov)
+        return WeightedCloud.from_atoms(((z0, 1.0),))
     CT = C.transpose()
     # per-path choice tables from counter-based streams
     choices = np.empty((n_paths, n), dtype=np.int64)
@@ -187,23 +183,14 @@ def pullback_dirac_mc(
             raise FiberDegenerate(f"degenerate fiber at step {step} of a walk")
         pick = choices[:, step]
         z1, z2 = W1[rows, pick], W2[rows, pick]
-    return _merge_atoms(z1, z2, np.full(n_paths, 1.0 / n_paths), n, prov)
-
-
-def _provenance(C: Correspondence, z0: SpherePoint, method: str, rng_seed) -> dict:
-    return {
-        "seed_point": [z0.value.real, z0.value.imag, z0.chart],
-        "correspondence": C.name or "correspondence",
-        "method": method,
-        "rng_seed": rng_seed,
-    }
+    return _merge_atoms(z1, z2, np.full(n_paths, 1.0 / n_paths))
 
 
 def pushforward_mobius(cloud: WeightedCloud, M: MobiusMap) -> WeightedCloud:
     """Image cloud under a Moebius map; weights unchanged."""
     z1, z2 = cloud.projective()
     values, reciprocal = chart_values(M.a * z1 + M.b * z2, M.c * z1 + M.d * z2)
-    return WeightedCloud(values, reciprocal, cloud.weights, cloud.generation, dict(cloud.provenance))
+    return WeightedCloud(values, reciprocal, cloud.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +290,7 @@ def brolin_cloud(
             break
     if collapsed == 3:
         raise ExceptionalStart(f"seed {z0} is exceptional for backward iteration")
-    cloud = pullback_dirac_mc(map_graph(f, name="map"), z0, n, n_paths, rng_seed)
-    return replace(cloud, provenance={**cloud.provenance, "correspondence": "rational-map-backward"})
+    return pullback_dirac_mc(map_graph(f), z0, n, n_paths, rng_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ gray levels, survivors in black, like a classical escape-time renderer.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,12 +19,11 @@ from .families import RegionSpec
 
 @dataclass(frozen=True)
 class RasterImage:
-    """8-bit RGB image with viewport metadata."""
+    """8-bit RGB image."""
 
     width: int
     height: int
     pixels: np.ndarray  # (height, width, 3) uint8
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -152,11 +151,4 @@ def render_survival_set(
     # grayscale: survivors black, immediate escapes white
     frac = np.clip(depth_map.astype(float) / depth, 0.0, 1.0) if depth else np.ones(depth_map.shape)
     gray = np.round(255.0 * (1.0 - frac)).astype(np.uint8)
-    pixels = np.stack([gray, gray, gray], axis=-1)
-    meta = {
-        "chart": "standard",
-        "viewport": viewport.to_json(),
-        "depth": depth,
-        "frontier_cap": frontier_cap,
-    }
-    return RasterImage(width, height, pixels, meta)
+    return RasterImage(width, height, np.stack([gray, gray, gray], axis=-1))

@@ -144,20 +144,11 @@ class MobiusMap:
         object.__setattr__(self, "c", complex(self.c / s))
         object.__setattr__(self, "d", complex(self.d / s))
 
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1, 0, 0, 1)
-
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other."""
-        m = self.matrix() @ other.matrix()
-        return MobiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def mobius_apply(M: MobiusMap, p: SpherePoint) -> SpherePoint:

@@ -17,8 +17,6 @@ import numpy as np
 STANDARD = "standard"
 RECIPROCAL = "reciprocal"
 
-#: invariant slack for the |value| <= 1 normalization
-CHART_SLACK = 1e-9
 #: longitude step of the Fibonacci lattice
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -28,7 +26,7 @@ class SpherePoint:
     """Immutable point of the Riemann sphere.
 
     value : complex
-        Chart coordinate, |value| <= 1 + slack after normalization.
+        Chart coordinate, |value| <= 1 after normalization.
     chart : str
         "standard" (value is z) or "reciprocal" (value is 1/z).
     """

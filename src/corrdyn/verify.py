@@ -33,8 +33,8 @@ from .sampling import random_complex, random_involution, random_points, random_r
 from .sphere import SpherePoint, chordal_distance, embed_projective, uniform_sphere_charts
 
 
-def _result(name, passed, witnesses=None, info=None):
-    out = {"name": name, "passed": bool(passed)}
+def _result(passed, witnesses=None, info=None):
+    out = {"passed": bool(passed)}
     if witnesses:
         out["witnesses"] = witnesses[:8]
     if info is not None:
@@ -54,7 +54,7 @@ def suite_chordal_metric(rng_seed: int) -> dict:
         if abs(q2.value) != float("inf"):
             if abs(chordal_distance(p, q) - chordal_distance(p, q2)) > 1e-12:
                 bad.append([str(p), str(q), "chart swap"])
-    return _result("chordal_metric", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_root_recovery(rng_seed: int) -> dict:
@@ -77,7 +77,7 @@ def suite_root_recovery(rng_seed: int) -> dict:
         err = max(abs(a - b) for a, b in zip(got, want))
         if err > 1e-7:
             bad.append({"roots": [str(r) for r in roots], "err": err})
-    return _result("root_recovery", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_riemann_hurwitz(rng_seed: int) -> dict:
@@ -90,7 +90,7 @@ def suite_riemann_hurwitz(rng_seed: int) -> dict:
         total = sum(m for _, m in critical_points(R))
         if total != 2 * deg - 2:
             bad.append({"deg": deg, "total": total})
-    return _result("riemann_hurwitz_count", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_involution_square(rng_seed: int) -> dict:
@@ -104,7 +104,7 @@ def suite_involution_square(rng_seed: int) -> dict:
             q = mobius_apply(J, mobius_apply(J, p))
             if chordal_distance(p, q) > 1e-10:
                 bad.append({"point": str(p), "err": chordal_distance(p, q)})
-    return _result("involution_square", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_covering_symmetry(rng_seed: int) -> dict:
@@ -120,7 +120,7 @@ def suite_covering_symmetry(rng_seed: int) -> dict:
                 back = C.forward(w).support()
                 if min(chordal_distance(z, b) for b in back) > 1e-8:
                     bad.append({"z": str(z), "w": str(w)})
-    return _result("covering_symmetry", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_branch_invariant(rng_seed: int) -> dict:
@@ -136,7 +136,7 @@ def suite_branch_invariant(rng_seed: int) -> dict:
             for w, _m in C.forward(z).points:
                 if chordal_distance(rational_eval(R, w), rz) > 1e-7:
                     bad.append({"z": str(z), "w": str(w)})
-    return _result("branch_invariant", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_bidegree(rng_seed: int) -> dict:
@@ -153,7 +153,7 @@ def suite_bidegree(rng_seed: int) -> dict:
             tot = C.forward(z).total_multiplicity
             if tot != (dr - 1) * (ds - 1):
                 bad.append({"degs": [dr, ds], "got": tot})
-    return _result("composition_bidegree", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_closedness_surrogate(rng_seed: int) -> dict:
@@ -176,7 +176,7 @@ def suite_closedness_surrogate(rng_seed: int) -> dict:
         for w in C.forward(zb).support():
             gaps.append(min(chordal_distance(w, u) for u in img_i))
     q = float(np.quantile(gaps, 0.98))
-    return _result("closedness_surrogate", q < 0.05, info={"gap_q98": q})
+    return _result(q < 0.05, info={"gap_q98": q})
 
 
 def suite_ramification(rng_seed: int) -> dict:
@@ -195,7 +195,7 @@ def suite_ramification(rng_seed: int) -> dict:
         for (z0, w0), _m in pairs:
             if min(chordal_distance(z0, c) for c in crit) > 1e-6:
                 bad.append({"deg": deg, "z0": str(z0)})
-    return _result("ramification_in_critical_set", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_dictionary_roundtrip(rng_seed: int) -> dict:
@@ -207,7 +207,7 @@ def suite_dictionary_roundtrip(rng_seed: int) -> dict:
         J2 = quadratic_to_involution(involution_to_quadratic(J))
         if not mobius_projectively_equal(J, J2, 1e-9):
             bad.append({"J": str(J.matrix().tolist())})
-    return _result("dictionary_roundtrip", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_fixed_infinity_dichotomy(rng_seed: int) -> dict:
@@ -227,7 +227,7 @@ def suite_fixed_infinity_dichotomy(rng_seed: int) -> dict:
         is_poly = int(R.denominator.degree) == 0
         if fixes_inf != is_poly:
             bad.append({"J": str(J.matrix().tolist()), "fixes_inf": fixes_inf})
-    return _result("fixed_infinity_dichotomy", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_family_fixed_fiber(rng_seed: int) -> dict:
@@ -242,7 +242,7 @@ def suite_family_fixed_fiber(rng_seed: int) -> dict:
                 bad.append({"a": a, "missing": str(w)})
         if C.d1 != 2 or C.d2 != 2:
             bad.append({"a": a, "bidegree": [C.d1, C.d2]})
-    return _result("family_fixed_fiber", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_conjugacy(rng_seed: int) -> dict:
@@ -264,7 +264,7 @@ def suite_conjugacy(rng_seed: int) -> dict:
             )
             if len(left) != len(right) or err > 1e-7:
                 bad.append({"a": a, "z": str(z), "err": err})
-    return _result("family_conjugacy", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_mass_conservation(rng_seed: int) -> dict:
@@ -277,7 +277,7 @@ def suite_mass_conservation(rng_seed: int) -> dict:
             cloud = pullback_dirac_tree(C, z, n)
             if abs(cloud.total_mass - 1.0) > 1e-12:
                 bad.append({"z": str(z), "n": n, "mass": cloud.total_mass})
-    return _result("pullback_mass", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_mu_plus_consistency(rng_seed: int) -> dict:
@@ -294,7 +294,7 @@ def suite_mu_plus_consistency(rng_seed: int) -> dict:
         best = min((chordal_distance(p, q), abs(w - v)) for q, v in targets)
         if best[0] > 1e-8 or best[1] > 1e-9:
             bad.append({"atom": str(p), "gap": best[0]})
-    return _result("pushforward_conjugacy", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_invariance_inequality(rng_seed: int) -> dict:
@@ -315,7 +315,7 @@ def suite_invariance_inequality(rng_seed: int) -> dict:
         mass_pre = weights[hits].sum()
         if mass_pre < mass_a - 0.02:
             bad.append({"cell": int(cell), "mass_a": mass_a, "mass_pre": mass_pre})
-    return _result("invariance_inequality", not bad, bad)
+    return _result(not bad, bad)
 
 
 def suite_separation_monotonicity(rng_seed: int) -> dict:
@@ -332,7 +332,7 @@ def suite_separation_monotonicity(rng_seed: int) -> dict:
         if rows and kt < rows[-1][1]:
             bad.append({"eps": eps, "kt": kt, "prev": rows[-1][1]})
         rows.append([eps, kt, ds])
-    return _result("separation_monotonicity", not bad, bad, info={"counts": rows})
+    return _result(not bad, bad, info={"counts": rows})
 
 
 def suite_estimator_determinism(rng_seed: int) -> dict:
@@ -344,39 +344,39 @@ def suite_estimator_determinism(rng_seed: int) -> dict:
     r1 = entropy_estimate(C, prot)
     r2 = entropy_estimate(C, prot)
     same = all(r1[v].to_json() == r2[v].to_json() for v in ("KT", "DS"))
-    return _result("estimator_determinism", same)
+    return _result(same)
 
 
-ALL_SUITES = [
-    suite_chordal_metric,
-    suite_root_recovery,
-    suite_riemann_hurwitz,
-    suite_involution_square,
-    suite_covering_symmetry,
-    suite_branch_invariant,
-    suite_bidegree,
-    suite_closedness_surrogate,
-    suite_ramification,
-    suite_dictionary_roundtrip,
-    suite_fixed_infinity_dichotomy,
-    suite_family_fixed_fiber,
-    suite_conjugacy,
-    suite_mass_conservation,
-    suite_mu_plus_consistency,
-    suite_invariance_inequality,
-    suite_separation_monotonicity,
-    suite_estimator_determinism,
-]
+# each suite under the one name that selects it and that its result prints
+SUITES = {
+    "chordal_metric": suite_chordal_metric,
+    "root_recovery": suite_root_recovery,
+    "riemann_hurwitz_count": suite_riemann_hurwitz,
+    "involution_square": suite_involution_square,
+    "covering_symmetry": suite_covering_symmetry,
+    "branch_invariant": suite_branch_invariant,
+    "composition_bidegree": suite_bidegree,
+    "closedness_surrogate": suite_closedness_surrogate,
+    "ramification_in_critical_set": suite_ramification,
+    "dictionary_roundtrip": suite_dictionary_roundtrip,
+    "fixed_infinity_dichotomy": suite_fixed_infinity_dichotomy,
+    "family_fixed_fiber": suite_family_fixed_fiber,
+    "family_conjugacy": suite_conjugacy,
+    "pullback_mass": suite_mass_conservation,
+    "pushforward_conjugacy": suite_mu_plus_consistency,
+    "invariance_inequality": suite_invariance_inequality,
+    "separation_monotonicity": suite_separation_monotonicity,
+    "estimator_determinism": suite_estimator_determinism,
+}
 
 
 def run_suites(names=None, rng_seed: int = 0) -> dict:
     """Run the requested suites (all by default); returns the full report."""
-    available = {f.__name__.removeprefix("suite_"): f for f in ALL_SUITES}
-    chosen = list(available) if names in (None, "all") else list(names)
-    unknown = [n for n in chosen if not (isinstance(n, str) and n in available)]
+    chosen = list(SUITES) if names in (None, "all") else list(names)
+    unknown = [n for n in chosen if not (isinstance(n, str) and n in SUITES)]
     if unknown:
         raise UsageError(f"unknown suite(s): {unknown}")
-    results = [available[n](rng_seed) for n in chosen]
+    results = [{"name": n, **SUITES[n](rng_seed)} for n in chosen]
     return {
         "rng_seed": rng_seed,
         "results": results,

@@ -16,6 +16,7 @@ cluster_radius at the plane mean, and the degree drop last as (inf, drop).
 
 import numpy as np
 
+from api_helpers import point_residual
 from corrdyn.correspondence import Correspondence, FiberResult
 from corrdyn.errors import FiberDegenerate
 from corrdyn.graphpoly import GraphPolynomial
@@ -87,7 +88,7 @@ def forward(C: Correspondence, z: SpherePoint, cluster_radius: float = 1e-6) -> 
         items = []
         for gp, n in C.components:
             for w, m in fiber(gp, z, cluster_radius):
-                items.append((w, n * m, gp.residual(z, w)))
+                items.append((w, n * m, point_residual(gp, z, w)))
         return _merge_weighted(items)
     frontier = [(z, 1, 0.0)]
     for c in reversed(C.chain):

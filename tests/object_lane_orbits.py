@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from api_helpers import point_residual
 from corrdyn.correspondence import Correspondence
 from corrdyn.entropy import DEDUP_TOL
 from corrdyn.errors import BudgetExceeded
@@ -76,7 +77,7 @@ def _component_of(C: Correspondence, z: SpherePoint, w: SpherePoint) -> int:
         return 0
     best, best_res = 0, math.inf
     for idx, (gp, _n) in enumerate(C.components):
-        r = gp.residual(z, w)
+        r = point_residual(gp, z, w)
         if r < best_res:
             best, best_res = idx, r
     return best

@@ -62,10 +62,4 @@ def render_rows(C, region, viewport, width, height, depth=18, frontier_cap=64) -
         depth_map[row] = reached
     frac = np.clip(depth_map.astype(float) / depth, 0.0, 1.0)
     gray = np.round(255.0 * (1.0 - frac)).astype(np.uint8)
-    meta = {
-        "chart": "standard",
-        "viewport": viewport.to_json(),
-        "depth": depth,
-        "frontier_cap": frontier_cap,
-    }
-    return RasterImage(width, height, np.stack([gray, gray, gray], axis=-1), meta)
+    return RasterImage(width, height, np.stack([gray, gray, gray], axis=-1))

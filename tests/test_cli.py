@@ -352,6 +352,30 @@ def test_equidist_on_quartic_covering(tmp_path):
     assert len(json.loads((tmp_path / "eq_distances.json").read_text())) == 1
 
 
+@pytest.mark.parametrize("spec", [{"kind": "family_a", "a": 4}, QUARTIC_COV], ids=["family_a", "covering"])
+@pytest.mark.parametrize("method, rng_seed", [("full_tree", None), ("monte_carlo", 7)])
+def test_equidist_sidecar_records_the_spec_it_read(tmp_path, spec, method, rng_seed):
+    cfg = {
+        "correspondence": spec,
+        "seeds": [[0.3, 0.2], "inf"],
+        "generations": [0, 2],
+        "method": method,
+        "out_prefix": str(tmp_path / "eq"),
+    }
+    if method == "monte_carlo":
+        cfg.update(n_paths=50, rng_seed=rng_seed)
+    assert _run_config(tmp_path, "equidist", cfg) == 0
+    for i, seed_point in enumerate([[0.3, 0.2, "standard"], [0.0, 0.0, "reciprocal"]]):
+        for n in (0, 2):
+            assert json.loads((tmp_path / f"eq_seed{i}_n{n}.json").read_text()) == {
+                "correspondence": spec,
+                "generation": n,
+                "method": method,
+                "rng_seed": rng_seed,
+                "seed_point": seed_point,
+            }
+
+
 @pytest.mark.parametrize(
     "override",
     [

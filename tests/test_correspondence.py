@@ -7,6 +7,7 @@ import pytest
 
 import object_lane_fibers
 import stacked_fiber_kernel
+from api_helpers import mobius_compose, point_residual
 
 from corrdyn import correspondence
 from corrdyn.config import read_correspondence_data
@@ -290,7 +291,7 @@ def test_compose_graph_poly_mobius_pair():
     M1 = MobiusMap(2, 1, 0, 1)
     M2 = MobiusMap(1, -1j, 1, 1)
     gp = compose_graph_poly(mobius_correspondence(M1), mobius_correspondence(M2))
-    comp = M1.compose(M2)
+    comp = mobius_compose(M1, M2)
     want = np.zeros((2, 2), dtype=complex)
     want[0, 0], want[1, 0] = -comp.b, -comp.a
     want[0, 1], want[1, 1] = comp.d, comp.c
@@ -306,7 +307,7 @@ def test_compose_graph_poly_agrees_with_chain():
     for _ in range(30):
         z = pt(complex(rng.normal(), rng.normal()))
         for w, _ in C.forward(z).points:
-            assert gp.residual(z, w) < 1e-6
+            assert point_residual(gp, z, w) < 1e-6
 
 
 def test_compose_graph_poly_cubic_pair_bidegree():
@@ -383,9 +384,9 @@ def test_forward_near_infinity_reports_the_residual_of_its_point():
     z0 = pt(-0.3158809237033299 - 0.1768964996104448j)
     fr = Correspondence(components=((gp, 1),)).forward(z0, cluster_radius=1e-5)
     (q, m), = [(q, m) for q, m in fr.points if m == 2]
-    assert gp.residual(z0, q) < 1e-9
+    assert point_residual(gp, z0, q) < 1e-9
     for (q, m), r in zip(fr.points, fr.residuals):
-        assert r == pytest.approx(gp.residual(z0, q), rel=1e-9, abs=1e-300)
+        assert r == pytest.approx(point_residual(gp, z0, q), rel=1e-9, abs=1e-300)
 
 
 @pytest.mark.parametrize("name", ["cov_degree_2", "cov_degree_3", "cov_degree_5"])

@@ -38,25 +38,32 @@ def test_unused_import_is_found():
 def _dead_definitions(defining: ast.Module, everywhere: list[ast.Module]) -> list[str]:
     """Functions and methods of `defining` whose name is used in none of `everywhere`.
 
-    A use is a name, an attribute, or a component of a dotted-name string (such
-    as "Class.method"); dunders are exempt.
+    A use of a function is a name, an attribute, or a component of a dotted-name
+    string (such as "module.function"). A method is used only through an
+    attribute or a dotted-name string past its first component (such as
+    "Class.method"), so a function or a string of the same name does not keep
+    it. Methods are reported as Class.method. Dunders are exempt.
     """
-    used = set()
+    names, attrs = set(), set()
     for tree in everywhere:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
-                    used.update(node.value.split("."))
+                    head, *rest = node.value.split(".")
+                    names.add(head)
+                    attrs.update(rest)
+    owner = {id(node): f"{cls.name}." for cls in ast.walk(defining) if isinstance(cls, ast.ClassDef)
+             for node in cls.body}
     return [
-        f"{node.name} (line {node.lineno})"
+        f"{owner.get(id(node), '')}{node.name} (line {node.lineno})"
         for node in ast.walk(defining)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used
+        and node.name not in (attrs if id(node) in owner else names | attrs)
     ]
 
 
@@ -96,10 +103,14 @@ def test_dead_definition_is_found():
         "    def method(self):\n        pass\n"
         "    def named_in_string(self):\n        pass\n"
         "    def dead_method(self):\n        pass\n"
+        "    def used(self):\n        pass\n"
+        "    def by_plain_string(self):\n        pass\n"
     )
-    user = ast.parse('used()\nA().method()\nTARGET = "A.named_in_string"\n"""dead_method is unused"""\n')
+    # a method named like a called function, or in a plain string, is still dead
+    user = ast.parse('used()\nA().method()\nTARGET = "A.named_in_string"\n"""dead_method is unused"""\n'
+                     'KIND = "by_plain_string"\n')
     assert _dead_definitions(defining, [defining, user]) == [
-        "unused (line 3)", "dead_method (line 12)",
+        "unused (line 3)", "A.dead_method (line 12)", "A.used (line 14)", "A.by_plain_string (line 16)",
     ]
 
 

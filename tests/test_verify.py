@@ -17,8 +17,8 @@ _ROOT_SUITES = [(verify.suite_ramification, "ramification"),
 
 @pytest.mark.parametrize(
     "suite, rng_seed",
-    [(s, 0) for s in verify.ALL_SUITES] + [(s, k) for s, _ in _ROOT_SUITES for k in range(1, 8)],
-    ids=[_name(s) for s in verify.ALL_SUITES]
+    [(s, 0) for s in verify.SUITES.values()] + [(s, k) for s, _ in _ROOT_SUITES for k in range(1, 8)],
+    ids=[_name(s) for s in verify.SUITES.values()]
     + [f"{name}-rng_seed{k}" for _, name in _ROOT_SUITES for k in range(1, 8)],
 )
 def test_suite_passes_at_seed_zero(suite, rng_seed):
@@ -33,3 +33,11 @@ def test_separation_counts_at_seed_zero():
         [0.4, 57, 57], [0.2, 103, 103], [0.1, 189, 189], [0.05, 269, 269],
     ]
 
+
+
+def test_every_printed_name_selects_its_suite():
+    # a full run prints each suite's name; selecting by that name runs that suite alone
+    full = verify.run_suites("all", 0)["results"]
+    assert [r["name"] for r in full] == list(verify.SUITES)
+    for r in full:
+        assert verify.run_suites([r["name"]], 0)["results"] == [r]
