@@ -253,9 +253,9 @@ def read_component(data, name: str) -> tuple:
 
 
 def read_correspondence_data(data, name: str = "data") -> Correspondence:
-    """A correspondence as Correspondence.to_json writes it: exactly one of
-    components [{poly, multiplicity}, ...] and chain [data, ...] (last factor
-    applied first); d1 and d2, when given, must be the bidegree it builds."""
+    """A correspondence: exactly one of components [{poly, multiplicity}, ...]
+    and chain [data, ...] (last factor applied first); d1 and d2, when given,
+    must be the bidegree it builds."""
     s = Section(data, name)
     given = [k for k in ("components", "chain") if k in s.data]
     _valid(len(given) == 1, data, name, "an object with exactly one of components and chain")

@@ -19,7 +19,6 @@ from .errors import (
     DiscriminantDegenerate,
     FiberDegenerate,
     InexactDivision,
-    InterpolationIllConditioned,
     UsageError,
 )
 from .graphpoly import GraphPolynomial, identity_graph, mobius_graph
@@ -34,11 +33,11 @@ from .sphere import point_charts
 # deleted covering graph
 # ---------------------------------------------------------------------------
 
-def divide_by_z_minus_w(N: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def divide_by_z_minus_w(N: np.ndarray) -> np.ndarray:
     """Exact quotient of a bivariate coefficient matrix by (z - w).
 
     N[i, j] is the coefficient of z^i w^j.  Synthetic division runs along
-    the z-direction; the remainder must vanish below rel_tol relative to the
+    the z-direction; the remainder must vanish below 1e-10 relative to the
     matrix scale or InexactDivision is raised.
     """
     N = np.asarray(N, dtype=complex)
@@ -57,7 +56,7 @@ def divide_by_z_minus_w(N: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     shifted = np.zeros(Np.shape[1], dtype=complex)
     shifted[1:] = B[0][:-1]
     remainder = Np[0] + shifted
-    if np.max(np.abs(remainder)) > rel_tol * scale:
+    if np.max(np.abs(remainder)) > 1e-10 * scale:
         raise InexactDivision(
             f"(z - w) division left remainder of relative size "
             f"{np.max(np.abs(remainder)) / scale:.3e}"
@@ -236,16 +235,6 @@ class Correspondence:
         mids = Correspondence(chain=rest).forward(z).support() if rest else [z]
         return float(min(head.graph_residual(u, w) for u in mids))
 
-    def to_json(self) -> dict:
-        data = {"d1": self.d1, "d2": self.d2}
-        if self.is_direct:
-            data["components"] = [
-                {"poly": gp.to_json(), "multiplicity": n} for gp, n in self.components
-            ]
-        else:
-            data["chain"] = [c.to_json() for c in self.chain]
-        return data
-
 
 def is_on_graph(C: Correspondence, z: SpherePoint, w: SpherePoint, tol: float = 1e-8):
     """(membership, residual): True iff some component / witness path has
@@ -312,15 +301,20 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
 # resultant composition
 # ---------------------------------------------------------------------------
 
-def _sylvester(a: np.ndarray, b: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Sylvester matrix for polynomials of nominal degrees da, db (ascending)."""
+#: a resultant graph may have at most DEGREE_BOUND^2 coefficients
+DEGREE_BOUND = 16
+
+
+def _resultants(a: np.ndarray, b: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Res(a, b) of every broadcast pair of ascending coefficient rows of
+    nominal degrees da, db: one Sylvester matrix per pair, one batched det."""
     n = da + db
-    S = np.zeros((n, n), dtype=complex)
+    S = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n, n), dtype=complex)
     for r in range(db):
-        S[r, r : r + da + 1] = a[::-1]
+        S[..., r, r : r + da + 1] = a[..., ::-1]
     for r in range(da):
-        S[db + r, r : r + db + 1] = b[::-1]
-    return S
+        S[..., db + r, r : r + db + 1] = b[..., ::-1]
+    return np.linalg.det(S)
 
 
 def _resultant_nodes(nn: int) -> np.ndarray:
@@ -330,9 +324,7 @@ def _resultant_nodes(nn: int) -> np.ndarray:
     return np.exp(2j * np.pi * k / nn) * np.exp(0.37j)
 
 
-def compose_graph_poly(
-    C1: Correspondence, C2: Correspondence, degree_bound: int = 16
-) -> GraphPolynomial:
+def compose_graph_poly(C1: Correspondence, C2: Correspondence) -> GraphPolynomial:
     """Explicit graph polynomial of C1 o C2 (C2 first) via a resultant.
 
     Res_u(B2(z, u), B1(u, w)) is computed on a tensor grid of rotated roots
@@ -343,30 +335,18 @@ def compose_graph_poly(
     du2, du1 = B2.deg_w, B1.deg_z
     dz = B2.deg_z * du1
     dw = B1.deg_w * du2
-    if (dz + 1) * (dw + 1) > degree_bound * degree_bound:
+    if (dz + 1) * (dw + 1) > DEGREE_BOUND * DEGREE_BOUND:
         raise DegreeBoundExceeded(
-            f"product bidegree ({dz}, {dw}) exceeds bound {degree_bound}"
+            f"product bidegree ({dz}, {dw}) exceeds bound {DEGREE_BOUND}"
         )
     zs = _resultant_nodes(dz + 1)
     ws = _resultant_nodes(dw + 1) * np.exp(0.11j)
-    V = np.zeros((dz + 1, dw + 1), dtype=complex)
-    pow_z = np.vander(zs, B2.deg_z + 1, increasing=True)  # (Nz, mz+1)
-    pow_w = np.vander(ws, B1.deg_w + 1, increasing=True)
-    a_all = pow_z @ B2.coeffs  # (Nz, du2+1): B2(z_k, u) coefficients in u
-    b_all = pow_w @ B1.coeffs.T  # (Nw, du1+1): B1(u, w_l) coefficients in u
-    for k in range(dz + 1):
-        for l in range(dw + 1):
-            S = _sylvester(a_all[k], b_all[l], du2, du1)
-            V[k, l] = np.linalg.det(S)
-    Vz = np.vander(zs, dz + 1, increasing=True)
-    Vw = np.vander(ws, dw + 1, increasing=True)
-    cond = max(np.linalg.cond(Vz), np.linalg.cond(Vw))
-    if cond > 1e8:
-        raise InterpolationIllConditioned(
-            f"interpolation condition estimate {cond:.3e}", condition=cond
-        )
-    Cz = np.linalg.solve(Vz, V)
-    coeffs = np.linalg.solve(Vw, Cz.T).T
+    a_all = np.vander(zs, B2.deg_z + 1, increasing=True) @ B2.coeffs  # B2(z_k, u) in u
+    b_all = np.vander(ws, B1.deg_w + 1, increasing=True) @ B1.coeffs.T  # B1(u, w_l) in u
+    V = _resultants(a_all[:, None], b_all[None], du2, du1)
+    # no conditioning check: on these nodes each Vandermonde matrix is sqrt(N) times unitary
+    Cz = np.linalg.solve(np.vander(zs, dz + 1, increasing=True), V)
+    coeffs = np.linalg.solve(np.vander(ws, dw + 1, increasing=True), Cz.T).T
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         raise DiscriminantDegenerate("resultant vanished identically")
@@ -391,19 +371,11 @@ def _branch_base_candidates(gp: GraphPolynomial) -> list[SpherePoint]:
     deg = m * (n - 1) + m * n  # generous bound on deg_z of the resultant
     zs = _resultant_nodes(deg + 1)
     pow_z = np.vander(zs, m + 1, increasing=True)
-    a_all = pow_z @ gp.coeffs
-    b_all = pow_z @ dcoeffs
-    vals = np.array(
-        [
-            np.linalg.det(_sylvester(a_all[k], b_all[k], n, n - 1))
-            for k in range(deg + 1)
-        ]
-    )
+    vals = _resultants(pow_z @ gp.coeffs, pow_z @ dcoeffs, n, n - 1)
     scale = np.max(np.abs(vals))
     if scale == 0:
         raise DiscriminantDegenerate("w-discriminant vanishes identically")
-    Vz = np.vander(zs, deg + 1, increasing=True)
-    coeffs = np.linalg.solve(Vz, vals)
+    coeffs = np.linalg.solve(np.vander(zs, deg + 1, increasing=True), vals)
     poly = ComplexPolynomial(coeffs).trimmed(1e-9)
     cands: list[SpherePoint] = [INF]
     if not poly.is_zero and poly.degree >= 1:
@@ -450,14 +422,14 @@ def _polish_branch_pairs(gp: GraphPolynomial, u, rec_z, v, rec_w):
     return u, v, ok
 
 
-def _confirmed_pairs(gp: GraphPolynomial, cluster_radius: float = 1e-5):
+def _confirmed_pairs(gp: GraphPolynomial):
     """A1-type pairs (z0, w0): w0 a multiple point of the fiber over z0.
 
     Candidates come from the discriminant, their fibers from one fiber_batch
-    call grouped by sphere.fiber_groups (a dead row is skipped).  They are
-    approximate, so one Newton on (B, dB/dw) polishes each multiple point (kept
-    as found if it fails) and the chart midpoint of each near-double pair
-    (dropped if it fails).
+    call grouped within 1e-5 by sphere.fiber_groups (a dead row is skipped).
+    They are approximate, so one Newton on (B, dB/dw) polishes each multiple
+    point (kept as found if it fails) and the chart midpoint of each
+    near-double pair (dropped if it fails).
     """
     candidates = _branch_base_candidates(gp)
     bases = [candidates[g[0]] for g in greedy_groups(candidates, 1e-9)]
@@ -466,7 +438,7 @@ def _confirmed_pairs(gp: GraphPolynomial, cluster_radius: float = 1e-5):
     for z0, row1, row2 in zip(bases, W1, W2):
         if np.isnan(row1).any():
             continue
-        fib = [(q, len(members)) for q, members in fiber_groups(row1, row2, cluster_radius)]
+        fib = [(q, len(members)) for q, members in fiber_groups(row1, row2, 1e-5)]
         for idx, (w0, mult) in enumerate(fib):
             if mult >= 2:
                 starts.append((z0, w0, mult, True))
@@ -495,17 +467,17 @@ def _pair_distance(p, q) -> float:
     return max(chordal_distance(p[0], q[0]), chordal_distance(p[1], q[1]))
 
 
-def ramification_pairs(C: Correspondence, side: int, degree_bound: int = 16):
+def ramification_pairs(C: Correspondence, side: int):
     """Ramification pairs on the graph.
 
     side=1: pairs where the first projection is locally non-injective (the
     ramification points of the inverse); side=2: of the correspondence
     itself.  Chained correspondences are first flattened to an explicit
-    graph polynomial through resultants.
+    graph polynomial through resultants (at most DEGREE_BOUND^2 coefficients).
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    gps = _flatten_components(C, degree_bound)
+    gps = _flatten_components(C)
     out = []
     for gp in gps:
         work = gp if side == 1 else gp.transpose()
@@ -515,27 +487,25 @@ def ramification_pairs(C: Correspondence, side: int, degree_bound: int = 16):
     return out
 
 
-def _flatten_components(C: Correspondence, degree_bound: int) -> list[GraphPolynomial]:
+def _flatten_components(C: Correspondence) -> list[GraphPolynomial]:
     if C.is_direct:
         return [gp for gp, _ in C.components]
     acc = C.chain[-1]
-    if not acc.is_direct or len(acc.components) != 1:
+    if len(acc.components) != 1:
         raise DegreeBoundExceeded("chained ramification needs single-component stages")
     for nxt in reversed(C.chain[:-1]):
-        acc = Correspondence(
-            components=((compose_graph_poly(nxt, acc, degree_bound), 1),)
-        )
+        acc = Correspondence(components=((compose_graph_poly(nxt, acc), 1),))
     return [acc.single_graph()]
 
 
-def ramification_points(C: Correspondence, degree_bound: int = 16):
+def ramification_points(C: Correspondence):
     """Pairs (z, w) on the graph where the correspondence is ramified (A2)."""
-    return [pair for pair, _ in ramification_pairs(C, side=2, degree_bound=degree_bound)]
+    return [pair for pair, _ in ramification_pairs(C, side=2)]
 
 
-def critical_values(C: Correspondence, side: int, degree_bound: int = 16):
+def critical_values(C: Correspondence, side: int):
     """Critical values: side=1 those of the inverse (pi_1 of A1), side=2 of
     the correspondence (pi_2 of A2).  Returns [(SpherePoint, count)]."""
-    pairs = ramification_pairs(C, side=side, degree_bound=degree_bound)
+    pairs = ramification_pairs(C, side=side)
     values = [z0 if side == 1 else w0 for (z0, w0), _ in pairs]
     return [(values[g[0]], len(g)) for g in greedy_groups(values, 1e-7)]

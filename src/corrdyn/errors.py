@@ -46,15 +46,7 @@ class FiberDegenerate(CorrdynError):
 
 
 class DegreeBoundExceeded(CorrdynError):
-    """Requested resultant exceeds the caller's degree budget."""
-
-
-class InterpolationIllConditioned(CorrdynError):
-    """Tensor-grid interpolation condition estimate is too large."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    """Requested resultant exceeds correspondence.DEGREE_BOUND."""
 
 
 class DiscriminantDegenerate(CorrdynError):

@@ -26,31 +26,15 @@ CUBIC_CHEBYSHEV = polynomial_map([0, -3, 0, 1])  # z^3 - 3z
 
 @dataclass(frozen=True)
 class FamilyParameterA:
-    """Parameter of the one-parameter family; a = 1 is excluded.
-
-    in_K_hint may be set to "known_in_K" only for real a in (1, 4], the range
-    where a Klein combination pair is known to exist.
-    """
+    """Parameter of the one-parameter family; a = 1 is excluded."""
 
     a: complex
-    in_K_hint: str = "unknown"
 
     def __post_init__(self):
         a = complex(self.a)
         object.__setattr__(self, "a", a)
         if abs(a - 1) <= 1e-12:
             raise BadParameter("parameter a = 1 is excluded")
-        if self.in_K_hint not in ("known_in_K", "unknown"):
-            raise BadParameter(f"bad hint {self.in_K_hint!r}")
-        if self.in_K_hint == "known_in_K":
-            if abs(a.imag) > 1e-12 or not (1 < a.real <= 4):
-                raise BadParameter("known_in_K requires real a in (1, 4]")
-
-    @staticmethod
-    def of(a) -> "FamilyParameterA":
-        a = complex(a)
-        hint = "known_in_K" if abs(a.imag) <= 1e-12 and 1 < a.real <= 4 else "unknown"
-        return FamilyParameterA(a, hint)
 
 
 def _param(a) -> complex:
@@ -139,22 +123,20 @@ def involution_to_quadratic(J: MobiusMap) -> RationalMap:
 # branch expansion at the fixed point
 # ---------------------------------------------------------------------------
 
-def fixed_point_branch_coefficients(
-    a, fit_radius: float = 0.05, n_samples: int = 64
-):
+def fixed_point_branch_coefficients(a, fit_radius: float = 0.05):
     """Quadratic and quartic Taylor coefficients of the branch through (1, 1).
 
     The family correspondence has a single-valued branch through its fixed
-    point z = 1.  The branch is tracked by continuity around a circle of
-    radius fit_radius and fitted by a degree-5 polynomial in (z - 1); returns
-    (c2, c4, fit_residual).
+    point z = 1.  The branch is tracked by continuity at 64 points around a
+    circle of radius fit_radius and fitted by a degree-5 polynomial in
+    (z - 1); returns (c2, c4, fit_residual).
     """
     av = _param(a)
-    thetas = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     zs = 1.0 + fit_radius * np.exp(1j * thetas)
     W1, W2, _ = family_correspondence(av).forward_batch(zs, np.ones_like(zs))
     prev = 1.0 + 0j
-    ws = np.empty(n_samples, dtype=complex)
+    ws = np.empty(zs.size, dtype=complex)
     for k, z in enumerate(zs):
         finite = W2[k] != 0
         cands = (W1[k][finite] / W2[k][finite]).tolist()
@@ -224,21 +206,6 @@ class RegionSpec:
         else:
             inside = ((w - self.point) * np.conj(self.normal)).real > 0
         return inside & finite
-
-    def to_json(self) -> dict:
-        if self.kind == "disk":
-            return {
-                "kind": "disk",
-                "center": [self.center.real, self.center.imag],
-                "radius": self.radius,
-            }
-        if self.kind == "half_plane":
-            return {
-                "kind": "half_plane",
-                "point": [self.point.real, self.point.imag],
-                "normal": [self.normal.real, self.normal.imag],
-            }
-        return {"kind": "complement", "of": self.of.to_json()}
 
 
 def _violations(C: Correspondence, region: RegionSpec, values, reciprocal) -> list:

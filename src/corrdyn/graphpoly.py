@@ -19,15 +19,15 @@ from .roots import projective_roots_batch
 from .sphere import SpherePoint, fiber_groups
 
 
-def _tight(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def _tight(coeffs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         raise ValueError("graph polynomial must be nonzero")
-    m = np.abs(coeffs) > rel_tol * scale
+    m = np.abs(coeffs) > 1e-12 * scale
     rows = np.nonzero(m.any(axis=1))[0]
     cols = np.nonzero(m.any(axis=0))[0]
     out = coeffs[: rows[-1] + 1, : cols[-1] + 1].copy()
-    small = np.abs(out) <= rel_tol * scale
+    small = np.abs(out) <= 1e-12 * scale
     out[small] = 0
     return out
 

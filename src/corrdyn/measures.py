@@ -103,16 +103,14 @@ def _merge_atoms(z1, z2, weights) -> WeightedCloud:
 # Dirac pullbacks
 # ---------------------------------------------------------------------------
 
-def pullback_dirac_tree(
-    C: Correspondence, z0: SpherePoint, n: int, budget: int = 2 ** 20
-) -> WeightedCloud:
+def pullback_dirac_tree(C: Correspondence, z0: SpherePoint, n: int) -> WeightedCloud:
     """Full n-level preimage tree of z0, atoms weighted by multiplicity.
 
     Atoms are the solutions x of z0 in C^n(x), found by iterating backward
     fibers; the weight of an atom is its multiplicity over the total, so the
     cloud has mass exactly 1 at every generation.
     """
-    return pullback_dirac_tree_levels(C, z0, (n,), budget)[n]
+    return pullback_dirac_tree_levels(C, z0, (n,))[n]
 
 
 def pullback_dirac_tree_levels(

@@ -119,10 +119,6 @@ class ComplexPolynomial:
     def __hash__(self):
         return hash(tuple(self.coefficients.tolist()))
 
-    def to_json(self) -> list:
-        """JSON form: array of [re, im] pairs, ascending degree."""
-        return [[c.real, c.imag] for c in self.coefficients]
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ComplexPolynomial({list(self.coefficients)})"
 

@@ -53,9 +53,6 @@ class RationalMap:
         p, q = self.numerator, self.denominator
         return p.derivative() * q - p * q.derivative()
 
-    def to_json(self) -> dict:
-        return {"num": self.numerator.to_json(), "den": self.denominator.to_json()}
-
 
 def polynomial_map(coefficients) -> RationalMap:
     return RationalMap(ComplexPolynomial(coefficients), ComplexPolynomial([1]))
@@ -92,10 +89,8 @@ def rational_eval(R: RationalMap, p: SpherePoint) -> SpherePoint:
     return SpherePoint.from_projective(nv, dv)
 
 
-def rational_preimages(
-    R: RationalMap, w: SpherePoint, cluster_radius: float = 1e-6
-) -> list[tuple[SpherePoint, int]]:
-    """Solutions of R(z) = w with multiplicity, deg(R) in total."""
+def rational_preimages(R: RationalMap, w: SpherePoint) -> list[tuple[SpherePoint, int]]:
+    """Solutions of R(z) = w with multiplicity, deg(R) in total (grouped within 1e-6)."""
     num, den = R.numerator, R.denominator
     d = R.degree
     w1, w2 = w.projective()
@@ -105,11 +100,11 @@ def rational_preimages(
     c[: den.coefficients.size] -= w1 * den.coefficients
     if not np.any(c):
         raise Indeterminate("preimage polynomial vanished identically")
-    return poly_roots(c, cluster_radius)
+    return poly_roots(c, 1e-6)
 
 
-def critical_points(R: RationalMap, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
-    """Critical points of R with multiplicity; total count 2 deg(R) - 2.
+def critical_points(R: RationalMap) -> list[tuple[SpherePoint, int]]:
+    """Critical points of R with multiplicity (grouped within 1e-6); total count 2 deg(R) - 2.
 
     Finite critical points are the roots of the Wronskian p'q - pq'; the
     remaining multiplicity is assigned to infinity (reciprocal chart count).
@@ -122,7 +117,7 @@ def critical_points(R: RationalMap, cluster_radius: float = 1e-6) -> list[tuple[
     w[: wc.size] = wc
     if not np.any(w):
         raise DegreeTooLow("Wronskian vanished identically; map is degenerate")
-    return poly_roots(w, cluster_radius)
+    return poly_roots(w, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -147,9 +142,6 @@ class MobiusMap:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
 
 def mobius_apply(M: MobiusMap, p: SpherePoint) -> SpherePoint:
     """Projective action of M on a sphere point; total on the sphere."""
@@ -157,9 +149,9 @@ def mobius_apply(M: MobiusMap, p: SpherePoint) -> SpherePoint:
     return SpherePoint.from_projective(M.a * z1 + M.b * z2, M.c * z1 + M.d * z2)
 
 
-def mobius_is_involution(M: MobiusMap, tol: float = 1e-10) -> bool:
-    """True iff M is an involution other than the identity (zero trace)."""
-    return abs(M.a + M.d) <= tol
+def mobius_is_involution(M: MobiusMap) -> bool:
+    """True iff M is an involution other than the identity (trace zero within 1e-10)."""
+    return abs(M.a + M.d) <= 1e-10
 
 
 def mobius_projectively_equal(M1: MobiusMap, M2: MobiusMap, tol: float = 1e-9) -> bool:

@@ -18,16 +18,16 @@ def random_complex(rng, n=None, scale=1.0):
     return (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
 
 
-def random_polynomial(rng, degree: int, scale: float = 1.0) -> ComplexPolynomial:
-    c = random_complex(rng, degree + 1, scale)
+def random_polynomial(rng, degree: int) -> ComplexPolynomial:
+    c = random_complex(rng, degree + 1)
     while abs(c[-1]) < 0.1:
-        c[-1] = random_complex(rng, scale=scale)
+        c[-1] = random_complex(rng)
     return ComplexPolynomial(c)
 
 
-def random_rational_map(rng, degree: int, max_tries: int = 50) -> RationalMap:
-    """Random rational map of exact degree with well-separated roots."""
-    for _ in range(max_tries):
+def random_rational_map(rng, degree: int) -> RationalMap:
+    """Random rational map of exact degree with well-separated roots (50 tries)."""
+    for _ in range(50):
         num_deg = degree
         den_deg = int(rng.integers(0, degree + 1))
         if rng.random() < 0.5:

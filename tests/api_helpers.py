@@ -1,11 +1,14 @@
-"""Readers, per-point checks and Moebius algebra that only the tests use.
+"""Readers, writers, per-point checks and Moebius algebra that only the tests use.
 
 The program writes clouds (WeightedCloud.to_csv) and rasters
 (RasterImage.to_ppm) but never reads them back, and it tests region
 membership and graph residuals on arrays of homogeneous pairs
 (RegionSpec.mask, GraphPolynomial.residuals); these helpers read the written
-bytes and test one SpherePoint through the same array code.  No program path
-needs the identity map or a product of two Moebius maps.
+bytes and test one SpherePoint through the same array code.  The program
+reads polynomials, maps, regions and correspondences (corrdyn.config) but
+writes only graph polynomials (GraphPolynomial.to_json); the writers here
+make the other formats for round trips.  No program path needs the identity
+map, an inverse or a product of two Moebius maps.
 """
 
 import csv
@@ -13,11 +16,13 @@ import io
 
 import numpy as np
 
+from corrdyn.correspondence import Correspondence
 from corrdyn.families import RegionSpec
 from corrdyn.graphpoly import GraphPolynomial
 from corrdyn.measures import WeightedCloud
 from corrdyn.raster import RasterImage
-from corrdyn.rational import MobiusMap
+from corrdyn.polynomials import ComplexPolynomial
+from corrdyn.rational import MobiusMap, RationalMap
 from corrdyn.sphere import RECIPROCAL, STANDARD, SpherePoint
 
 
@@ -61,3 +66,37 @@ def mobius_compose(M: MobiusMap, N: MobiusMap) -> MobiusMap:
     """M after N."""
     m = M.matrix() @ N.matrix()
     return MobiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+
+
+def mobius_inverse(M: MobiusMap) -> MobiusMap:
+    return MobiusMap(M.d, -M.b, -M.c, M.a)
+
+
+def poly_json(p: ComplexPolynomial) -> list:
+    """A polynomial as config.read_map reads one: [re, im] pairs, ascending degree."""
+    return [[c.real, c.imag] for c in p.coefficients]
+
+
+def map_json(R: RationalMap) -> dict:
+    return {"num": poly_json(R.numerator), "den": poly_json(R.denominator)}
+
+
+def region_json(region: RegionSpec) -> dict:
+    """A region as config.read_region reads one."""
+    if region.kind == "disk":
+        return {"kind": "disk", "center": [region.center.real, region.center.imag],
+                "radius": region.radius}
+    if region.kind == "half_plane":
+        return {"kind": "half_plane", "point": [region.point.real, region.point.imag],
+                "normal": [region.normal.real, region.normal.imag]}
+    return {"kind": "complement", "of": region_json(region.of)}
+
+
+def correspondence_json(C: Correspondence) -> dict:
+    """A correspondence as config.read_correspondence_data reads one, with its bidegree."""
+    data = {"d1": C.d1, "d2": C.d2}
+    if C.is_direct:
+        data["components"] = [{"poly": gp.to_json(), "multiplicity": n} for gp, n in C.components]
+    else:
+        data["chain"] = [correspondence_json(c) for c in C.chain]
+    return data

@@ -22,7 +22,7 @@ from corrdyn.graphpoly import identity_graph, mobius_graph
 from corrdyn.rational import MobiusMap
 from corrdyn.raster import RasterImage
 from corrdyn.sphere import SpherePoint
-from api_helpers import cloud_from_csv, raster_from_ppm
+from api_helpers import cloud_from_csv, correspondence_json, raster_from_ppm
 from object_lane_orbits import enumerate_orbits as oracle_orbits
 from per_point_net import fibonacci_sphere_points
 
@@ -543,7 +543,7 @@ def _net(count):
 
 def _identity_and_negation_spec():
     comps = ((identity_graph(), 1), (mobius_graph(MobiusMap(-1, 0, 0, 1)), 1))
-    return {"kind": "explicit", "data": Correspondence(components=comps).to_json()}
+    return {"kind": "explicit", "data": correspondence_json(Correspondence(components=comps))}
 
 
 ORBIT_CASES = {
@@ -928,7 +928,8 @@ def test_json_nested_past_the_stack_is_one_usage_error_line(tmp_path, capsys):
 def test_explicit_correspondence_round_trips_through_the_config():
     C = build_correspondence({"kind": "explicit", "data": {"components": [{"poly": _POLY,
                                                                            "multiplicity": 1}]}})
-    chain = build_correspondence({"kind": "explicit", "data": {"chain": [C.to_json()] * 2}})
+    data = {"chain": [correspondence_json(C)] * 2}
+    chain = build_correspondence({"kind": "explicit", "data": data})
     assert (C.d1, C.d2) == (1, 1) and (chain.d1, chain.d2) == (1, 1)
 
 

@@ -7,13 +7,17 @@ import pytest
 
 import object_lane_fibers
 import stacked_fiber_kernel
-from api_helpers import mobius_compose, point_residual
+from api_helpers import correspondence_json, mobius_compose, point_residual
 
 from corrdyn import correspondence
 from corrdyn.config import read_correspondence_data
+import per_node_resultants
 from corrdyn.correspondence import (
+    DEGREE_BOUND,
     Correspondence,
     _branch_base_candidates,
+    _resultant_nodes,
+    _resultants,
     compose,
     compose_graph_poly,
     cov_graph,
@@ -321,7 +325,54 @@ def test_compose_graph_poly_degree_bound():
     R = random_rational_map(np.random.default_rng(5), 5)
     S = random_rational_map(np.random.default_rng(6), 5)
     with pytest.raises(DegreeBoundExceeded):
-        compose_graph_poly(deleted_covering(R), deleted_covering(S), degree_bound=4)
+        compose_graph_poly(deleted_covering(R), deleted_covering(S))  # 17^2 > DEGREE_BOUND^2
+
+
+def _same_bits(x, y) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_resultants_match_the_per_node_loops_on_random_rows():
+    rng = np.random.default_rng(11)
+
+    def rows(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for _ in range(200):
+        da, db = (int(d) for d in rng.integers(1, 6, size=2))
+        k, l = (int(n) for n in rng.integers(1, 5, size=2))
+        a, b = rows(k, da + 1), rows(l, db + 1)
+        grid = per_node_resultants.grid(a, b, da, db)
+        assert _same_bits(_resultants(a[:, None], b[None], da, db), grid)
+        b = rows(k, db + 1)
+        assert _same_bits(_resultants(a, b, da, db), per_node_resultants.paired(a, b, da, db))
+
+
+def test_resultants_match_the_per_node_loops_on_the_family_graphs():
+    # the grid of compose_graph_poly(j_4, cov(z^3 - 3z)) and the discriminant
+    # nodes of every graph of family a = 4, each side
+    C = family_correspondence(4)
+    B1, B2 = (c.single_graph() for c in C.chain)
+    zs = _resultant_nodes(B2.deg_z * B1.deg_z + 1)
+    ws = _resultant_nodes(B1.deg_w * B2.deg_w + 1) * np.exp(0.11j)
+    a_all = np.vander(zs, B2.deg_z + 1, increasing=True) @ B2.coeffs
+    b_all = np.vander(ws, B1.deg_w + 1, increasing=True) @ B1.coeffs.T
+    got = _resultants(a_all[:, None], b_all[None], B2.deg_w, B1.deg_z)
+    assert _same_bits(got, per_node_resultants.grid(a_all, b_all, B2.deg_w, B1.deg_z))
+    flat = compose_graph_poly(*C.chain)
+    for gp in (B2, B2.transpose(), flat, flat.transpose()):
+        m, n = gp.deg_z, gp.deg_w
+        pow_z = np.vander(_resultant_nodes(m * (2 * n - 1) + 1), m + 1, increasing=True)
+        a, b = pow_z @ gp.coeffs, pow_z @ (gp.coeffs[:, 1:] * np.arange(1, n + 1))
+        assert _same_bits(_resultants(a, b, n, n - 1), per_node_resultants.paired(a, b, n, n - 1))
+
+
+def test_resultant_interpolation_is_unitary():
+    # the nodes are rotated roots of unity, so the Vandermonde matrix on N of
+    # them is sqrt(N) times a unitary one: interpolation needs no conditioning check
+    for N in range(1, DEGREE_BOUND ** 2 + 2):
+        for nodes in (_resultant_nodes(N), _resultant_nodes(N) * np.exp(0.11j)):
+            assert np.linalg.cond(np.vander(nodes, N, increasing=True)) <= 1 + 1e-9
 
 
 # -- ramification -----------------------------------------------------------
@@ -431,7 +482,7 @@ def test_membership_examples():
 
 def test_correspondence_json_round_trip():
     C = family_correspondence(4)
-    C2 = read_correspondence_data(C.to_json())
+    C2 = read_correspondence_data(correspondence_json(C))
     assert (C2.d1, C2.d2) == (2, 2)
     z = pt(0.3 + 0.7j)
     a = sorted(p.sort_key() for p in C.forward(z).support())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from api_helpers import poly_json
 from corrdyn.config import complex_number, list_of
 from corrdyn.polynomials import ComplexPolynomial, poly_from_roots
 
@@ -52,5 +53,5 @@ def test_poly_from_roots():
 
 def test_json_round_trip():
     p = ComplexPolynomial([1 + 2j, 0, -3.5j])
-    q = ComplexPolynomial(list_of(p.to_json(), "p", item=complex_number))
+    q = ComplexPolynomial(list_of(poly_json(p), "p", item=complex_number))
     assert p == q

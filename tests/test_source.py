@@ -288,3 +288,41 @@ def test_usage_raise_is_found():
         "    def k(self):\n        raise UsageError('d') from None\n"
     )
     assert _usage_raises(tree) == ["<module> (line 1)", "f (line 3)", "g (line 5)", "k (line 10)"]
+
+
+def _unraised_errors(errors: ast.Module, sources: list[ast.Module]) -> list[str]:
+    """CorrdynError subclasses, direct or not, defined in `errors` that no
+    `raise` statement in `sources` names."""
+    family, subclasses = {"CorrdynError"}, []
+    for node in errors.body:
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in family for b in node.bases):
+            family.add(node.name)
+            subclasses.append(node.name)
+    raised = set()
+    for node in (n for tree in sources for n in ast.walk(tree)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return [name for name in subclasses if name not in raised]
+
+
+def test_every_error_type_is_raised():
+    # a type that nothing raises is dead API: callers may catch it, but it never comes
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    assert _unraised_errors(ast.parse((SRC / "errors.py").read_text(encoding="utf-8")), trees) == []
+
+
+def test_unraised_error_is_found():
+    errors = ast.parse(
+        "class CorrdynError(Exception):\n    pass\n"
+        "class Raised(CorrdynError):\n    pass\n"
+        "class ByAttribute(Raised):\n    pass\n"
+        "class Orphan(CorrdynError):\n    pass\n"
+        "class Unrelated(ValueError):\n    pass\n"
+    )
+    # a type that is only caught, or only named, is still an orphan
+    user = ast.parse(
+        "raise Raised('a')\nraise errors.ByAttribute\n"
+        "try:\n    f()\nexcept Orphan:\n    KINDS = (Orphan,)\n"
+    )
+    assert _unraised_errors(errors, [errors, user]) == ["Orphan"]
