@@ -90,10 +90,10 @@ def cov_graph(R: RationalMap) -> GraphPolynomial:
 
 @dataclass(frozen=True)
 class FiberResult:
-    """Multiset of fiber points with per-point residuals."""
+    """Multiset of fiber points: one (SpherePoint, multiplicity) per group
+    of a forward_batch row (sphere.fiber_groups)."""
 
     points: tuple  # tuple[(SpherePoint, int multiplicity), ...]
-    residuals: tuple  # tuple[float, ...] aligned with points
 
     @property
     def total_multiplicity(self) -> int:
@@ -154,8 +154,10 @@ class Correspondence:
         return Correspondence(chain=tuple(c.transpose() for c in reversed(self.chain)))
 
     def single_graph(self) -> GraphPolynomial:
+        """The one graph polynomial of a resultant stage: DegreeBoundExceeded
+        unless the correspondence is direct with a single component."""
         if not (self.is_direct and len(self.components) == 1):
-            raise ValueError("expected a direct single-component correspondence")
+            raise DegreeBoundExceeded("resultant composition needs single-component stages")
         return self.components[0][0]
 
     # -- evaluation ---------------------------------------------------------
@@ -163,30 +165,16 @@ class Correspondence:
     def forward(self, z: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
         """Multivalued image of z, total multiplicity d1 at generic points.
 
-        One row of forward_batch, stage by stage, grouped within cluster_radius
-        by sphere.fiber_groups.  A group's residual is that of its point: the
-        last stage's best-component residual there from each member's parent,
-        with the earlier stages' worst residual on that member's path.  A stage
-        fiber that vanishes identically raises FiberDegenerate.
+        One row of forward_batch grouped within cluster_radius by
+        sphere.fiber_groups.  A stage fiber that vanishes identically on the
+        way raises FiberDegenerate.
         """
-        Z1, Z2 = (np.array([c]) for c in z.projective())
-        res = np.zeros(1)  # worst residual on the path to each point of (Z1, Z2)
-        stages = list(reversed(self.chain or (self,)))
-        for k, stage in enumerate(stages):
-            W1, W2, _ = stage.forward_batch(Z1, Z2)
-            if np.isnan(W1).any():
-                raise FiberDegenerate(f"a stage fiber on the way from {z} vanishes identically")
-            if k + 1 < len(stages):
-                r = stage._best_residuals(Z1[:, None], Z2[:, None], W1, W2)
-                res = np.maximum(res[:, None], r).ravel()
-                Z1, Z2 = W1.ravel(), W2.ravel()
-        points, residuals = [], []
-        for q, members in fiber_groups(W1.ravel(), W2.ravel(), cluster_radius):
-            up = np.array(members) // W1.shape[-1]  # each member's parent in (Z1, Z2)
-            r = stage._best_residuals(Z1[up], Z2[up], *q.projective())
-            points.append((q, len(members)))
-            residuals.append(float(np.max(np.maximum(res[up], r))))
-        return FiberResult(tuple(points), tuple(residuals))
+        W1, W2, _ = self.forward_batch(*(np.array([c]) for c in z.projective()))
+        if np.isnan(W1).any():
+            raise FiberDegenerate(f"a stage fiber on the way from {z} vanishes identically")
+        return FiberResult(tuple(
+            (q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)
+        ))
 
     def backward(self, w: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
         """Multivalued preimage of w, total multiplicity d2 generically."""
@@ -222,15 +210,11 @@ class Correspondence:
 
     # -- membership ---------------------------------------------------------
 
-    def _best_residuals(self, z1, z2, w1, w2) -> np.ndarray:
-        """Scaled residuals of broadcast pairs against the best component of a
-        direct correspondence."""
-        return np.min([gp.residuals(z1, z2, w1, w2) for gp, _ in self.components], axis=0)
-
     def graph_residual(self, z: SpherePoint, w: SpherePoint) -> float:
         """Best scaled residual of (z, w) against the graph (witness path)."""
         if self.is_direct:
-            return float(self._best_residuals(*z.projective(), *w.projective()))
+            pairs = (*z.projective(), *w.projective())
+            return min(float(gp.residuals(*pairs)) for gp, _ in self.components)
         head, rest = self.chain[0], self.chain[1:]
         mids = Correspondence(chain=rest).forward(z).support() if rest else [z]
         return float(min(head.graph_residual(u, w) for u in mids))
@@ -491,8 +475,6 @@ def _flatten_components(C: Correspondence) -> list[GraphPolynomial]:
     if C.is_direct:
         return [gp for gp, _ in C.components]
     acc = C.chain[-1]
-    if len(acc.components) != 1:
-        raise DegreeBoundExceeded("chained ramification needs single-component stages")
     for nxt in reversed(C.chain[:-1]):
         acc = Correspondence(components=((compose_graph_poly(nxt, acc), 1),))
     return [acc.single_graph()]

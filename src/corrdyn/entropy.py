@@ -147,9 +147,7 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
     """
     seeds = list(seeds)
     if tree_size(len(seeds), max(1, C.d1), n, budget) > budget:
-        raise BudgetExceeded(
-            f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
-        )
+        raise BudgetExceeded(f"{len(seeds)} seeds at depth {n} exceed budget {budget}")
     if not seeds:
         return []
     tree = _LevelTree(C, *point_charts(seeds), n)

@@ -18,11 +18,7 @@ class ZeroPolynomial(CorrdynError):
 
 
 class NonConvergence(CorrdynError):
-    """Iterative root finding failed; partial results attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Iterative root finding failed."""
 
 
 class DegreeTooLow(CorrdynError):
@@ -46,7 +42,8 @@ class FiberDegenerate(CorrdynError):
 
 
 class DegreeBoundExceeded(CorrdynError):
-    """Requested resultant exceeds correspondence.DEGREE_BOUND."""
+    """Requested resultant exceeds correspondence.DEGREE_BOUND, or has a stage
+    with more than one component."""
 
 
 class DiscriminantDegenerate(CorrdynError):
@@ -54,11 +51,7 @@ class DiscriminantDegenerate(CorrdynError):
 
 
 class BudgetExceeded(CorrdynError):
-    """Enumeration would exceed the node budget; partial results attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Enumeration would exceed the node budget."""
 
 
 class BadParameter(CorrdynError):

@@ -89,23 +89,16 @@ class GraphPolynomial:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_homogeneous(self, z1, z2, w1, w2):
-        """B evaluated on homogeneous pairs: sum c_ij z1^i z2^(m-i) w1^j w2^(n-j).
-
-        With unit-normalized pairs this is a bounded, chart-free residual.
-        """
-        m, n = self.deg_z, self.deg_w
-        z1 = np.asarray(z1, dtype=complex)
-        zp = np.stack([z1 ** i * np.asarray(z2, dtype=complex) ** (m - i) for i in range(m + 1)])
-        wp = np.stack([np.asarray(w1, dtype=complex) ** j * np.asarray(w2, dtype=complex) ** (n - j) for j in range(n + 1)])
-        return np.einsum("ij,i...,j...->...", self.coeffs, zp, wp)
-
     def residuals(self, z1, z2, w1, w2) -> np.ndarray:
         """Scaled homogeneous residuals |B(z, w)| / max|coeff| of broadcast
-        arrays of pairs (z1, z2) and (w1, w2), each pair unit-normalized."""
+        arrays of pairs (z1, z2) and (w1, w2), each pair unit-normalized: the
+        fiber kernel's w-coefficients over z summed against w1^j w2^(n - j)."""
         nz = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
         nw = np.sqrt(np.abs(w1) ** 2 + np.abs(w2) ** 2)
-        return np.abs(self.eval_homogeneous(z1 / nz, z2 / nz, w1 / nw, w2 / nw)) / self.scale
+        cw = self._w_coefficients(z1 / nz, z2 / nz)
+        n = self.deg_w
+        p1, p2 = _powers(w1 / nw, n, 1.0), _powers(w2 / nw, n, 1.0)
+        return np.abs(sum(cw[..., j] * p1[j] * p2[n - j] for j in range(n + 1))) / self.scale
 
     def _w_coefficients(self, Z1, Z2) -> np.ndarray:
         """Specialized w-coefficients over homogeneous base pairs, shape (..., deg_w + 1).

@@ -39,7 +39,7 @@ def roots_with_clusters(
     if scale == 0:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if not np.isfinite(scale):
-        raise NonConvergence("polynomial coefficients must be finite", partial=[])
+        raise NonConvergence("polynomial coefficients must be finite")
     W1, W2 = projective_roots_batch(coeffs[None] / scale)
     return [(q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)]
 
@@ -136,7 +136,5 @@ def poly_roots(
         if not np.isfinite(res) or res > (1e-6 if near_other else 1e-8):
             bad.append((root, res))
     if bad:
-        raise NonConvergence(
-            f"{len(bad)} root(s) failed the residual check", partial=clusters
-        )
+        raise NonConvergence(f"{len(bad)} root(s) failed the residual check")
     return clusters

@@ -5,7 +5,7 @@ became one row of forward_batch.  Every direct component is solved by the
 eigenvalue fiber (`fiber`: GraphPolynomial.fiber before it became a row of
 fiber_batch), a chain is walked recursively one point at a time, and the
 points of each step are merged within MERGE_TOL chordal, in sort_key order,
-with their multiplicities added and their worst residual kept.
+with their multiplicities added.
 
 The eigenvalue fiber solves its w-polynomial by `solve`, the one-polynomial
 solve that roots.roots_with_clusters was before it became a batch row grouped
@@ -16,7 +16,6 @@ cluster_radius at the plane mean, and the degree drop last as (inf, drop).
 
 import numpy as np
 
-from api_helpers import point_residual
 from corrdyn.correspondence import Correspondence, FiberResult
 from corrdyn.errors import FiberDegenerate
 from corrdyn.graphpoly import GraphPolynomial
@@ -72,32 +71,24 @@ def fiber(gp: GraphPolynomial, p: SpherePoint, cluster_radius: float = 1e-6):
     return [(SpherePoint.from_complex(r), m) for r, m in solve(cw, cluster_radius)]
 
 
-def _merge_weighted(items: list[tuple[SpherePoint, int, float]]) -> FiberResult:
+def _merge_weighted(items: list[tuple[SpherePoint, int]]) -> FiberResult:
     """Merge points within MERGE_TOL chordal; multiplicities add."""
     items = sorted(items, key=lambda t: t[0].sort_key())
-    groups = greedy_groups([p for p, _, _ in items], MERGE_TOL)
-    return FiberResult(
-        tuple((items[g[0]][0], sum(items[i][1] for i in g)) for g in groups),
-        tuple(max(items[i][2] for i in g) for g in groups),
-    )
+    groups = greedy_groups([p for p, _ in items], MERGE_TOL)
+    return FiberResult(tuple((items[g[0]][0], sum(items[i][1] for i in g)) for g in groups))
 
 
 def forward(C: Correspondence, z: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
     """Multivalued image of z, total multiplicity d1 at generic points."""
     if C.is_direct:
-        items = []
-        for gp, n in C.components:
-            for w, m in fiber(gp, z, cluster_radius):
-                items.append((w, n * m, point_residual(gp, z, w)))
-        return _merge_weighted(items)
-    frontier = [(z, 1, 0.0)]
+        return _merge_weighted(
+            [(w, n * m) for gp, n in C.components for w, m in fiber(gp, z, cluster_radius)]
+        )
+    frontier = [(z, 1)]
     for c in reversed(C.chain):
-        nxt = []
-        for p, mult, res in frontier:
-            fr = forward(c, p, cluster_radius)
-            for (w, m), r in zip(fr.points, fr.residuals):
-                nxt.append((w, mult * m, max(res, r)))
-        frontier = nxt
+        frontier = [
+            (w, mult * m) for p, mult in frontier for w, m in forward(c, p, cluster_radius).points
+        ]
     return _merge_weighted(frontier)
 
 

@@ -49,9 +49,7 @@ def enumerate_orbits(
     """All forward n-step orbit tuples from the seeds, multiplicity collapsed."""
     seeds = sorted(seeds, key=lambda p: p.sort_key())
     if len(seeds) * max(1, C.d1) ** n > budget:
-        raise BudgetExceeded(
-            f"{len(seeds)} seeds at depth {n} exceed budget {budget}", partial=[]
-        )
+        raise BudgetExceeded(f"{len(seeds)} seeds at depth {n} exceed budget {budget}")
     orbits: list[OrbitTuple] = []
     for seed in seeds:
         stack = [((seed,), ())]
@@ -60,7 +58,7 @@ def enumerate_orbits(
             for path, labs in stack:
                 fib = C.forward(path[-1])
                 children = []
-                for (q, _m), _r in zip(fib.points, fib.residuals):
+                for q, _m in fib.points:
                     if any(chordal_distance(q, c) <= DEDUP_TOL for c, _ in children):
                         continue
                     children.append((q, _component_of(C, path[-1], q)))

@@ -37,7 +37,7 @@ from corrdyn.graphpoly import GraphPolynomial, mobius_graph
 from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import MobiusMap, RationalMap, critical_points, mobius_apply, polynomial_map, rational_eval
 from corrdyn.sampling import random_rational_map
-from corrdyn.sphere import INF, SpherePoint, chordal_distance
+from corrdyn.sphere import INF, SpherePoint, chordal_distance, fiber_groups
 
 Q = polynomial_map([0, -3, 0, 1])
 
@@ -55,11 +55,12 @@ def fiber_values(fr):
 # -- fibers -----------------------------------------------------------------
 
 def test_covering_fiber_at_two_is_double():
-    fr = deleted_covering(Q).forward(pt(2))
+    C = deleted_covering(Q)
+    fr = C.forward(pt(2))
     assert fr.total_multiplicity == 2
     (p, m), = fr.points
     assert m == 2 and chordal_distance(p, pt(-1)) < 1e-7
-    assert max(fr.residuals) < 1e-8
+    assert C.graph_residual(pt(2), p) < 1e-8
 
 
 def test_quadratic_covering_is_negation():
@@ -194,10 +195,11 @@ def _oracle_cases():
 ORACLE_CASES = _oracle_cases()
 
 
-def _assert_same_fiber(got, want):
+def _assert_same_fiber(C, z, got, want):
+    """got = C.forward(z) has want's points and multiplicities, each on C's graph."""
     assert got.total_multiplicity == want.total_multiplicity
     assert len(got.points) == len(want.points)
-    assert max(got.residuals) < 1e-8
+    assert max(C.graph_residual(z, q) for q, _ in got.points) < 1e-8
     rest = list(want.points)
     for p, m in got.points:
         k = min(range(len(rest)), key=lambda i: chordal_distance(p, rest[i][0]))
@@ -211,8 +213,8 @@ def test_forward_and_backward_match_object_lane(name):
     rng = np.random.default_rng(23)
     bases = [pt(0), INF] + [pt(complex(*rng.normal(size=2))) for _ in range(6)]
     for z in bases:
-        _assert_same_fiber(C.forward(z), object_lane_fibers.forward(C, z))
-        _assert_same_fiber(C.backward(z), object_lane_fibers.backward(C, z))
+        _assert_same_fiber(C, z, C.forward(z), object_lane_fibers.forward(C, z))
+        _assert_same_fiber(C.transpose(), z, C.backward(z), object_lane_fibers.backward(C, z))
 
 
 @pytest.mark.parametrize("C, z", [
@@ -224,15 +226,15 @@ def test_forward_and_backward_match_object_lane(name):
 def test_double_fibers_match_object_lane(C, z):
     got = C.forward(z)
     assert [m for _, m in got.points] == [2]
-    _assert_same_fiber(got, object_lane_fibers.forward(C, z))
-    _assert_same_fiber(C.backward(z), object_lane_fibers.backward(C, z))
+    _assert_same_fiber(C, z, got, object_lane_fibers.forward(C, z))
+    _assert_same_fiber(C.transpose(), z, C.backward(z), object_lane_fibers.backward(C, z))
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES) + ["cov_Q"])
 def test_forward_points_are_forward_batch_entries_bit_for_bit(name):
     # at a generic point every cluster is one child, kept as solved: the
     # per-point API and the orbit and entropy trees read the same numbers
-    C = ORACLE_CASES[name]
+    C = ORACLE_CASES.get(name) or deleted_covering(Q)
     z = pt(0.31 - 0.62j)
     W1, W2, _ = C.forward_batch(*(np.array([c]) for c in z.projective()))
     row = sorted((SpherePoint.from_projective(a, b) for a, b in zip(W1[0], W2[0])),
@@ -243,6 +245,12 @@ def test_forward_points_are_forward_batch_entries_bit_for_bit(name):
     else:
         assert all(m == 1 for _, m in fr.points)
     assert fr.support() == row
+    # at 0, infinity and the double fibers (Q at 2, the family at -2), both ways
+    for D in (C, C.transpose()):
+        for z in (pt(0), INF, pt(2), pt(-2)):
+            W1, W2, _ = D.forward_batch(*(np.array([c]) for c in z.projective()))
+            want = tuple((q, len(members)) for q, members in fiber_groups(W1[0], W2[0], 1e-6))
+            assert D.forward(z).points == want
 
 
 @pytest.mark.parametrize("coeffs", [[[1], [1]], [[1, 1]]], ids=["no_w", "no_z"])
@@ -326,6 +334,18 @@ def test_compose_graph_poly_degree_bound():
     S = random_rational_map(np.random.default_rng(6), 5)
     with pytest.raises(DegreeBoundExceeded):
         compose_graph_poly(deleted_covering(R), deleted_covering(S))  # 17^2 > DEGREE_BOUND^2
+
+
+@pytest.mark.parametrize("order", ["two_first", "two_last", "resultant"])
+def test_a_stage_with_two_components_is_refused_in_either_order(order):
+    # every resultant stage is refused the same way, whichever factor has two components
+    two = ORACLE_CASES["two_components_one_double"]
+    with pytest.raises(DegreeBoundExceeded, match="single-component stages"):
+        if order == "resultant":
+            compose_graph_poly(two, deleted_covering(Q))
+        else:
+            pair = (two, deleted_covering(Q)) if order == "two_last" else (deleted_covering(Q), two)
+            ramification_pairs(compose(*pair), 2)
 
 
 def _same_bits(x, y) -> bool:
@@ -424,7 +444,7 @@ def test_ramification_skips_a_dead_fiber_row(monkeypatch):
     assert pairs == [((INF, INF), 2), ((pt(0), pt(0)), 2)]
 
 
-def test_forward_near_infinity_reports_the_residual_of_its_point():
+def test_forward_near_infinity_returns_points_on_the_graph():
     # verify's sixth ramification map at rng_seed 0, on the transposed covering graph: over
     # this discriminant root two fiber roots lie 3.7e-6 chordal from infinity on opposite
     # sides of it, and their plane mean 0.79 + 0.44i is off the graph (residual 0.51)
@@ -433,11 +453,11 @@ def test_forward_near_infinity_reports_the_residual_of_its_point():
         R = random_rational_map(rng, int(rng.integers(3, 6)))
     gp = cov_graph(R).transpose()
     z0 = pt(-0.3158809237033299 - 0.1768964996104448j)
-    fr = Correspondence(components=((gp, 1),)).forward(z0, cluster_radius=1e-5)
+    C = Correspondence(components=((gp, 1),))
+    fr = C.forward(z0, cluster_radius=1e-5)
     (q, m), = [(q, m) for q, m in fr.points if m == 2]
-    assert point_residual(gp, z0, q) < 1e-9
-    for (q, m), r in zip(fr.points, fr.residuals):
-        assert r == pytest.approx(point_residual(gp, z0, q), rel=1e-9, abs=1e-300)
+    assert C.graph_residual(z0, q) < 1e-9
+    assert max(C.graph_residual(z0, q) for q, _ in fr.points) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["cov_degree_2", "cov_degree_3", "cov_degree_5"])

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ def diagonal_vanishing_fraction(gp: GraphPolynomial, n_samples: int = 200, seed:
     rng = np.random.default_rng(seed)
     t = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
     t = t / np.maximum(1.0, np.abs(t))  # keep in the unit disk
-    vals = np.abs(gp.eval_homogeneous(t, np.ones_like(t), t, np.ones_like(t))) / gp.scale
+    vals = gp.residuals(t, np.ones_like(t), t, np.ones_like(t))
     return float(np.mean(vals < 1e-10))
 
 
@@ -102,6 +103,37 @@ def test_exact_division_and_failure():
 def test_diagonal_deleted_diagnostic():
     gp = cov_graph(polynomial_map([0, -3, 0, 1]))
     assert diagonal_vanishing_fraction(gp) < 0.05
+
+
+def _residual_double_sum(gp: GraphPolynomial, z1, z2, w1, w2) -> float:
+    """|sum c_ij z1^i z2^(m-i) w1^j w2^(n-j)| / max|c|, both pairs scaled to unit norm."""
+    m, n = gp.deg_z, gp.deg_w
+    total = sum(
+        complex(gp.coeffs[i, j]) * z1 ** i * z2 ** (m - i) * w1 ** j * w2 ** (n - j)
+        for i in range(m + 1) for j in range(n + 1)
+    )
+    nz, nw = math.hypot(abs(z1), abs(z2)), math.hypot(abs(w1), abs(w2))
+    return abs(total) / (nz ** m * nw ** n) / gp.scale
+
+
+@pytest.mark.parametrize("deg_z, deg_w", [(1, 1), (2, 2), (3, 1), (2, 4), (5, 3)])
+def test_residuals_are_the_homogeneous_double_sum(deg_z, deg_w):
+    # off the graph (random pairs), on (N, 1) x (N, d) arrays and on Python scalars,
+    # pairs at 0 and infinity included
+    rng = np.random.default_rng(deg_z * 10 + deg_w)
+    shape = (deg_z + 1, deg_w + 1)
+    gp = GraphPolynomial(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    N, d = 5, 3
+    z1, z2, w1, w2 = (rng.normal(size=(N, k)) + 1j * rng.normal(size=(N, k)) for k in (1, 1, d, d))
+    z1[0, 0], w2[1, 1], w1[2, 2], z2[3, 0] = 0, 0, 0, 0
+    got = gp.residuals(z1, z2, w1, w2)
+    assert got.shape == (N, d)
+    for k in range(N):
+        for j in range(d):
+            pair = complex(z1[k, 0]), complex(z2[k, 0]), complex(w1[k, j]), complex(w2[k, j])
+            want = _residual_double_sum(gp, *pair)
+            assert got[k, j] == pytest.approx(want, rel=1e-12)
+            assert float(gp.residuals(*pair)) == pytest.approx(want, rel=1e-12)
 
 
 def test_graph_json_round_trip():

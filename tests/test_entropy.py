@@ -76,7 +76,7 @@ def test_family_orbits_from_fixed_point():
     ]
 
 
-def test_budget_exceeded_carries_partial():
+def test_budget_exceeded_is_raised_past_the_budget():
     C = family_correspondence(4)
     with pytest.raises(BudgetExceeded):
         enumerate_orbits(C, fibonacci_sphere_points(64), 10, budget=100)

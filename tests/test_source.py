@@ -326,3 +326,33 @@ def test_unraised_error_is_found():
         "try:\n    f()\nexcept Orphan:\n    KINDS = (Orphan,)\n"
     )
     assert _unraised_errors(errors, [errors, user]) == ["Orphan"]
+
+
+#: the ways a module reads the process environment
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Uses of ENVIRONMENT_READS as attributes (os.environ) or names imported from os."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in ENVIRONMENT_READS]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_environment_is_read(module):
+    # the README promises that no command reads an environment variable: a run is
+    # set by its config and its arguments alone
+    assert _environment_reads(ast.parse((SRC / module).read_text(encoding="utf-8"))) == []
+
+
+def test_environment_read_is_found():
+    tree = ast.parse(
+        "import os\nn = int(os.environ.get('N', 1))\nfrom os import getenv, path\n"
+        "t = os.getenv('T')\npath.join('a', 'b')\n"
+    )
+    assert sorted(_environment_reads(tree)) == ["environ (line 2)", "getenv (line 3)", "getenv (line 4)"]
