@@ -2,8 +2,9 @@
 
 Core surfaces:
 
-* sphere / polynomials / roots / rational: numeric substrate (two-chart
-  sphere points, chordal metric, root clustering, critical points);
+* sphere / roots / rational: numeric substrate (two-chart sphere points,
+  chordal metric, root clustering, critical points); a polynomial in one
+  variable is an ascending complex coefficient array;
 * correspondence: graph polynomials, multivalued fibers, composition,
   ramification;
 * families: the one-parameter involution-covering family, compositions of
@@ -54,7 +55,6 @@ from .measures import (
     pullback_dirac_tree,
     pushforward_mobius,
 )
-from .polynomials import ComplexPolynomial
 from .rational import (
     MobiusMap,
     RationalMap,

@@ -22,7 +22,6 @@ from .errors import (
     UsageError,
 )
 from .graphpoly import GraphPolynomial, identity_graph, mobius_graph
-from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap
 from .roots import roots_with_clusters
 from .sphere import INF, SpherePoint, chart_pairs, chordal_distance, fiber_groups, greedy_groups
@@ -75,8 +74,8 @@ def cov_graph(R: RationalMap) -> GraphPolynomial:
     d = R.degree
     p = np.zeros(d + 1, dtype=complex)
     q = np.zeros(d + 1, dtype=complex)
-    p[: R.numerator.coefficients.size] = R.numerator.coefficients
-    q[: R.denominator.coefficients.size] = R.denominator.coefficients
+    p[: R.numerator.size] = R.numerator
+    q[: R.denominator.size] = R.denominator
     # N[i, j] = p_i q_j - p_j q_i  (antisymmetric)
     N = np.outer(p, q) - np.outer(q, p)
     if np.max(np.abs(N)) == 0:
@@ -264,9 +263,7 @@ def map_graph(R: RationalMap, backward: bool = False) -> Correspondence:
     Forward orientation has bidegree (1 : deg R); the backward orientation
     (z related to the preimages of z under R) has bidegree (deg R : 1).
     """
-    p = R.numerator.coefficients
-    q = R.denominator.coefficients
-    d = R.degree
+    p, q, d = R.numerator, R.denominator, R.degree
     c = np.zeros((d + 1, 2), dtype=complex)
     c[: p.size, 0] = -p
     c[: q.size, 1] = q
@@ -360,10 +357,11 @@ def _branch_base_candidates(gp: GraphPolynomial) -> list[SpherePoint]:
     if scale == 0:
         raise DiscriminantDegenerate("w-discriminant vanishes identically")
     coeffs = np.linalg.solve(np.vander(zs, deg + 1, increasing=True), vals)
-    poly = ComplexPolynomial(coeffs).trimmed(1e-9)
+    # leading coefficients at or below 1e-9 of the largest are dropped
+    degree = np.flatnonzero(~(np.abs(coeffs) <= 1e-9 * np.max(np.abs(coeffs))))[-1]
     cands: list[SpherePoint] = [INF]
-    if not poly.is_zero and poly.degree >= 1:
-        cands += [r for r, _ in roots_with_clusters(poly.coefficients, cluster_radius=1e-5)]
+    if degree >= 1:
+        cands += [r for r, _ in roots_with_clusters(coeffs[: degree + 1], cluster_radius=1e-5)]
     return cands
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .correspondence import Correspondence, compose, deleted_covering, mobius_correspondence
 from .errors import BadParameter, BranchAmbiguity, DegreeMismatch, NotAnInvolution
-from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap, mobius_is_involution, polynomial_map
 from .sphere import SpherePoint, chart_pairs, chart_values, embed_chart, point_charts, uniform_sphere_charts
 
@@ -84,8 +83,8 @@ def quadratic_to_involution(R: RationalMap) -> MobiusMap:
         raise DegreeMismatch("quadratic_to_involution requires degree 2")
     pc = np.zeros(3, dtype=complex)
     qc = np.zeros(3, dtype=complex)
-    pc[: R.numerator.coefficients.size] = R.numerator.coefficients
-    qc[: R.denominator.coefficients.size] = R.denominator.coefficients
+    pc[: R.numerator.size] = R.numerator
+    qc[: R.denominator.size] = R.denominator
     c, b, a = pc
     f, e, d = qc
     A = c * d - a * f
@@ -116,7 +115,7 @@ def involution_to_quadratic(J: MobiusMap) -> RationalMap:
         # the form A z^2 + B z (B != 0 since the determinant is nonzero)
         coeffs = (Cc / B, 0, 1, A, B, 0)
     a, b, c, d, e, f = coeffs
-    return RationalMap(ComplexPolynomial([c, b, a]), ComplexPolynomial([f, e, d]))
+    return RationalMap([c, b, a], [f, e, d])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiberDegenerate
-from .roots import projective_roots_batch
+from .roots import power_of_two_window, projective_roots_batch
 from .sphere import SpherePoint, fiber_groups
 
 
@@ -64,13 +64,14 @@ def _quadratic_fiber(cw: np.ndarray):
 
 @dataclass(frozen=True)
 class GraphPolynomial:
-    """One irreducible-component polynomial of a correspondence graph."""
+    """One irreducible-component polynomial of a correspondence graph, its
+    coefficients scaled by roots.power_of_two_window."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", _tight(arr))
+        object.__setattr__(self, "coeffs", _tight(*power_of_two_window(arr)))
 
     @property
     def deg_z(self) -> int:

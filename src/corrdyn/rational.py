@@ -8,37 +8,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooLow, Indeterminate
-from .polynomials import ComplexPolynomial
-from .roots import poly_roots, roots_with_clusters
+from .roots import poly_roots, power_of_two_window, roots_with_clusters
 from .sphere import INF, SpherePoint, chordal_distance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMap:
     """R = numerator / denominator, with no common roots.
 
-    The common-root check is numerical: construction fails if some root of
-    the numerator lies within 1e-10 (chordal) of a root of the denominator.
+    Numerator and denominator are ascending complex coefficient arrays, with
+    exactly-zero leading coefficients dropped, taken together through
+    roots.power_of_two_window.  The common-root check is numerical:
+    construction fails if some root of the numerator lies within 1e-10
+    (chordal) of a root of the denominator.
     """
 
-    numerator: ComplexPolynomial
-    denominator: ComplexPolynomial
+    numerator: np.ndarray
+    denominator: np.ndarray
 
     def __post_init__(self):
-        num, den = self.numerator, self.denominator
-        if not isinstance(num, ComplexPolynomial):
-            object.__setattr__(self, "numerator", ComplexPolynomial(num))
-            num = self.numerator
-        if not isinstance(den, ComplexPolynomial):
-            object.__setattr__(self, "denominator", ComplexPolynomial(den))
-            den = self.denominator
-        if num.is_zero or den.is_zero:
+        num, den = power_of_two_window(
+            *(np.array(c, dtype=complex, ndmin=1).ravel() for c in (self.numerator, self.denominator))
+        )
+        if not (num.any() and den.any()):
             raise DegreeTooLow("numerator and denominator must be nonzero")
+        num, den = (c[: np.flatnonzero(c)[-1] + 1] for c in (num, den))
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
         if self.degree < 1:
             raise DegreeTooLow("rational map must have degree >= 1")
-        if num.degree >= 1 and den.degree >= 1:
-            rn = [r for r, _ in roots_with_clusters(num.coefficients)]
-            rd = [r for r, _ in roots_with_clusters(den.coefficients)]
+        if num.size > 1 and den.size > 1:
+            rn = [r for r, _ in roots_with_clusters(num)]
+            rd = [r for r, _ in roots_with_clusters(den)]
             for a in rn:
                 for b in rd:
                     if chordal_distance(a, b) < 1e-10:
@@ -46,16 +47,22 @@ class RationalMap:
 
     @property
     def degree(self) -> int:
-        return int(max(self.numerator.degree, self.denominator.degree))
+        return max(self.numerator.size, self.denominator.size) - 1
 
-    def derivative_wronskian(self) -> ComplexPolynomial:
-        """p'q - pq', the numerator of R'."""
+    def derivative_wronskian(self) -> np.ndarray:
+        """p'q - pq', the numerator of R', without exactly-zero leading coefficients."""
         p, q = self.numerator, self.denominator
-        return p.derivative() * q - p * q.derivative()
+        # the derivative of a constant is the zero polynomial [0], whatever it multiplies
+        dpq = np.convolve(p[1:] * np.arange(1, p.size), q) if p.size > 1 else np.zeros(1, dtype=complex)
+        pdq = np.convolve(p, q[1:] * np.arange(1, q.size)) if q.size > 1 else np.zeros(1, dtype=complex)
+        w = np.zeros(max(dpq.size, pdq.size), dtype=complex)
+        w[: dpq.size] = dpq
+        w[: pdq.size] -= pdq
+        return w[: np.flatnonzero(w)[-1] + 1] if w.any() else w[:1]
 
 
 def polynomial_map(coefficients) -> RationalMap:
-    return RationalMap(ComplexPolynomial(coefficients), ComplexPolynomial([1]))
+    return RationalMap(coefficients, [1])
 
 
 def rational_eval(R: RationalMap, p: SpherePoint) -> SpherePoint:
@@ -67,21 +74,18 @@ def rational_eval(R: RationalMap, p: SpherePoint) -> SpherePoint:
     within 1e-12, which signals an unreduced map.
     """
     num, den = R.numerator, R.denominator
-    d = max(int(num.degree), int(den.degree))
+    d = R.degree
     if p.chart == "standard":
         z = p.value
-        nv, dv = num(z), den(z)
+        nv, dv = complex(np.polyval(num[::-1], z)), complex(np.polyval(den[::-1], z))
         scale = max(1.0, abs(z)) ** d
     else:
-        # z = 1/u: evaluate u^d num(1/u) and u^d den(1/u)
+        # z = 1/u: u^d num(1/u) and u^d den(1/u) read the padded coefficients descending
         u = p.value
-        nv = num.reversed(d)(u)
-        dv = den.reversed(d)(u)
+        nv, dv = (complex(np.polyval(np.pad(c, (0, d + 1 - c.size)), u)) for c in (num, den))
         scale = 1.0
     nmag, dmag = abs(nv), abs(dv)
-    coeff_scale = max(
-        np.max(np.abs(num.coefficients)), np.max(np.abs(den.coefficients))
-    )
+    coeff_scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
     if nmag <= 1e-12 * coeff_scale * scale and dmag <= 1e-12 * coeff_scale * scale:
         raise Indeterminate("numerator and denominator vanish together")
     if dmag == 0.0:
@@ -96,8 +100,8 @@ def rational_preimages(R: RationalMap, w: SpherePoint) -> list[tuple[SpherePoint
     w1, w2 = w.projective()
     # w2*num(z) - w1*den(z) = 0, padded to degree d
     c = np.zeros(d + 1, dtype=complex)
-    c[: num.coefficients.size] = w2 * num.coefficients
-    c[: den.coefficients.size] -= w1 * den.coefficients
+    c[: num.size] = w2 * num
+    c[: den.size] -= w1 * den
     if not np.any(c):
         raise Indeterminate("preimage polynomial vanished identically")
     return poly_roots(c, 1e-6)
@@ -113,7 +117,7 @@ def critical_points(R: RationalMap) -> list[tuple[SpherePoint, int]]:
         raise DegreeTooLow("critical points require degree >= 2")
     # p'q - pq' has formal degree 2d - 1, but that coefficient cancels
     w = np.zeros(2 * R.degree - 1, dtype=complex)
-    wc = R.derivative_wronskian().coefficients[: w.size]
+    wc = R.derivative_wronskian()[: w.size]
     w[: wc.size] = wc
     if not np.any(w):
         raise DegreeTooLow("Wronskian vanished identically; map is degenerate")
@@ -130,6 +134,11 @@ class MobiusMap:
     d: complex
 
     def __post_init__(self):
+        entries = np.array([self.a, self.b, self.c, self.d], dtype=complex)
+        scaled = power_of_two_window(entries)[0]
+        if scaled is not entries:  # outside the window; inside, the entries keep their own types
+            for name, x in zip("abcd", scaled):
+                object.__setattr__(self, name, x)
         det = self.a * self.d - self.b * self.c
         if abs(det) <= 1e-12 * max(1.0, max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) ** 2):
             raise DegreeTooLow("Moebius map must have nonzero determinant")

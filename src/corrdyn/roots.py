@@ -8,7 +8,8 @@ root at infinity.  roots_with_clusters solves one polynomial as one row of
 it and groups the row by sphere.fiber_groups, the rule that makes a fiber a
 multiset, for the one-polynomial solves (rational_preimages,
 critical_points and ramification's discriminant); poly_roots adds a
-residual check.
+residual check.  A polynomial in one variable is an ascending complex array;
+power_of_two_window scales the coefficients of maps and graph polynomials.
 """
 
 from __future__ import annotations
@@ -16,13 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvergence, ZeroPolynomial
-from .polynomials import ComplexPolynomial
 from .sphere import RECIPROCAL, SpherePoint, chordal_distance, fiber_groups
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 
 #: coefficients at or below this share of the row maximum count as zero
 DROP_TOL = 1e-11
+
+def power_of_two_window(*arrays) -> list:
+    """The complex arrays as given when the largest modulus among their entries
+    lies in [2^-256, 2^256], or is 0 or not finite; else each array times the
+    one power of two that puts that modulus in [1, 2), taken by np.ldexp on the
+    real and imaginary parts, which is exact."""
+    top = max(np.max(np.abs(a), initial=0.0) for a in arrays)
+    if not 0 < top < np.inf or 2.0 ** -256 <= top <= 2.0 ** 256:
+        return list(arrays)
+    k = 1 - np.frexp(top)[1]
+    return [np.ldexp(np.stack((a.real, a.imag), -1), k).view(complex)[..., 0] for a in arrays]
 
 
 def roots_with_clusters(
@@ -105,17 +116,15 @@ def _horner(P: np.ndarray, t: np.ndarray):
     return p, dp
 
 
-def poly_roots(
-    p: ComplexPolynomial | np.ndarray, cluster_radius: float = DEFAULT_CLUSTER_RADIUS
-) -> list[tuple[SpherePoint, int]]:
+def poly_roots(p, cluster_radius: float = DEFAULT_CLUSTER_RADIUS) -> list[tuple[SpherePoint, int]]:
     """Roots of p with multiplicity, as sphere points (roots_with_clusters).
 
-    p is a ComplexPolynomial or an ascending coefficient array, whose length
-    fixes the nominal degree; a degree drop is a root at infinity.  Raises
-    ZeroPolynomial for p identically zero and NonConvergence when a simple
-    finite root fails the residual check.
+    p is an ascending coefficient array, whose length fixes the nominal
+    degree; a degree drop is a root at infinity.  Raises ZeroPolynomial for p
+    identically zero and NonConvergence when a simple finite root fails the
+    residual check.
     """
-    coeffs = p.coefficients if isinstance(p, ComplexPolynomial) else np.asarray(p, dtype=complex)
+    coeffs = np.asarray(p, dtype=complex)
     clusters = roots_with_clusters(coeffs, cluster_radius)
     # residual contract for simple finite roots, on the polynomial left after
     # the degree drop; evaluated scale-free (coefficients max-normalized, and

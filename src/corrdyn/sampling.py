@@ -7,7 +7,6 @@ caller-supplied numpy Generator so runs are reproducible.
 from __future__ import annotations
 
 from .errors import CorrdynError
-from .polynomials import ComplexPolynomial
 from .rational import MobiusMap, RationalMap
 from .sphere import SpherePoint
 
@@ -18,11 +17,11 @@ def random_complex(rng, n=None, scale=1.0):
     return (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
 
 
-def random_polynomial(rng, degree: int) -> ComplexPolynomial:
+def random_polynomial(rng, degree: int):
     c = random_complex(rng, degree + 1)
     while abs(c[-1]) < 0.1:
         c[-1] = random_complex(rng)
-    return ComplexPolynomial(c)
+    return c
 
 
 def random_rational_map(rng, degree: int) -> RationalMap:
@@ -37,7 +36,7 @@ def random_rational_map(rng, degree: int) -> RationalMap:
         try:
             R = RationalMap(
                 random_polynomial(rng, num_deg),
-                random_polynomial(rng, den_deg) if den_deg > 0 else ComplexPolynomial([1]),
+                random_polynomial(rng, den_deg) if den_deg > 0 else [1],
             )
         except CorrdynError:
             continue

@@ -21,7 +21,6 @@ from corrdyn.families import RegionSpec
 from corrdyn.graphpoly import GraphPolynomial
 from corrdyn.measures import WeightedCloud
 from corrdyn.raster import RasterImage
-from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import MobiusMap, RationalMap
 from corrdyn.sphere import RECIPROCAL, STANDARD, SpherePoint
 
@@ -72,9 +71,9 @@ def mobius_inverse(M: MobiusMap) -> MobiusMap:
     return MobiusMap(M.d, -M.b, -M.c, M.a)
 
 
-def poly_json(p: ComplexPolynomial) -> list:
+def poly_json(p: np.ndarray) -> list:
     """A polynomial as config.read_map reads one: [re, im] pairs, ascending degree."""
-    return [[c.real, c.imag] for c in p.coefficients]
+    return [[c.real, c.imag] for c in p]
 
 
 def map_json(R: RationalMap) -> dict:

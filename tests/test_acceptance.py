@@ -43,7 +43,6 @@ from corrdyn.measures import (
     pullback_dirac_tree,
     pullback_dirac_tree_levels,
 )
-from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import (
     MobiusMap,
     RationalMap,
@@ -93,7 +92,7 @@ def pt(z):
 
 
 def family_quadratic(a):
-    return RationalMap(ComplexPolynomial([-a, 0, 1]), ComplexPolynomial([1, -2, 1]))
+    return RationalMap([-a, 0, 1], [1, -2, 1])
 
 
 # -- criterion 1: involution dictionary ---------------------------------------

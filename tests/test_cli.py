@@ -1,11 +1,14 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -321,6 +324,52 @@ def test_entropy_report_bytes_are_pinned(tmp_path, capsys, config):
     out = tmp_path / "report.json"
     assert main(["entropy", "--config", str(CONFIGS / config), "--set", f"out={out}"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[config]
+
+
+def _scaled(spec, j):
+    """spec with every map coefficient and graph coefficient times 2^j."""
+    def scale(x):
+        return [math.ldexp(v, j) for v in x] if type(x) is list else math.ldexp(x, j)
+    if type(spec) is dict:
+        return {k: ([scale(c) for c in v] if k in ("num", "den", "coeffs") else _scaled(v, j))
+                for k, v in spec.items()}
+    return [_scaled(v, j) for v in spec] if type(spec) is list else spec
+
+
+SCALE_SPECS = {
+    "c09": json.loads((CONFIGS / "accept_c09_entropy_frs.json").read_text())["correspondence"],
+    # w^2 - z^2 + z w / 2 + 1/4, a (2:2) graph with degree-2 fibers
+    "explicit": {"kind": "explicit", "data": {"components": [{"multiplicity": 1, "poly": {
+        "deg_z": 2, "deg_w": 2, "coeffs": [0.25, 0, 1, 0, 0.5, 0, -1, 0, 0]}}]}},
+}
+SMALL_PROTOCOL = {"eps_grid": [0.2], "n_max": 3}
+
+
+@functools.lru_cache(maxsize=None)
+def _scale_report(name: str, j: int) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        cfg = {"correspondence": _scaled(SCALE_SPECS[name], j), "protocol": SMALL_PROTOCOL,
+               "out": str(out)}
+        assert _run_config(Path(tmp), "entropy", cfg) == 0
+        return out.read_bytes()
+
+
+@pytest.mark.parametrize("name, j", [
+    *(("c09", j) for j in (-900, -600, -450, 450, 600, 900)), ("explicit", -1000), ("explicit", 1000)])
+def test_a_map_or_graph_scaled_by_a_power_of_two_writes_the_unscaled_report(name, j):
+    # maps and graph polynomials whose largest coefficient lies outside
+    # [2^-256, 2^256] are scaled into [1, 2) by a power of two, which moves no fiber
+    assert _scale_report(name, j) == _scale_report(name, 0)
+
+
+@pytest.mark.parametrize("a", [1e160, 1e300, -1e300])
+def test_family_at_a_huge_parameter_runs(tmp_path, capsys, a):
+    # j_a's Moebius entries, of modulus about |a|, are scaled into [1, 2) before its determinant test
+    out = tmp_path / "report.json"
+    cfg = {"correspondence": {"kind": "family_a", "a": a}, "protocol": SMALL_PROTOCOL, "out": str(out)}
+    assert _run_config(tmp_path, "entropy", cfg) == 0
+    assert capsys.readouterr().err == "" and out.exists()
 
 
 def test_limitset_on_quartic_covering(tmp_path):
@@ -1171,7 +1220,8 @@ COMPUTE = ["cov_graph", "enumerate_orbits", "entropy_estimate", "pullback_dirac_
            "pullback_dirac_tree_levels", "pullback_dirac_mc", "metric_entropy_estimate",
            "energy_distance", "render_survival_set"]
 WRONG_VALUES = ["x", "", [], {}, None, True, False, 0, -1, 0.5, -2.5, 10 ** 12, -(10 ** 12),
-                HUGE, -HUGE, [HUGE, 0], [True, 0], [0, 0, 0], {"kind": "x"}]
+                HUGE, -HUGE, [HUGE, 0], [True, 0], [0, 0, 0], {"kind": "x"},
+                1e300, -1e300, 1e-300, 5e-324, [1e300, 1e300], [5e-324, 0]]
 
 
 class _Reached(Exception):

@@ -34,7 +34,6 @@ from corrdyn.correspondence import (
 from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate, UsageError
 from corrdyn.families import composed_covering_pair, family_correspondence, family_involution
 from corrdyn.graphpoly import GraphPolynomial, mobius_graph
-from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import MobiusMap, RationalMap, critical_points, mobius_apply, polynomial_map, rational_eval
 from corrdyn.sampling import random_rational_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance, fiber_groups

@@ -12,7 +12,6 @@ from corrdyn.config import read_poly
 from corrdyn.correspondence import cov_graph
 from corrdyn.errors import DegreeTooLow, InexactDivision
 from corrdyn.graphpoly import GraphPolynomial, _powers
-from corrdyn.polynomials import ComplexPolynomial
 from corrdyn.rational import RationalMap, polynomial_map
 from corrdyn.sampling import random_rational_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance
@@ -48,7 +47,7 @@ def test_cubic_chebyshev_like():
 def test_quadratic_polynomial_formula():
     # quotient of (P(z) - P(w)) by (z - w) for P = a z^2 + b z + c is a(z+w) + b
     a, b, c = 2.0 + 1j, -0.7, 3.3j
-    gp = cov_graph(RationalMap(ComplexPolynomial([c, b, a]), ComplexPolynomial([1])))
+    gp = cov_graph(RationalMap([c, b, a], [1]))
     assert gp.deg_z == gp.deg_w == 1
     assert gp.coeffs[0, 0] == pytest.approx(b)
     assert gp.coeffs[1, 0] == pytest.approx(a)
@@ -62,7 +61,7 @@ def test_quadratic_rational_formula():
     for _ in range(10):
         a, b, c, d, e, f = rng.normal(size=6) + 1j * rng.normal(size=6)
         try:
-            R = RationalMap(ComplexPolynomial([c, b, a]), ComplexPolynomial([f, e, d]))
+            R = RationalMap([c, b, a], [f, e, d])
         except Exception:
             continue
         if R.degree != 2:
@@ -84,7 +83,7 @@ def test_symmetry_random_maps():
 
 def test_degree_too_low():
     with pytest.raises(DegreeTooLow):
-        cov_graph(RationalMap(ComplexPolynomial([0, 1]), ComplexPolynomial([1])))
+        cov_graph(RationalMap([0, 1], [1]))
 
 
 def test_exact_division_and_failure():

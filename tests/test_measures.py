@@ -339,10 +339,9 @@ def test_brolin_squaring_matches_uniform_circle():
 
 def test_brolin_parabolic_seed_independence():
     # z + 1/z + 1 from two seeds
-    from corrdyn.polynomials import ComplexPolynomial
     from corrdyn.rational import RationalMap
 
-    PA = RationalMap(ComplexPolynomial([1, 1, 1]), ComplexPolynomial([0, 1]))
+    PA = RationalMap([1, 1, 1], [0, 1])
     a = brolin_cloud(PA, 12, 10_000, rng_seed=5, z0=pt(0.5))
     b = brolin_cloud(PA, 12, 10_000, rng_seed=6, z0=pt(2 + 1j))
     assert energy_distance(a, b) < 0.05

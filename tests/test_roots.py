@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import object_lane_fibers
 from corrdyn.errors import NonConvergence, ZeroPolynomial
-from corrdyn.polynomials import ComplexPolynomial, poly_from_roots
-from corrdyn.roots import poly_roots, roots_with_clusters
+from corrdyn.roots import poly_roots, power_of_two_window, roots_with_clusters
 from corrdyn.sphere import chordal_distance, SpherePoint
+
+
+def poly_from_roots(roots) -> np.ndarray:
+    return np.poly(roots)[::-1]
 
 
 def roots_as_complex(found):
@@ -20,7 +23,7 @@ def roots_as_complex(found):
 
 
 def test_perfect_square():
-    found = poly_roots(ComplexPolynomial([1, 2, 1]))
+    found = poly_roots([1, 2, 1])
     assert len(found) == 1
     p, m = found[0]
     assert m == 2
@@ -28,7 +31,7 @@ def test_perfect_square():
 
 
 def test_plus_minus_one():
-    found = roots_as_complex(poly_roots(ComplexPolynomial([-1, 0, 1])))
+    found = roots_as_complex(poly_roots([-1, 0, 1]))
     assert np.allclose(found, [-1, 1], atol=1e-10)
 
 
@@ -36,14 +39,14 @@ def test_cubic_fiber_quotient_oracle():
     # fiber of the deleted covering of z^3 - 3z over z = 2: the quotient
     # (Q(2) - Q(w)) / (2 - w) computed by exact synthetic division
     q2 = 2 ** 3 - 3 * 2
-    num = ComplexPolynomial([q2, 3, 0, -1])  # Q(2) - Q(w) as poly in w
+    num = np.array([q2, 3, 0, -1])  # Q(2) - Q(w) as poly in w
     # divide by (2 - w): synthetic division at w = 2 after sign flip
-    c = (-num.coefficients)[::-1]  # (Q(w) - Q(2)) descending
+    c = (-num)[::-1]  # (Q(w) - Q(2)) descending
     out = [c[0]]
     for k in c[1:-1]:
         out.append(k + 2 * out[-1])
-    quotient = ComplexPolynomial(out[::-1])  # (Q(w)-Q(2))/(w-2) ascending
-    assert np.allclose(quotient.coefficients, [1, 2, 1])  # w^2 + 2w + 1
+    quotient = np.array(out[::-1])  # (Q(w)-Q(2))/(w-2) ascending
+    assert np.allclose(quotient, [1, 2, 1])  # w^2 + 2w + 1
     found = poly_roots(quotient)
     assert len(found) == 1 and found[0][1] == 2
     assert abs(found[0][0].to_complex() + 1) < 1e-7
@@ -51,7 +54,16 @@ def test_cubic_fiber_quotient_oracle():
 
 def test_zero_polynomial_raises():
     with pytest.raises(ZeroPolynomial):
-        poly_roots(ComplexPolynomial([0]))
+        poly_roots([0])
+
+
+def test_power_of_two_window_keeps_the_window_and_scales_outside_it():
+    for a in ([2.0 ** 256, 1j], [2.0 ** -256], [0, 0], [np.inf]):
+        a = np.array(a, dtype=complex)
+        assert power_of_two_window(a)[0] is a
+    num, den = power_of_two_window(np.array([3 * 2.0 ** 600, 1j]), np.array([2.0 ** 590 * 1j]))
+    assert num.tolist() == [1.5, 2.0 ** -601 * 1j] and den.tolist() == [2.0 ** -11 * 1j]
+    assert power_of_two_window(np.array([5e-324, 2.0 ** -1000 * 1j]))[0].tolist() == [2.0 ** -74, 1j]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -91,7 +103,7 @@ def test_residual_contract_simple_roots():
     p = poly_from_roots([0.5, -2.0, 1j]) * 3.7
     for pt, m in poly_roots(p):
         if m == 1:
-            assert abs(p(pt.to_complex())) / (1 + abs(p.coefficients[-1])) < 1e-8
+            assert abs(np.polyval(p[::-1], pt.to_complex())) / (1 + abs(p[-1])) < 1e-8
 
 
 def test_cluster_radius_merging():
@@ -130,7 +142,7 @@ def test_a_failed_newton_step_warns_nothing():
     roots = [2.4495085713036344 + 0.27583613675989327j, 2.449508575181733 + 0.2758361389676547j]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        found = roots_with_clusters(poly_from_roots(roots).coefficients)
+        found = roots_with_clusters(poly_from_roots(roots))
     assert [m for _, m in found] == [2]
 
 
@@ -161,7 +173,7 @@ def test_roots_with_clusters_matches_the_frozen_solve(grid, kind, gap, angle, dr
     roots = [0.3 * complex(a, b) for a, b in grid]
     if kind == "near_double":
         roots.append(roots[0] + gap * cmath.exp(1j * angle))
-    coeffs = lead * poly_from_roots(roots).coefficients
+    coeffs = lead * poly_from_roots(roots)
     if kind == "degree_drop":
         coeffs = np.concatenate([coeffs, np.full(drop, top * np.max(np.abs(coeffs)))])
     want = [(SpherePoint.from_complex(r), m) for r, m in object_lane_fibers.solve(coeffs)]
