@@ -17,7 +17,6 @@ Core surfaces:
 
 from .correspondence import (
     Correspondence,
-    FiberResult,
     compose,
     compose_graph_poly,
     cov_graph,

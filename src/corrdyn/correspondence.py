@@ -88,21 +88,6 @@ def cov_graph(R: RationalMap) -> GraphPolynomial:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FiberResult:
-    """Multiset of fiber points: one (SpherePoint, multiplicity) per group
-    of a forward_batch row (sphere.fiber_groups)."""
-
-    points: tuple  # tuple[(SpherePoint, int multiplicity), ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.points)
-
-    def support(self) -> list[SpherePoint]:
-        return [p for p, _ in self.points]
-
-
-@dataclass(frozen=True)
 class Correspondence:
     """Holomorphic correspondence on the sphere.
 
@@ -161,38 +146,44 @@ class Correspondence:
 
     # -- evaluation ---------------------------------------------------------
 
-    def forward(self, z: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
-        """Multivalued image of z, total multiplicity d1 at generic points.
+    @property
+    def labels(self) -> np.ndarray:
+        """The component index of each forward_batch column, int16 of length d1:
+        a direct correspondence's components in order, each repeated by its
+        multiplicity times deg_w; a chain is one composite component, all 0."""
+        if self.is_direct:
+            counts = [n * gp.deg_w for gp, n in self.components]
+            return np.repeat(np.arange(len(counts), dtype=np.int16), counts)
+        return np.zeros(self.d1, dtype=np.int16)
+
+    def forward(self, z: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
+        """Multivalued image of z as (point, multiplicity), total multiplicity
+        d1 at generic points.
 
         One row of forward_batch grouped within cluster_radius by
-        sphere.fiber_groups.  A stage fiber that vanishes identically on the
-        way raises FiberDegenerate.
+        sphere.fiber_groups, as GraphPolynomial.fiber is.  A stage fiber that
+        vanishes identically on the way raises FiberDegenerate.
         """
-        W1, W2, _ = self.forward_batch(*(np.array([c]) for c in z.projective()))
+        W1, W2 = self.forward_batch(*(np.array([c]) for c in z.projective()))
         if np.isnan(W1).any():
             raise FiberDegenerate(f"a stage fiber on the way from {z} vanishes identically")
-        return FiberResult(tuple(
-            (q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)
-        ))
+        return fiber_groups(W1[0], W2[0], cluster_radius)
 
-    def backward(self, w: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
+    def backward(self, w: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
         """Multivalued preimage of w, total multiplicity d2 generically."""
         return self.transpose().forward(w, cluster_radius)
 
     def forward_batch(self, Z1: np.ndarray, Z2: np.ndarray):
-        """Vectorized fibers: (W1, W2, labels), each of shape (N, d1).
+        """Vectorized fibers: (W1, W2), each of shape (N, d1).
 
-        Children of a direct correspondence carry their component index as
-        label; chained correspondences have a single composite component, so
-        labels are zero.  Stage fibers of any degree are batched (see
-        GraphPolynomial.fiber_batch); children come in batch order, not
-        sorted, and a degenerate stage fiber leaves NaN pairs.
+        Column k belongs to component labels[k].  Stage fibers of any degree
+        are batched (see GraphPolynomial.fiber_batch); children come in batch
+        order, not sorted, and a degenerate stage fiber leaves NaN pairs.
         """
         if self.is_direct:
             parts = []
-            for idx, (gp, n) in enumerate(self.components):
-                w1, w2 = gp.fiber_batch(Z1, Z2)
-                parts += [(w1, w2, np.full(w1.shape, idx, dtype=np.int16))] * n
+            for gp, n in self.components:
+                parts += [gp.fiber_batch(Z1, Z2)] * n
             if len(parts) == 1:  # one simple component: its fibers need no copy
                 return parts[0]
             return tuple(np.concatenate(arrs, axis=-1) for arrs in zip(*parts))
@@ -200,12 +191,8 @@ class Correspondence:
         cur1 = np.asarray(Z1, dtype=complex).ravel()
         cur2 = np.asarray(Z2, dtype=complex).ravel()
         for c in reversed(self.chain):
-            w1, w2, _ = c.forward_batch(cur1, cur2)
-            cur1, cur2 = w1.ravel(), w2.ravel()
-        n = self.d1
-        W1 = cur1.reshape(shape + (n,))
-        W2 = cur2.reshape(shape + (n,))
-        return W1, W2, np.zeros(W1.shape, dtype=np.int16)
+            cur1, cur2 = (w.ravel() for w in c.forward_batch(cur1, cur2))
+        return cur1.reshape(shape + (self.d1,)), cur2.reshape(shape + (self.d1,))
 
     # -- membership ---------------------------------------------------------
 
@@ -215,7 +202,7 @@ class Correspondence:
             pairs = (*z.projective(), *w.projective())
             return min(float(gp.residuals(*pairs)) for gp, _ in self.components)
         head, rest = self.chain[0], self.chain[1:]
-        mids = Correspondence(chain=rest).forward(z).support() if rest else [z]
+        mids = [q for q, _ in Correspondence(chain=rest).forward(z)] if rest else [z]
         return float(min(head.graph_residual(u, w) for u in mids))
 
 
@@ -420,7 +407,7 @@ def _confirmed_pairs(gp: GraphPolynomial):
     for z0, row1, row2 in zip(bases, W1, W2):
         if np.isnan(row1).any():
             continue
-        fib = [(q, len(members)) for q, members in fiber_groups(row1, row2, 1e-5)]
+        fib = fiber_groups(row1, row2, 1e-5)
         for idx, (w0, mult) in enumerate(fib):
             if mult >= 2:
                 starts.append((z0, w0, mult, True))

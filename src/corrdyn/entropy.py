@@ -65,6 +65,7 @@ class _LevelTree:
     def __init__(self, C: Correspondence, values, reciprocal, n_levels: int):
         self.C = C
         self.d1 = max(1, C.d1)
+        self.labels = C.labels  # the component of each forward_batch column
         self.n_levels = n_levels
         order = np.lexsort(embed_chart(values, reciprocal).T[::-1])
         z1, z2 = chart_pairs(values[order], reciprocal[order])
@@ -110,10 +111,10 @@ class _LevelTree:
         d1, n = self.d1, z1.size
         W1 = np.zeros((n, d1), dtype=complex)
         W2 = np.ones((n, d1), dtype=complex)
-        L = np.zeros((n, d1), dtype=np.int16)
+        L = np.zeros((n, d1), dtype=np.int16)  # a child of an invalid parent keeps label 0
         if ok.any():
-            w1, w2, lab = self.C.forward_batch(z1[ok], z2[ok])
-            W1[ok], W2[ok], L[ok] = w1, w2, lab
+            W1[ok], W2[ok] = self.C.forward_batch(z1[ok], z2[ok])
+            L[ok] = self.labels
         valid = np.repeat(ok[:, None], d1, axis=1)
         bad = ~np.isfinite(W1.real) | ~np.isfinite(W2.real)
         valid &= ~bad

@@ -133,7 +133,7 @@ def fixed_point_branch_coefficients(a, fit_radius: float = 0.05):
     av = _param(a)
     thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     zs = 1.0 + fit_radius * np.exp(1j * thetas)
-    W1, W2, _ = family_correspondence(av).forward_batch(zs, np.ones_like(zs))
+    W1, W2 = family_correspondence(av).forward_batch(zs, np.ones_like(zs))
     prev = 1.0 + 0j
     ws = np.empty(zs.size, dtype=complex)
     for k, z in enumerate(zs):
@@ -212,7 +212,7 @@ def _violations(C: Correspondence, region: RegionSpec, values, reciprocal) -> li
     samples inside the region with an image of C inside it too."""
     z1, z2 = chart_pairs(values, reciprocal)
     inside = np.flatnonzero(region.mask(z1, z2))
-    W1, W2, _ = C.forward_batch(z1[inside], z2[inside])
+    W1, W2 = C.forward_batch(z1[inside], z2[inside])
     rows, cols = (idx[:16] for idx in np.nonzero(region.mask(W1, W2)))
     points = embed_chart(values[inside[rows]], reciprocal[inside[rows]])
     images = embed_chart(*chart_values(W1[rows, cols], W2[rows, cols]))

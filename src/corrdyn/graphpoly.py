@@ -125,7 +125,7 @@ class GraphPolynomial:
         W1, W2 = self.fiber_batch(*(np.array([c]) for c in p.projective()))
         if np.isnan(W1).any():
             raise FiberDegenerate(f"graph polynomial vanishes identically over {p}")
-        return [(q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)]
+        return fiber_groups(W1[0], W2[0], cluster_radius)
 
     # -- vectorized lane ----------------------------------------------------
 

@@ -134,7 +134,7 @@ def pullback_dirac_tree_levels(
     z1 = np.array([a], dtype=complex)
     z2 = np.array([b], dtype=complex)
     for step in range(1, n_max + 1):
-        W1, W2, _ = CT.forward_batch(z1, z2)
+        W1, W2 = CT.forward_batch(z1, z2)
         if np.any(np.isnan(W1)):
             raise FiberDegenerate(f"degenerate fiber at level {step - 1}")
         z1, z2 = W1.ravel(), W2.ravel()
@@ -176,7 +176,7 @@ def pullback_dirac_mc(
     z1, z2 = np.full(n_paths, a, dtype=complex), np.full(n_paths, b, dtype=complex)
     rows = np.arange(n_paths)
     for step in range(n):
-        W1, W2, _ = CT.forward_batch(z1, z2)
+        W1, W2 = CT.forward_batch(z1, z2)
         if np.any(np.isnan(W1)):
             raise FiberDegenerate(f"degenerate fiber at step {step} of a walk")
         pick = choices[:, step]
@@ -364,7 +364,7 @@ def metric_entropy_estimate(
         xyz = embed_projective(cur1, cur2).reshape(n_atoms, width, 3)
         labels[:, nlev] = part.cells_of_embedded(xyz).min(axis=1)
         if nlev < N_max - 1:
-            W1, W2, _ = C.forward_batch(cur1, cur2)
+            W1, W2 = C.forward_batch(cur1, cur2)
             if np.any(np.isnan(W1)):
                 raise FiberDegenerate(f"degenerate fiber at refinement level {nlev}")
             cur1, cur2 = W1.ravel(), W2.ravel()

@@ -117,7 +117,7 @@ def render_survival_set(
         for step in range(1, depth + 1):
             if pix.size == 0:
                 break
-            W1, W2, _ = C.forward_batch(z1, z2)
+            W1, W2 = C.forward_batch(z1, z2)
             npix = np.repeat(pix, W1.shape[-1])
             c1, c2 = W1.ravel(), W2.ravel()
             keep = _region_mask(region, c1, c2)  # dead children (NaN pairs) lie in no region

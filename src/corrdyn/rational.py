@@ -140,8 +140,9 @@ class MobiusMap:
             for name, x in zip("abcd", scaled):
                 object.__setattr__(self, name, x)
         det = self.a * self.d - self.b * self.c
-        if abs(det) <= 1e-12 * max(1.0, max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) ** 2):
-            raise DegreeTooLow("Moebius map must have nonzero determinant")
+        m = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        if not abs(det) > 1e-12 * m * m:  # scale-free, and refuses a NaN or infinite entry
+            raise DegreeTooLow("Moebius map must have a finite, nonzero determinant")
         s = cmath.sqrt(det)
         object.__setattr__(self, "a", complex(self.a / s))
         object.__setattr__(self, "b", complex(self.b / s))

@@ -52,7 +52,7 @@ def roots_with_clusters(
     if not np.isfinite(scale):
         raise NonConvergence("polynomial coefficients must be finite")
     W1, W2 = projective_roots_batch(coeffs[None] / scale)
-    return [(q, len(members)) for q, members in fiber_groups(W1[0], W2[0], cluster_radius)]
+    return fiber_groups(W1[0], W2[0], cluster_radius)
 
 
 def projective_roots_batch(coeffs: np.ndarray):

@@ -242,14 +242,12 @@ def _centroid(points: list[SpherePoint]) -> SpherePoint:
     return SpherePoint.from_complex(sum(p.to_complex() for p in points) / len(points))
 
 
-def fiber_groups(z1, z2, tol: float) -> list[tuple[SpherePoint, list[int]]]:
+def fiber_groups(z1, z2, tol: float) -> list[tuple[SpherePoint, int]]:
     """The one rule that makes a fiber of homogeneous pairs (z1, z2) a multiset:
     the points in sort_key order, in greedy chordal groups within tol, each
-    group as (its _centroid, the indices of its members)."""
-    points = [SpherePoint.from_projective(a, b) for a, b in zip(z1, z2)]
-    order = sorted(range(len(points)), key=lambda i: points[i].sort_key())
-    groups = greedy_groups([points[i] for i in order], tol)
-    return [(_centroid([points[order[i]] for i in g]), [order[i] for i in g]) for g in groups]
+    group as (its _centroid, its size as the multiplicity)."""
+    points = sorted((SpherePoint.from_projective(a, b) for a, b in zip(z1, z2)), key=SpherePoint.sort_key)
+    return [(_centroid([points[i] for i in g]), len(g)) for g in greedy_groups(points, tol)]
 
 
 def _sphere_charts(x, y, u):

@@ -67,7 +67,7 @@ def tree_levels(C, z0, ns):
     a, b = z0.projective()
     z1, z2 = np.array([a], dtype=complex), np.array([b], dtype=complex)
     for step in range(1, max(ns) + 1):
-        W1, W2, _ = CT.forward_batch(z1, z2)
+        W1, W2 = CT.forward_batch(z1, z2)
         if np.any(np.isnan(W1)):
             raise FiberDegenerate(f"degenerate fiber at level {step - 1}")
         z1, z2 = W1.ravel(), W2.ravel()
@@ -89,7 +89,7 @@ def monte_carlo(C, z0, n, n_paths, rng_seed):
     z2 = np.full(n_paths, complex(z0.projective()[1]), dtype=complex)
     rows = np.arange(n_paths)
     for step in range(n):
-        W1, W2, _ = CT.forward_batch(z1, z2)
+        W1, W2 = CT.forward_batch(z1, z2)
         pick = choices[:, step]
         z1, z2 = W1[rows, pick], W2[rows, pick]
     return _pairs_to_atoms(z1, z2, 1.0 / n_paths)
@@ -100,6 +100,6 @@ def per_point_pullback(C, z0, n):
     CT = C.transpose()
     level = [(z0, 1.0)]
     for _ in range(n):
-        level = merge_atoms([(q, mult * m) for p, mult in level for q, m in CT.forward(p).points])
+        level = merge_atoms([(q, mult * m) for p, mult in level for q, m in CT.forward(p)])
     total = sum(m for _, m in level)
     return [(p, m / total) for p, m in level]

@@ -16,7 +16,7 @@ cluster_radius at the plane mean, and the degree drop last as (inf, drop).
 
 import numpy as np
 
-from corrdyn.correspondence import Correspondence, FiberResult
+from corrdyn.correspondence import Correspondence
 from corrdyn.errors import FiberDegenerate
 from corrdyn.graphpoly import GraphPolynomial
 from corrdyn.roots import DROP_TOL, projective_roots_batch
@@ -71,14 +71,14 @@ def fiber(gp: GraphPolynomial, p: SpherePoint, cluster_radius: float = 1e-6):
     return [(SpherePoint.from_complex(r), m) for r, m in solve(cw, cluster_radius)]
 
 
-def _merge_weighted(items: list[tuple[SpherePoint, int]]) -> FiberResult:
+def _merge_weighted(items: list[tuple[SpherePoint, int]]) -> list[tuple[SpherePoint, int]]:
     """Merge points within MERGE_TOL chordal; multiplicities add."""
     items = sorted(items, key=lambda t: t[0].sort_key())
     groups = greedy_groups([p for p, _ in items], MERGE_TOL)
-    return FiberResult(tuple((items[g[0]][0], sum(items[i][1] for i in g)) for g in groups))
+    return [(items[g[0]][0], sum(items[i][1] for i in g)) for g in groups]
 
 
-def forward(C: Correspondence, z: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
+def forward(C: Correspondence, z: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
     """Multivalued image of z, total multiplicity d1 at generic points."""
     if C.is_direct:
         return _merge_weighted(
@@ -87,11 +87,11 @@ def forward(C: Correspondence, z: SpherePoint, cluster_radius: float = 1e-6) -> 
     frontier = [(z, 1)]
     for c in reversed(C.chain):
         frontier = [
-            (w, mult * m) for p, mult in frontier for w, m in forward(c, p, cluster_radius).points
+            (w, mult * m) for p, mult in frontier for w, m in forward(c, p, cluster_radius)
         ]
     return _merge_weighted(frontier)
 
 
-def backward(C: Correspondence, w: SpherePoint, cluster_radius: float = 1e-6) -> FiberResult:
+def backward(C: Correspondence, w: SpherePoint, cluster_radius: float = 1e-6) -> list[tuple[SpherePoint, int]]:
     """Multivalued preimage of w, total multiplicity d2 generically."""
     return forward(C.transpose(), w, cluster_radius)

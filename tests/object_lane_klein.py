@@ -22,7 +22,7 @@ def _apply_object(obj, p: SpherePoint) -> list[SpherePoint]:
     if isinstance(obj, MobiusMap):
         return [mobius_apply(obj, p)]
     if isinstance(obj, Correspondence):
-        return obj.forward(p).support()
+        return [q for q, _ in obj.forward(p)]
     raise BadParameter("expected a Moebius map or a correspondence")
 
 

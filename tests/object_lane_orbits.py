@@ -58,7 +58,7 @@ def enumerate_orbits(
             for path, labs in stack:
                 fib = C.forward(path[-1])
                 children = []
-                for q, _m in fib.points:
+                for q, _m in fib:
                     if any(chordal_distance(q, c) <= DEDUP_TOL for c, _ in children):
                         continue
                     children.append((q, _component_of(C, path[-1], q)))

@@ -32,7 +32,7 @@ def render_rows(C, region, viewport, width, height, depth=18, frontier_cap=64) -
         for step in range(1, depth + 1):
             if pix.size == 0:
                 break
-            W1, W2, _ = C.forward_batch(z1, z2)
+            W1, W2 = C.forward_batch(z1, z2)
             d1 = W1.shape[-1]
             npix = np.repeat(pix, d1)
             c1, c2 = W1.ravel(), W2.ravel()

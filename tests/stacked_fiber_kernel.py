@@ -64,8 +64,10 @@ def fiber_batch(gp, Z1, Z2):
 
 
 def forward_batch(C, Z1, Z2):
-    """Correspondence.forward_batch over this kernel: every direct stage
-    concatenates its components' fibers and fills their labels."""
+    """(W1, W2, labels): Correspondence.forward_batch over this kernel, with
+    the labels as each call built them before they became Correspondence.labels.
+    Every direct stage concatenates its components' fibers and fills their
+    labels; a chain's labels are zero."""
     if C.is_direct:
         parts = []
         for idx, (gp, n) in enumerate(C.components):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrdyn import cli
 from corrdyn.cli import main
@@ -327,17 +327,29 @@ def test_entropy_report_bytes_are_pinned(tmp_path, capsys, config):
 
 
 def _scaled(spec, j):
-    """spec with every map coefficient and graph coefficient times 2^j."""
+    """spec with every map, graph and Moebius coefficient times 2^j."""
     def scale(x):
         return [math.ldexp(v, j) for v in x] if type(x) is list else math.ldexp(x, j)
     if type(spec) is dict:
-        return {k: ([scale(c) for c in v] if k in ("num", "den", "coeffs") else _scaled(v, j))
+        return {k: ([scale(c) for c in v] if k in ("num", "den", "coeffs")
+                    else [[scale(c) for c in row] for row in v] if k == "matrix"
+                    else _scaled(v, j))
                 for k, v in spec.items()}
     return [_scaled(v, j) for v in spec] if type(spec) is list else spec
 
 
+def _config_spec(name):
+    return json.loads((CONFIGS / name).read_text())["correspondence"]
+
+
 SCALE_SPECS = {
-    "c09": json.loads((CONFIGS / "accept_c09_entropy_frs.json").read_text())["correspondence"],
+    "c07": _config_spec("accept_c07_entropy_z2.json"),
+    "c09": _config_spec("accept_c09_entropy_frs.json"),
+    "c12_det_limitset": _config_spec("accept_c12_det_limitset.json"),
+    # F_4 = j_4 o cov(z^3 - 3z), with j_4(z) = (5z - 8)/(2z - 5)
+    "j4_after_cov": {"kind": "compose", "factors": [
+        {"kind": "mobius", "matrix": [[5, -8], [2, -5]]},
+        {"kind": "covering", "map": {"num": [0, -3, 0, 1], "den": [1]}}]},
     # w^2 - z^2 + z w / 2 + 1/4, a (2:2) graph with degree-2 fibers
     "explicit": {"kind": "explicit", "data": {"components": [{"multiplicity": 1, "poly": {
         "deg_z": 2, "deg_w": 2, "coeffs": [0.25, 0, 1, 0, 0.5, 0, -1, 0, 0]}}]}},
@@ -361,6 +373,27 @@ def test_a_map_or_graph_scaled_by_a_power_of_two_writes_the_unscaled_report(name
     # maps and graph polynomials whose largest coefficient lies outside
     # [2^-256, 2^256] are scaled into [1, 2) by a power of two, which moves no fiber
     assert _scale_report(name, j) == _scale_report(name, 0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["c07", "c09", "c12_det_limitset", "j4_after_cov"]),
+       j=st.integers(-1000, 1000))
+@example(name="j4_after_cov", j=-100)
+@example(name="j4_after_cov", j=-257)
+def test_a_checked_in_map_scaled_by_any_power_of_two_writes_the_unscaled_report(name, j):
+    # the Moebius determinant test is scale-free: j_4's matrix times 2^-100, inside
+    # the [2^-256, 2^256] window and so not rescaled, is the map it was
+    assert _scale_report(name, j) == _scale_report(name, 0)
+
+
+@pytest.mark.parametrize("a", [1.7e308, -1.7e308, 1.7976931348623157e308])
+def test_family_at_a_parameter_whose_matrix_overflows_is_one_error_line(tmp_path, capsys, a):
+    # j_a's entry -2a overflows to infinity, so its determinant is not finite
+    out = tmp_path / "report.json"
+    cfg = {"correspondence": {"kind": "family_a", "a": a}, "protocol": SMALL_PROTOCOL, "out": str(out)}
+    assert _run_config(tmp_path, "entropy", cfg) == 1
+    assert capsys.readouterr().err == "error: Moebius map must have a finite, nonzero determinant\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("a", [1e160, 1e300, -1e300])
@@ -1221,7 +1254,7 @@ COMPUTE = ["cov_graph", "enumerate_orbits", "entropy_estimate", "pullback_dirac_
            "energy_distance", "render_survival_set"]
 WRONG_VALUES = ["x", "", [], {}, None, True, False, 0, -1, 0.5, -2.5, 10 ** 12, -(10 ** 12),
                 HUGE, -HUGE, [HUGE, 0], [True, 0], [0, 0, 0], {"kind": "x"},
-                1e300, -1e300, 1e-300, 5e-324, [1e300, 1e300], [5e-324, 0]]
+                1e300, -1e300, 1.7e308, -1.7e308, 1e-300, 5e-324, [1e300, 1e300], [5e-324, 0]]
 
 
 class _Reached(Exception):

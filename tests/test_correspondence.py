@@ -33,7 +33,7 @@ from corrdyn.correspondence import (
 )
 from corrdyn.errors import DegreeBoundExceeded, DiscriminantDegenerate, FiberDegenerate, UsageError
 from corrdyn.families import composed_covering_pair, family_correspondence, family_involution
-from corrdyn.graphpoly import GraphPolynomial, mobius_graph
+from corrdyn.graphpoly import GraphPolynomial, identity_graph, mobius_graph
 from corrdyn.rational import MobiusMap, RationalMap, critical_points, mobius_apply, polynomial_map, rational_eval
 from corrdyn.sampling import random_rational_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance, fiber_groups
@@ -47,7 +47,7 @@ def pt(z):
 
 def fiber_values(fr):
     return sorted(
-        (("inf" if p.is_infinity else np.round(p.to_complex(), 8)), m) for p, m in fr.points
+        (("inf" if p.is_infinity else np.round(p.to_complex(), 8)), m) for p, m in fr
     )
 
 
@@ -56,8 +56,8 @@ def fiber_values(fr):
 def test_covering_fiber_at_two_is_double():
     C = deleted_covering(Q)
     fr = C.forward(pt(2))
-    assert fr.total_multiplicity == 2
-    (p, m), = fr.points
+    assert sum(m for _, m in fr) == 2
+    (p, m), = fr
     assert m == 2 and chordal_distance(p, pt(-1)) < 1e-7
     assert C.graph_residual(pt(2), p) < 1e-8
 
@@ -67,7 +67,7 @@ def test_quadratic_covering_is_negation():
     rng = np.random.default_rng(0)
     for _ in range(20):
         z = complex(rng.normal(), rng.normal())
-        (p, m), = C.forward(pt(z)).points
+        (p, m), = C.forward(pt(z))
         assert m == 1 and chordal_distance(p, pt(-z)) < 1e-10
 
 
@@ -79,19 +79,19 @@ def test_family_fibers_at_fixed_point():
         J = family_involution(a)
         fwd = C.forward(pt(1))
         expect = {1.0, mobius_apply(J, pt(-2)).to_complex()}
-        got = {round(p.to_complex().real, 8) for p, _ in fwd.points}
+        got = {round(p.to_complex().real, 8) for p, _ in fwd}
         assert got == {round(x.real, 8) for x in expect}
         bwd = C.backward(pt(1))
-        got_b = sorted(round(p.to_complex().real, 8) for p, _ in bwd.points)
+        got_b = sorted(round(p.to_complex().real, 8) for p, _ in bwd)
         assert got_b == [-2.0, 1.0]
         fm2 = C.forward(pt(-2))
-        assert fm2.total_multiplicity == 2
-        assert all(chordal_distance(p, pt(1)) < 1e-7 for p, _ in fm2.points)
+        assert sum(m for _, m in fm2) == 2
+        assert all(chordal_distance(p, pt(1)) < 1e-7 for p, _ in fm2)
 
 
 def test_fiber_at_infinity_compensation():
     fr = deleted_covering(Q).forward(INF)
-    (p, m), = fr.points
+    (p, m), = fr
     assert p.is_infinity and m == 2
 
 
@@ -102,8 +102,8 @@ def test_backward_equals_forward_for_symmetric_graphs():
         C = deleted_covering(R)
         for _ in range(8):
             z = pt(complex(rng.normal(), rng.normal()))
-            fwd = sorted(p.sort_key() for p in C.forward(z).support())
-            bwd = sorted(p.sort_key() for p in C.backward(z).support())
+            fwd = sorted(p.sort_key() for p, _ in C.forward(z))
+            bwd = sorted(p.sort_key() for p, _ in C.backward(z))
             assert len(fwd) == len(bwd)
             for u, v in zip(fwd, bwd):
                 assert max(abs(x - y) for x, y in zip(u, v)) < 1e-9
@@ -112,11 +112,11 @@ def test_backward_equals_forward_for_symmetric_graphs():
 def test_map_graph_backward_square_roots():
     C = map_graph(polynomial_map([0, 0, 1]))
     fr = C.backward(pt(4))
-    got = sorted(p.to_complex().real for p, _ in fr.points)
+    got = sorted(p.to_complex().real for p, _ in fr)
     assert np.allclose(got, [-2, 2], atol=1e-9)
     # the backward orientation has the same fibers forward
     C2 = map_graph(polynomial_map([0, 0, 1]), backward=True)
-    got2 = sorted(p.to_complex().real for p, _ in C2.forward(pt(4)).points)
+    got2 = sorted(p.to_complex().real for p, _ in C2.forward(pt(4)))
     assert np.allclose(got2, [-2, 2], atol=1e-9)
 
 
@@ -149,7 +149,7 @@ def test_chained_forward_batch_dead_row_is_nan_without_a_warning():
     C = compose(deleted_covering(Q), compose(dead, mobius_correspondence(MobiusMap(1, 1, 0, 1))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        W1, W2, _ = C.forward_batch(np.array([0, 0.3, 1], dtype=complex), np.array([1, 1, 0], dtype=complex))
+        W1, W2 = C.forward_batch(np.array([0, 0.3, 1], dtype=complex), np.array([1, 1, 0], dtype=complex))
     assert W1.shape == (3, 4)
     assert np.isnan(W1[0]).all() and np.isnan(W2[0]).all()
     assert np.isfinite(W1[1:]).all() and np.isfinite(W2[1:]).all()
@@ -162,6 +162,9 @@ KERNEL_CASES = {
                                   deleted_covering(Q)),
     "two_components_one_double": Correspondence(
         components=((cov_graph(Q), 1), (mobius_graph(MobiusMap(2, 1, 1, 3)), 2))),
+    "identity_and_negation": Correspondence(
+        components=((identity_graph(), 1), (mobius_graph(MobiusMap(-1, 0, 0, 1)), 1))),
+    "one_component_doubled": Correspondence(components=((cov_graph(Q), 2),)),
 }
 
 
@@ -171,9 +174,19 @@ def test_forward_batch_is_the_stacked_kernel_bit_for_bit(name):
     z1, z2 = stacked_fiber_kernel.kernel_bases(np.random.default_rng(5), 200)
     got = C.forward_batch(z1, z2)
     want = stacked_fiber_kernel.forward_batch(C, z1, z2)
-    for g, w in zip(got[:2], want[:2]):
+    assert len(got) == 2
+    for g, w in zip(got, want[:2]):
         stacked_fiber_kernel.assert_same_bits(g, w)
-    assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_labels_are_the_labels_each_call_built(name):
+    # a column's component is fixed by the correspondence, not by the base point
+    C = KERNEL_CASES[name]
+    z1, z2 = stacked_fiber_kernel.kernel_bases(np.random.default_rng(5), 200)
+    want = stacked_fiber_kernel.forward_batch(C, z1, z2)[2]
+    assert C.labels.dtype == want.dtype and C.labels.shape == (C.d1,)
+    assert np.array_equal(np.broadcast_to(C.labels, want.shape), want)
 
 
 # -- the per-point lane against the object-lane oracle ------------------------
@@ -196,11 +209,11 @@ ORACLE_CASES = _oracle_cases()
 
 def _assert_same_fiber(C, z, got, want):
     """got = C.forward(z) has want's points and multiplicities, each on C's graph."""
-    assert got.total_multiplicity == want.total_multiplicity
-    assert len(got.points) == len(want.points)
-    assert max(C.graph_residual(z, q) for q, _ in got.points) < 1e-8
-    rest = list(want.points)
-    for p, m in got.points:
+    assert sum(m for _, m in got) == sum(m for _, m in want)
+    assert len(got) == len(want)
+    assert max(C.graph_residual(z, q) for q, _ in got) < 1e-8
+    rest = list(want)
+    for p, m in got:
         k = min(range(len(rest)), key=lambda i: chordal_distance(p, rest[i][0]))
         q, n = rest.pop(k)
         assert chordal_distance(p, q) < 1e-9 and m == n
@@ -224,7 +237,7 @@ def test_forward_and_backward_match_object_lane(name):
 ], ids=["Q_at_2", "family_a4_at_-2", "family_a5_at_-2", "family_a10_at_-2"])
 def test_double_fibers_match_object_lane(C, z):
     got = C.forward(z)
-    assert [m for _, m in got.points] == [2]
+    assert [m for _, m in got] == [2]
     _assert_same_fiber(C, z, got, object_lane_fibers.forward(C, z))
     _assert_same_fiber(C.transpose(), z, C.backward(z), object_lane_fibers.backward(C, z))
 
@@ -235,21 +248,20 @@ def test_forward_points_are_forward_batch_entries_bit_for_bit(name):
     # per-point API and the orbit and entropy trees read the same numbers
     C = ORACLE_CASES.get(name) or deleted_covering(Q)
     z = pt(0.31 - 0.62j)
-    W1, W2, _ = C.forward_batch(*(np.array([c]) for c in z.projective()))
+    W1, W2 = C.forward_batch(*(np.array([c]) for c in z.projective()))
     row = sorted((SpherePoint.from_projective(a, b) for a, b in zip(W1[0], W2[0])),
                  key=lambda p: p.sort_key())
     fr = C.forward(z)
     if name == "two_components_one_double":  # the doubled component's children coincide
         row = [p for i, p in enumerate(row) if p not in row[:i]]
     else:
-        assert all(m == 1 for _, m in fr.points)
-    assert fr.support() == row
+        assert all(m == 1 for _, m in fr)
+    assert [p for p, _ in fr] == row
     # at 0, infinity and the double fibers (Q at 2, the family at -2), both ways
     for D in (C, C.transpose()):
         for z in (pt(0), INF, pt(2), pt(-2)):
-            W1, W2, _ = D.forward_batch(*(np.array([c]) for c in z.projective()))
-            want = tuple((q, len(members)) for q, members in fiber_groups(W1[0], W2[0], 1e-6))
-            assert D.forward(z).points == want
+            W1, W2 = D.forward_batch(*(np.array([c]) for c in z.projective()))
+            assert D.forward(z) == fiber_groups(W1[0], W2[0], 1e-6)
 
 
 @pytest.mark.parametrize("coeffs", [[[1], [1]], [[1, 1]]], ids=["no_w", "no_z"])
@@ -267,7 +279,7 @@ def test_branch_invariant():
         for _ in range(6):
             z = pt(complex(rng.normal(), rng.normal()))
             rz = rational_eval(R, z)
-            for w, _ in C.forward(z).points:
+            for w, _ in C.forward(z):
                 assert chordal_distance(rational_eval(R, w), rz) < 1e-7
 
 
@@ -290,9 +302,9 @@ def test_compose_with_identity():
     IC = compose(C, identity_correspondence())
     for _ in range(20):
         z = pt(complex(rng.normal(), rng.normal()))
-        base = sorted(p.sort_key() for p in C.forward(z).support())
+        base = sorted(p.sort_key() for p, _ in C.forward(z))
         for other in (CI, IC):
-            got = sorted(p.sort_key() for p in other.forward(z).support())
+            got = sorted(p.sort_key() for p, _ in other.forward(z))
             assert len(base) == len(got)
             for u, v in zip(base, got):
                 assert max(abs(x - y) for x, y in zip(u, v)) < 1e-9
@@ -317,7 +329,7 @@ def test_compose_graph_poly_agrees_with_chain():
     rng = np.random.default_rng(9)
     for _ in range(30):
         z = pt(complex(rng.normal(), rng.normal()))
-        for w, _ in C.forward(z).points:
+        for w, _ in C.forward(z):
             assert point_residual(gp, z, w) < 1e-6
 
 
@@ -454,9 +466,9 @@ def test_forward_near_infinity_returns_points_on_the_graph():
     z0 = pt(-0.3158809237033299 - 0.1768964996104448j)
     C = Correspondence(components=((gp, 1),))
     fr = C.forward(z0, cluster_radius=1e-5)
-    (q, m), = [(q, m) for q, m in fr.points if m == 2]
+    (q, m), = [(q, m) for q, m in fr if m == 2]
     assert C.graph_residual(z0, q) < 1e-9
-    assert max(C.graph_residual(z0, q) for q, _ in fr.points) < 1e-8
+    assert max(C.graph_residual(z0, q) for q, _ in fr) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["cov_degree_2", "cov_degree_3", "cov_degree_5"])
@@ -466,7 +478,7 @@ def test_fiber_is_a_forward_row_grouped_by_the_same_rule(name):
     rng = np.random.default_rng(29)
     for z in [pt(0), INF] + [pt(complex(*rng.normal(size=2))) for _ in range(4)]:
         for radius in (1e-6, 0.5):
-            assert gp.fiber(z, radius) == list(C.forward(z, radius).points)
+            assert gp.fiber(z, radius) == C.forward(z, radius)
 
 
 def test_discriminant_degenerate_for_multiple_component():
@@ -504,8 +516,8 @@ def test_correspondence_json_round_trip():
     C2 = read_correspondence_data(correspondence_json(C))
     assert (C2.d1, C2.d2) == (2, 2)
     z = pt(0.3 + 0.7j)
-    a = sorted(p.sort_key() for p in C.forward(z).support())
-    b = sorted(p.sort_key() for p in C2.forward(z).support())
+    a = sorted(p.sort_key() for p, _ in C.forward(z))
+    b = sorted(p.sort_key() for p, _ in C2.forward(z))
     for u, v in zip(a, b):
         assert max(abs(x - y) for x, y in zip(u, v)) < 1e-12
 

@@ -90,13 +90,11 @@ def _oracle_ppm(case: str) -> bytes:
 
 
 @pytest.mark.parametrize("block_rows", [None, 1, 7])
-@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_block_frontier_matches_row_loop(tmp_path, monkeypatch, case, threads, block_rows):
+def test_block_frontier_matches_row_loop(tmp_path, monkeypatch, case, block_rows):
     cfg = dict(CASES[case], out=str(tmp_path / "ls.ppm"))
     if block_rows is not None:
         monkeypatch.setattr(raster, "_BLOCK_PIXELS", block_rows * cfg["width"])
-    monkeypatch.setenv("CORRDYN_THREADS", str(threads))
     path = tmp_path / "ls.json"
     path.write_text(json.dumps(cfg))
     assert main(["limitset", "--config", str(path)]) == 0

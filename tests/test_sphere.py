@@ -185,18 +185,18 @@ def test_greedy_groups_join_the_first_group_in_reach():
 def test_fiber_groups_take_each_group_mean_in_its_chart():
     # 5e5 and -5e5 + 1j lie 4e-6 chordal apart, on opposite sides of infinity: their
     # group's point is the mean of their reciprocal values, near infinity, not the
-    # plane mean 0.5j; groups come in sort_key order, members as indices
+    # plane mean 0.5j; groups come in sort_key order, each with its size as multiplicity
     z1 = np.array([5e5, -5e5 + 1j, 0.5, 0.5 + 1e-8, 0], dtype=complex)
     groups = fiber_groups(z1, np.ones(5, dtype=complex), 1e-5)
-    assert [sorted(m) for _, m in groups] == [[0, 1], [4], [2, 3]]
+    assert [m for _, m in groups] == [2, 1, 2]
     (far, _), (zero, _), (half, _) = groups
     assert far.chart == RECIPROCAL and far.value == (1 / 5e5 + 1 / (-5e5 + 1j)) / 2
     assert chordal_distance(far, INF) < 1e-11
     assert zero == SpherePoint(0j)  # alone: the point as solved
     assert half == pt((0.5 + (0.5 + 1e-8)) / 2)  # the plane mean in the standard chart
     # a group that holds infinity is infinity
-    (point, members), = fiber_groups(np.ones(2, dtype=complex), np.array([0, 1e-9], dtype=complex), 1e-5)
-    assert point == INF and sorted(members) == [0, 1]
+    (point, m), = fiber_groups(np.ones(2, dtype=complex), np.array([0, 1e-9], dtype=complex), 1e-5)
+    assert point == INF and m == 2
 
 
 # -- seed nets as chart arrays, bit for bit ---------------------------------------
