@@ -15,8 +15,11 @@ both conventions while every pair so far carries both bits, and each walks
 its own copy from the first chunk where they differ.  Only the pairs a
 deeper level reads are kept: once every convention is sure to pass the pair
 budget at the next level, the level's chunks are dropped as they are walked.
-The next level reads the kept chunks one at a time and releases each once its
-children are built, so no level's pairs are ever joined into one array.
+A kept chunk is stored as runs of equal tails, about 5 bytes a pair, and the
+next level reads the kept chunks one at a time and releases each once its
+children are built, so no level's pairs are ever joined into one array.  The
+counting's tree keeps only the `valid` flags of the levels above the one
+being counted.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .sphere import fibonacci_net, point_charts
 DEDUP_TOL = 1e-7  # collapse of merged-root children (multiplicity blind)
 _MAX_SLOTS = 2 ** 31  # a level's slots are int32 pair indices
 _BLOCK = 1 << 15  # tree slots grown, or candidate pairs built and filtered, at once (L2-sized)
+#: each level array's dtype and per-slot shape, in the order `_children` returns them
+_LAYOUT = {"z1": (complex, ()), "z2": (complex, ()), "xyz": (float, (3,)),
+           "valid": (bool, ()), "label": (np.int16, ())}
 
 
 def gromov_cap(C: Correspondence) -> float:
@@ -60,30 +66,54 @@ class _LevelTree:
     and `node_count` its valid nodes.  A level is grown about _BLOCK slots at
     a time into its preallocated arrays; every step of growth is row-local, so
     the bytes are those of growing the level whole.
+
+    A level holds `z1`, `z2`, `xyz`, `valid` and `label`, less what its reader
+    never reads.  The reader "all" reads everything.  "count" (separated
+    counting) reads `xyz` and `label` of the level it counts and `valid` of every
+    level: growing level l drops `xyz` and `label` of level l - 1 before and its
+    `z1` and `z2` after, and level n_levels, from which nothing grows, gets no
+    `z1` or `z2`.  "orbit" (enumeration) reads no `xyz`, so no level gets one.
     """
 
-    def __init__(self, C: Correspondence, values, reciprocal, n_levels: int):
+    def __init__(self, C: Correspondence, values, reciprocal, n_levels: int,
+                 reader: str = "all"):
         self.C = C
         self.d1 = max(1, C.d1)
         self.labels = C.labels  # the component of each forward_batch column
         self.n_levels = n_levels
+        self.reader = reader
         order = np.lexsort(embed_chart(values, reciprocal).T[::-1])
         z1, z2 = chart_pairs(values[order], reciprocal[order])
-        self.levels = [{
+        lvl = {
             "z1": z1,
             "z2": z2,
             "xyz": embed_projective(z1, z2),
             "valid": np.ones(z1.size, dtype=bool),
             "label": np.zeros(z1.size, dtype=np.int16),
-        }]
+        }
+        self.levels = [{key: lvl[key] for key in self._stored(0)}]
         self.node_count = z1.size
+
+    def _stored(self, ell: int) -> tuple:
+        """The arrays level ell holds when it is built."""
+        if self.reader == "orbit":
+            return "z1", "z2", "valid", "label"
+        if self.reader == "count" and ell == self.n_levels:
+            return "xyz", "valid", "label"
+        return tuple(_LAYOUT)
 
     def level(self, ell: int) -> dict:
         """Level ell (0 <= ell <= n_levels), growing the missing levels before it."""
         if not 0 <= ell <= self.n_levels:
             raise IndexError(f"level {ell} outside 0..{self.n_levels}")
         while len(self.levels) <= ell:
-            lvl = self._grow(self.levels[-1])
+            parent = self.levels[-1]
+            counted = self.reader == "count"  # the parent is counted; growth reads z1, z2, valid
+            if counted:
+                del parent["xyz"], parent["label"]
+            lvl = self._grow(parent)
+            if counted:
+                del parent["z1"], parent["z2"]
             self.levels.append(lvl)
             self.node_count += int(lvl["valid"].sum())
         return self.levels[ell]
@@ -93,17 +123,16 @@ class _LevelTree:
         n = lvl["z1"].size
         if n * d1 >= _MAX_SLOTS:
             raise BudgetExceeded(f"a level of {n * d1} slots reaches the int32 slot bound 2^31")
-        out = [np.empty((n, d1), dtype=complex), np.empty((n, d1), dtype=complex),
-               np.empty((n, d1, 3)), np.empty((n, d1), dtype=bool),
-               np.empty((n, d1), dtype=np.int16)]
+        out = {key: np.empty((n, d1) + _LAYOUT[key][1], dtype=_LAYOUT[key][0])
+               for key in self._stored(len(self.levels))}
         step = max(1, _BLOCK // d1)  # parent rows grown at once; every step is row-local
         for s in range(0, n, step):
             rows = slice(s, s + step)
             children = self._children(lvl["z1"][rows], lvl["z2"][rows], lvl["valid"][rows])
-            for arr, part in zip(out, children):
-                arr[rows] = part
-        return {key: arr.reshape((n * d1,) + arr.shape[2:])
-                for key, arr in zip(("z1", "z2", "xyz", "valid", "label"), out)}
+            children = dict(zip(_LAYOUT, children))
+            for key, arr in out.items():
+                arr[rows] = children[key]
+        return {key: arr.reshape((n * d1,) + arr.shape[2:]) for key, arr in out.items()}
 
     def _children(self, z1, z2, ok):
         """The d1 children of each parent row, sorted, with duplicate siblings
@@ -151,7 +180,7 @@ def enumerate_orbits(C: Correspondence, seeds, n: int, budget: int = 2 ** 20) ->
         raise BudgetExceeded(f"{len(seeds)} seeds at depth {n} exceed budget {budget}")
     if not seeds:
         return []
-    tree = _LevelTree(C, *point_charts(seeds), n)
+    tree = _LevelTree(C, *point_charts(seeds), n, reader="orbit")
     leaves = np.flatnonzero(tree.level(n)["valid"])
     points, labels = [], []  # per level, the ancestor of every leaf
     for ell, lvl in enumerate(tree.levels):
@@ -237,26 +266,37 @@ def _close_children(lvl, d1: int, e2: float, pi, pj, bits):
     return ci[kept].astype(np.int32), cj[kept].astype(np.int32), bits[kept]
 
 
+def _tail_runs(pi, pj, bits):
+    """A chunk of pairs in tail order as it is kept for the next level: its
+    distinct tails, the run length of each (both int32), and the chunk's own
+    head and bit arrays: 5 bytes a pair and 8 a run.  np.repeat(tails,
+    lengths) is pi again."""
+    starts = _run_starts(pi)
+    return pi[starts], np.diff(starts, append=pi.size).astype(np.int32), pj, bits
+
+
 def _child_chunks(lvl, d1: int, e2: float, keep: list, parents: np.ndarray, live: int):
     """The close child pairs of the next level, a chunk of parent rows at a time.
 
     The parent rows are the kept pairs that still have a live bit and the
     sibling row (p, p) of every valid parent p, sorted by tail.  The kept
-    chunks are non-empty and in tail order, and each leaves `keep` as it is
-    read, taking in the sibling rows of the parents below the next chunk's
-    first tail (the last chunk takes every parent left; with none kept, the
-    rows are the sibling rows alone).  The rows left past a kept chunk's last
-    cut are carried into the next, and every chunk ends on a run of equal
-    tails (a longer run is one chunk).  One empty chunk when there are no rows.
+    chunks are non-empty, in tail order and stored as `_tail_runs`; each
+    leaves `keep` and is expanded to rows as it is read, taking in the sibling
+    rows of the parents below the next chunk's first tail (the last chunk
+    takes every parent left; with none kept, the rows are the sibling rows
+    alone).  The rows left past a kept chunk's last cut are carried into the
+    next, and every chunk ends on a run of equal tails (a longer run is one
+    chunk).  One empty chunk when there are no rows.
     """
     step = max(1, _BLOCK // (d1 * d1))
     keep.reverse()  # popped from the end, in tail order
     held = parents[:0], parents[:0], np.zeros(0, np.uint8)  # rows past the last cut
-    if not keep:
-        keep.append(held)
+    if not keep:  # no kept pair: the rows are the sibling rows alone
+        keep.append((parents[:0], parents[:0], *held[1:]))
     s, built = 0, False
     while keep:
-        pi, pj, bits = keep.pop()
+        tails, lengths, pj, bits = keep.pop()
+        pi = np.repeat(tails, lengths)
         e = np.searchsorted(parents, keep[-1][0][0]) if keep else parents.size
         bits = bits & live  # pairs whose every bit belongs to a stopped convention are dropped
         nz = bits != 0
@@ -301,8 +341,9 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
     with tail i or from i's sibling row (i, i); one generator,
     `_child_chunks`, hands the kept chunks to the next level with the sibling
     rows merged in and builds the candidates a chunk of parent rows at a time.
-    A chunk is kept for the next level only while some live convention can
-    still pass its budget check; once none can, the kept chunks are dropped.
+    A chunk is kept for the next level, as `_tail_runs`, only while some live
+    convention can still pass its budget check; once none can, the kept
+    chunks are dropped.
     """
     d1 = tree.d1
     siblings = d1 * (d1 - 1) // 2  # sibling pairs u < v of one parent
@@ -338,7 +379,7 @@ def _propagate_pairs(tree: _LevelTree, eps: float, pair_budget: int, facts: dict
                 if name in kept:
                     kept[name] += int(np.count_nonzero(bits & bit))
             if going and pi.size:
-                keep.append((pi, pj, bits))
+                keep.append(_tail_runs(pi, pj, bits))
                 if min(kept.values()) * d1 * d1 > room:  # every live convention stops at ell + 1
                     keep, going = [], False
             facts["bits"] = bits
@@ -536,7 +577,7 @@ def entropy_estimate(C: Correspondence, protocol: EntropyProtocol):
         count, build = seed_net(protocol, eps)
         idx, flags = _plan_seeds(count, max(1, C.d1), protocol.n_max, protocol.budget)
         all_flags.extend(f"{f}@eps={eps:g}" for f in flags)
-        tree = _LevelTree(C, *build(idx), protocol.n_max)
+        tree = _LevelTree(C, *build(idx), protocol.n_max, reader="count")
         counts, levels, stop = _separated_counts(tree, eps, protocol.pair_budget, protocol.n_min)
         # the nodes grown: levels past the pair budget's stop never exist
         usage[f"eps={eps:g}"] = {"seeds": idx.size, "nodes": tree.node_count}

@@ -31,6 +31,7 @@ from object_lane_orbits import (
 )
 from per_point_net import fibonacci_sphere_points
 from transposition_sort import child_order as network_child_order
+from triple_child_chunks import child_chunks as triple_child_chunks
 from two_pass_counting import greedy_count as oracle_greedy_count, two_pass_counts
 
 
@@ -391,6 +392,45 @@ def test_child_chunks_keep_the_chunk_contract(monkeypatch):
     assert any(b for b, _ in gaps) and any(a for _, a in gaps)
 
 
+@pytest.mark.parametrize("block", [1, 3, 1 << 15])
+@pytest.mark.parametrize("case", ["long_run", "parent_gap", "seed_tie"])
+def test_child_chunks_from_tail_runs_are_the_chunks_from_triples(monkeypatch, case, block):
+    # each kept chunk is held as its tail runs, its heads and its bits; the
+    # chunks built from them are those built from the chunk's own (pi, pj, bits)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", block)
+    tree = entropy_mod._LevelTree(family_correspondence(4), *net(60), 5)
+    if case == "seed_tie":
+        xyz = tree.level(0)["xyz"]
+        eps = _tie_eps(xyz[:, None, :], xyz[None, :, :])
+    else:
+        eps = {"long_run": 0.3, "parent_gap": 0.1}[case]
+    kept, facts = {}, {}
+    for ell, pi, pj, _tr in entropy_mod._propagate_pairs(tree, eps, 10 ** 9, facts):
+        if pi.size:
+            kept.setdefault(ell, []).append((pi, pj, facts["bits"]))
+    # level 0 may keep no pair, and then level 1's rows are the sibling rows alone
+    assert all(kept.get(ell) for ell in range(1, 5))
+    KT, DS = entropy_mod.KT, entropy_mod.DS
+    for ell in range(1, 6):
+        parents = np.flatnonzero(tree.level(ell - 1)["valid"]).astype(np.int32)
+        triples = kept.get(ell - 1, [])
+        for pi, pj, bits in triples:
+            tails, lengths, heads, same_bits = entropy_mod._tail_runs(pi, pj, bits)
+            assert heads is pj and same_bits is bits  # held, not copied
+            assert tails.dtype == lengths.dtype == np.int32
+            assert np.array_equal(np.repeat(tails, lengths), pi)
+        for live in (KT | DS, KT, DS):
+            runs = [entropy_mod._tail_runs(*chunk) for chunk in triples]
+            got = list(entropy_mod._child_chunks(tree.level(ell), 2, eps * eps, runs,
+                                                 parents, live))
+            want = list(triple_child_chunks(tree.level(ell), 2, eps * eps, list(triples),
+                                            parents, live))
+            assert len(got) == len(want) and not runs
+            for got_chunk, want_chunk in zip(got, want):
+                for a, b in zip(got_chunk, want_chunk):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def _level_pairs(tree, eps):
     """Per level, the pair count of each chunk `_propagate_pairs` yields."""
     chunks = {}
@@ -513,6 +553,63 @@ def test_fresh_tree_holds_only_level_zero():
     assert tree.node_count == sum(int(lvl["valid"].sum()) for lvl in tree.levels)
     with pytest.raises(IndexError):
         tree.level(6)
+
+
+def test_counting_tree_holds_only_what_the_count_reads(monkeypatch):
+    # while entropy_estimate counts level l, level l holds the arrays the count
+    # and the growth of level l + 1 read, every level above it only its valid
+    # flags, and the last level, from which nothing grows, no z1 or z2
+    seen = []
+    propagate = entropy_mod._propagate_pairs
+
+    def spy(tree, eps, pair_budget, facts):
+        for item in propagate(tree, eps, pair_budget, facts):
+            seen.append((eps, item[0], [sorted(lvl) for lvl in tree.levels]))
+            yield item
+
+    monkeypatch.setattr(entropy_mod, "_propagate_pairs", spy)
+    prot = EntropyProtocol(eps_grid=(0.3, 0.2), n_max=5, budget=2 ** 13)
+    entropy_estimate(family_correspondence(4), prot)
+    assert {(eps, ell) for eps, ell, _ in seen} == {(e, ell) for e in (0.3, 0.2)
+                                                    for ell in range(6)}
+    for _eps, ell, held in seen:
+        assert len(held) == ell + 1 and held[:-1] == [["valid"]] * ell
+        if ell < 5:
+            assert held[-1] == ["label", "valid", "xyz", "z1", "z2"]
+        else:
+            assert held[-1] == ["label", "valid", "xyz"]
+
+
+@pytest.mark.parametrize("reader", ["count", "orbit"])
+def test_a_reader_tree_holds_the_arrays_of_the_whole_tree(reader):
+    # what a reader's tree holds is bit for bit what the whole tree holds there
+    held = {"count": [["valid"]] * 3 + [["label", "valid", "xyz"]],
+            "orbit": [["label", "valid", "z1", "z2"]] * 4}[reader]
+    for C in _blocked_growth_cases().values():
+        whole = entropy_mod._LevelTree(C, *net(20), 3)
+        whole.level(3)
+        tree = entropy_mod._LevelTree(C, *net(20), 3, reader=reader)
+        tree.level(3)
+        assert [sorted(lvl) for lvl in tree.levels] == held
+        for got, want in zip(tree.levels, whole.levels):
+            for key, arr in got.items():
+                assert arr.dtype == want[key].dtype and arr.shape == want[key].shape
+                assert np.array_equal(arr.view(np.uint8), want[key].view(np.uint8)), key
+        assert tree.node_count == whole.node_count
+
+
+def test_orbit_tree_stores_no_xyz(monkeypatch):
+    trees = []
+
+    class Recorded(entropy_mod._LevelTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trees.append(self)
+
+    monkeypatch.setattr(entropy_mod, "_LevelTree", Recorded)
+    orbits = enumerate_orbits(family_correspondence(4), [pt(0.3 + 0.2j), pt(-3)], 4)
+    assert len(orbits) == 2 * 2 ** 4 and len(trees[0].levels) == 5
+    assert all(sorted(lvl) == ["label", "valid", "z1", "z2"] for lvl in trees[0].levels)
 
 
 def _blocked_growth_cases():

@@ -13,7 +13,10 @@ configs land there.  The runs are:
   depth 6, and the two-component correspondence identity and negation at
   depth 4.
 
-Next to each run's artifacts go its `stdout`, `stderr` and `exit_code`.  DIR
+Next to each run's artifacts go its `stdout`, `stderr` and `exit_code`.  Each
+run's peak resident memory (`ru_maxrss` of the child, from `os.wait4`) is
+printed to stdout, one line a run; nothing else is written under OUT.  This
+script imports no numpy, so its own peak stays below every child's.  DIR
 defaults to the checkout that holds this script.  To compare two checkouts,
 write each one's artifacts and `diff -r` the two OUT directories.
 """
@@ -81,13 +84,16 @@ def runs(checkout: Path) -> dict:
     return out
 
 
-def run_one(checkout: Path, where: Path, args: list) -> None:
+def run_one(checkout: Path, where: Path, args: list) -> float:
+    """Run one CLI call in `where`; its peak resident memory in MB."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-m", "corrdyn.cli", *args], cwd=where, env=env,
-                          capture_output=True, text=True)
-    (where / "stdout").write_text(proc.stdout)
-    (where / "stderr").write_text(proc.stderr)
+    with open(where / "stdout", "wb") as out, open(where / "stderr", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "corrdyn.cli", *args], cwd=where,
+                                env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     (where / "exit_code").write_text(f"{proc.returncode}\n")
+    return usage.ru_maxrss / 1024  # kB on Linux
 
 
 def main(argv=None) -> int:
@@ -104,7 +110,9 @@ def main(argv=None) -> int:
     for name, cfg in ORBIT_CONFIGS.items():
         (args.out / name / "orbit.json").write_text(json.dumps(dict(cfg, out="out/orbit.json")))
     with ThreadPoolExecutor(max_workers=2) as pool:  # each run is one process
-        list(pool.map(lambda name: run_one(checkout, args.out / name, todo[name]), todo))
+        peaks = pool.map(lambda name: run_one(checkout, args.out / name, todo[name]), todo)
+        for name, peak in zip(todo, peaks):
+            print(f"{name}: peak RSS {peak:.1f} MB", flush=True)
     failed = [name for name in todo if (args.out / name / "exit_code").read_text() != "0\n"]
     print(f"{len(todo)} runs written under {args.out}; nonzero exit: {', '.join(failed) or 'none'}")
     return 0
