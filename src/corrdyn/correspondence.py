@@ -197,18 +197,22 @@ class Correspondence:
     # -- membership ---------------------------------------------------------
 
     def graph_residual(self, z: SpherePoint, w: SpherePoint) -> float:
-        """Best scaled residual of (z, w) against the graph (witness path)."""
-        if self.is_direct:
-            pairs = (*z.projective(), *w.projective())
-            return min(float(gp.residuals(*pairs)) for gp, _ in self.components)
-        head, rest = self.chain[0], self.chain[1:]
-        mids = [q for q, _ in Correspondence(chain=rest).forward(z)] if rest else [z]
-        return float(min(head.graph_residual(u, w) for u in mids))
+        """Least scaled residual of (z, w) against the graph's components.  For a
+        chain the first factor's components are paired with every witness u, the
+        raw forward_batch row of z under the factors after the first; a NaN in
+        that row raises FiberDegenerate, as forward does."""
+        head, u = self, z.projective()
+        if not self.is_direct:
+            head = self.chain[0]
+            u = Correspondence(chain=self.chain[1:]).forward_batch(*(np.array([c]) for c in u))
+            if np.isnan(u[0]).any():
+                raise FiberDegenerate(f"a stage fiber on the way from {z} vanishes identically")
+        return min(float(gp.residuals(*u, *w.projective()).min()) for gp, _ in head.components)
 
 
 def is_on_graph(C: Correspondence, z: SpherePoint, w: SpherePoint, tol: float = 1e-8):
-    """(membership, residual): True iff some component / witness path has
-    scaled residual below tol."""
+    """(membership, residual): True iff some component, at some witness of a
+    chain, has scaled residual below tol."""
     res = C.graph_residual(z, w)
     return res < tol, res
 

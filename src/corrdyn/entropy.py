@@ -549,9 +549,7 @@ def _fit_slope(ns: np.ndarray, counts: np.ndarray):
             cut = k + 1
             flags.append("saturated_counts")
             break
-    ns_f, cs_f = ns[:cut], np.log(counts[:cut].astype(float))
-    if ns_f.size < 2:
-        return 0.0, [int(x) for x in ns_f], flags + ["degenerate_fit"]
+    ns_f, cs_f = ns[:cut], np.log(counts[:cut].astype(float))  # cut >= 2: a fit holds two points
     if ns_f.size < 3:
         flags.append("short_fit_window")
     A = np.vstack([ns_f, np.ones_like(ns_f, dtype=float)]).T

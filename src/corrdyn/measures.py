@@ -15,8 +15,8 @@ import numpy as np
 
 from .correspondence import Correspondence, map_graph, tree_size
 from .errors import BudgetExceeded, ExceptionalStart, FiberDegenerate
-from .rational import MobiusMap, RationalMap, rational_preimages
-from .sphere import RECIPROCAL, STANDARD, SpherePoint, chart_pairs, chart_values, chordal_distance
+from .rational import MobiusMap, RationalMap
+from .sphere import RECIPROCAL, STANDARD, SpherePoint, chart_pairs, chart_values
 from .sphere import embed_chart, embed_projective, point_charts
 
 ATOM_MERGE_TOL = 1e-9
@@ -276,19 +276,18 @@ def brolin_cloud(
         raise ValueError("backward iteration needs degree >= 2")
     if z0 is None:
         z0 = SpherePoint.from_complex(1.0)
-    # exceptional-start detection
-    probe = z0
-    collapsed = 0
+    G = map_graph(f)
+    # exceptional start: the probe's preimages, one batch row, all within 1e-9 of it
+    z1, z2 = (np.array([c]) for c in z0.projective())
     for _ in range(3):
-        pre = rational_preimages(f, probe)
-        if all(chordal_distance(q, probe) <= 1e-9 for q, _ in pre):
-            collapsed += 1
-            probe = pre[0][0]
-        else:
+        W1, W2 = G.transpose().forward_batch(z1, z2)
+        gap = embed_projective(W1, W2) - embed_projective(z1, z2)
+        if not np.all(np.linalg.norm(gap, axis=-1) <= 1e-9):
             break
-    if collapsed == 3:
+        z1, z2 = W1[0, :1], W2[0, :1]
+    else:
         raise ExceptionalStart(f"seed {z0} is exceptional for backward iteration")
-    return pullback_dirac_mc(map_graph(f), z0, n, n_paths, rng_seed)
+    return pullback_dirac_mc(G, z0, n, n_paths, rng_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -93,20 +93,6 @@ def rational_eval(R: RationalMap, p: SpherePoint) -> SpherePoint:
     return SpherePoint.from_projective(nv, dv)
 
 
-def rational_preimages(R: RationalMap, w: SpherePoint) -> list[tuple[SpherePoint, int]]:
-    """Solutions of R(z) = w with multiplicity, deg(R) in total (grouped within 1e-6)."""
-    num, den = R.numerator, R.denominator
-    d = R.degree
-    w1, w2 = w.projective()
-    # w2*num(z) - w1*den(z) = 0, padded to degree d
-    c = np.zeros(d + 1, dtype=complex)
-    c[: num.size] = w2 * num
-    c[: den.size] -= w1 * den
-    if not np.any(c):
-        raise Indeterminate("preimage polynomial vanished identically")
-    return poly_roots(c, 1e-6)
-
-
 def critical_points(R: RationalMap) -> list[tuple[SpherePoint, int]]:
     """Critical points of R with multiplicity (grouped within 1e-6); total count 2 deg(R) - 2.
 

@@ -6,9 +6,9 @@ coefficient array's length fixes the nominal degree; top coefficients at or
 below DROP_TOL of the largest are a degree drop, and the dropped degree is a
 root at infinity.  roots_with_clusters solves one polynomial as one row of
 it and groups the row by sphere.fiber_groups, the rule that makes a fiber a
-multiset, for the one-polynomial solves (rational_preimages,
-critical_points and ramification's discriminant); poly_roots adds a
-residual check.  A polynomial in one variable is an ascending complex array;
+multiset, for the one-polynomial solves (critical_points and
+ramification's discriminant); poly_roots adds a residual check.  A
+polynomial in one variable is an ascending complex array;
 power_of_two_window scales the coefficients of maps and graph polynomials.
 """
 

@@ -31,8 +31,6 @@ def random_rational_map(rng, degree: int) -> RationalMap:
         den_deg = int(rng.integers(0, degree + 1))
         if rng.random() < 0.5:
             num_deg, den_deg = den_deg, num_deg
-        if max(num_deg, den_deg) != degree:
-            num_deg = degree
         try:
             R = RationalMap(
                 random_polynomial(rng, num_deg),

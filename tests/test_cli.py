@@ -19,9 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from corrdyn import cli
 from corrdyn.cli import main
-from corrdyn.config import build_correspondence, point, read_poly
+from corrdyn.config import build_correspondence, point, read_poly, read_protocol
 from corrdyn.correspondence import Correspondence
+from corrdyn.entropy import entropy_estimate
 from corrdyn.graphpoly import identity_graph, mobius_graph
+from corrdyn.measures import GridPartition, metric_entropy_estimate, pullback_dirac_tree
 from corrdyn.rational import MobiusMap
 from corrdyn.raster import RasterImage
 from corrdyn.sphere import SpherePoint
@@ -298,6 +300,27 @@ def test_entropy_with_one_level_writes_a_degenerate_fit(tmp_path):
     report = json.loads(out.read_text())["KT"]
     assert report["slopes"][0]["window"] == [1]
     assert "degenerate_fit@eps=0.5" in report["flags"]
+
+
+def test_entropy_writes_the_inverse_and_metric_sections(tmp_path):
+    # the CLI's inverse and metric sections are the API's reports, as JSON
+    out = tmp_path / "entropy_out.json"
+    spec = {"kind": "family_a", "a": 4}
+    protocol = {"eps_grid": [0.4], "n_max": 3, "budget": 4096}
+    metric = {"cloud_seed": [0.3, 0.2], "cloud_generation": 4, "N_max": 2}
+    cfg = {"correspondence": spec, "protocol": protocol, "estimate_inverse": True,
+           "metric": metric, "out": str(out)}
+    assert _run_config(tmp_path, "entropy", cfg) == 0
+    payload = json.loads(out.read_text())
+    C = build_correspondence(spec)
+    inverse = entropy_estimate(C.transpose(), read_protocol(protocol))
+    for variant in ("KT", "DS"):
+        assert payload[f"{variant}_inverse"] == json.loads(json.dumps(inverse[variant].to_json()))
+        assert payload[f"{variant}_inverse"]["counts"] != payload[variant]["counts"]
+    cloud = pullback_dirac_tree(C, SpherePoint.from_complex(0.3 + 0.2j), 4)
+    per_n, slope = metric_entropy_estimate(C, cloud, GridPartition(4, 4), 2)
+    assert payload["metric_entropy"] == {
+        "per_N": [[n, h] for n, h in per_n], "estimate": slope, "partition": [4, 4]}
 
 
 def test_entropy_on_quartic_composition_above_six_children(tmp_path):

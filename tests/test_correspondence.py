@@ -511,6 +511,46 @@ def test_membership_examples():
     assert ok
 
 
+def test_chain_residual_is_one_batch_row(monkeypatch):
+    # the witnesses of a chain are one forward_batch row of z under the factors
+    # after the first; no per-point forward runs
+    C = compose(mobius_correspondence(MobiusMap(1, 2, 0, 1)),
+                compose(deleted_covering(Q), deleted_covering(polynomial_map([0, 0, 0, 1]))))
+    z = pt(0.4 - 0.7j)
+    images = [q for q, _ in C.forward(z)]
+    outer, depth = [], [0]
+    batch = Correspondence.forward_batch
+
+    def spy(self, Z1, Z2):
+        if not depth[0]:
+            outer.append(np.shape(Z1))
+        depth[0] += 1
+        try:
+            return batch(self, Z1, Z2)
+        finally:
+            depth[0] -= 1
+
+    def never(*args, **kwargs):
+        raise AssertionError("graph_residual took a per-point forward")
+
+    monkeypatch.setattr(Correspondence, "forward_batch", spy)
+    monkeypatch.setattr(Correspondence, "forward", never)
+    residuals = [C.graph_residual(z, q) for q in images]
+    assert len(images) == 4 and outer == [(1,)] * 4
+    assert max(residuals) < 1e-12
+
+
+def test_chain_residual_over_a_dead_tail_stage_raises():
+    # (z - 1)(w^2 - z) vanishes identically over z = 1, so the witness row is NaN
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 0], c[2, 0], c[0, 2], c[1, 2] = 1, -1, -1, 1
+    C = compose(identity_correspondence(), Correspondence(components=((GraphPolynomial(c), 1),)))
+    with pytest.raises(FiberDegenerate):
+        C.graph_residual(pt(1), pt(1))
+    # off z = 1 the witnesses are the square roots of z
+    assert C.graph_residual(pt(4), pt(-2)) < 1e-15
+
+
 def test_correspondence_json_round_trip():
     C = family_correspondence(4)
     C2 = read_correspondence_data(correspondence_json(C))

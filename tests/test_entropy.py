@@ -468,6 +468,33 @@ def test_level_with_no_pairs_is_counted(monkeypatch):
         assert counts["KT"][ell] == counts["DS"][ell] == levels[ell]["nodes"]
 
 
+class DeadFibers:
+    """A stub correspondence of bidegree (2 : 2) whose every child is NaN."""
+
+    d1 = d2 = 2
+    labels = np.zeros(2, dtype=np.int16)
+
+    def forward_batch(self, Z1, Z2):
+        W = np.full(np.shape(Z1) + (2,), complex(np.nan, np.nan))
+        return W, W.copy()
+
+
+def test_levels_with_no_valid_node_yield_one_empty_chunk():
+    # levels 2 and 3 have no parent rows and no kept pairs: one empty item each
+    tree = entropy_mod._LevelTree(DeadFibers(), *net(20), 3, reader="count")
+    facts = {}
+    items = [(ell, pi, pj, facts["bits"]) for ell, pi, pj, _tr in
+             entropy_mod._propagate_pairs(tree, 0.01, 10 ** 9, facts) if ell]
+    assert [ell for ell, *_ in items] == [1, 2, 3]
+    for _ell, pi, pj, bits in items:
+        assert pi.size == pj.size == bits.size == 0
+        assert (pi.dtype, pj.dtype, bits.dtype) == (np.int32, np.int32, np.uint8)
+    counts, levels, stop = entropy_mod._separated_counts(
+        entropy_mod._LevelTree(DeadFibers(), *net(20), 3, reader="count"), 0.01, 10 ** 9, 1)
+    assert counts == {"KT": {1: 0, 2: 0, 3: 0}, "DS": {1: 0, 2: 0, 3: 0}} and stop == {}
+    assert [row["nodes"] for row in levels] == [20, 0, 0, 0]
+
+
 def test_levels_below_n_min_are_not_walked(monkeypatch):
     monkeypatch.setattr(entropy_mod, "_BLOCK", 64)
     walked = []

@@ -348,8 +348,10 @@ def test_brolin_parabolic_seed_independence():
 
 
 def test_brolin_exceptional_start():
-    with pytest.raises(ExceptionalStart):
-        brolin_cloud(polynomial_map([0, 0, 1]), 5, 100, rng_seed=1, z0=pt(0))
+    # under z^2, 0 and infinity are each their own double preimage, at every step
+    for z0 in (pt(0), INF):
+        with pytest.raises(ExceptionalStart):
+            brolin_cloud(polynomial_map([0, 0, 1]), 5, 100, rng_seed=1, z0=z0)
 
 
 # -- partitions ---------------------------------------------------------------------
@@ -403,6 +405,16 @@ def test_metric_entropy_squaring_brolin():
     assert 0.45 <= slope <= 0.80  # target log 2
     for n, h in per_n:
         assert h <= math.log(16) + 1e-9
+
+
+def test_metric_entropy_at_one_refinement_is_the_partition_entropy(f4):
+    # with N_max = 1 there is no fit: the slope is H_1, the entropy of the cells
+    cloud = pullback_dirac_tree(f4, pt(0.3 + 0.2j), 6)
+    part = GridPartition(4, 4)
+    per_n, slope = metric_entropy_estimate(f4, cloud, part, 1)
+    assert per_n == [(1, slope)]
+    assert slope == pytest.approx(partition_entropy(cloud, part), rel=1e-12)
+    assert slope > 1.0
 
 
 def test_metric_entropy_budget():

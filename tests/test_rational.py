@@ -4,13 +4,13 @@ from hypothesis import given, strategies as st
 
 from api_helpers import map_json
 from corrdyn.config import read_map
+from corrdyn.correspondence import map_graph
 from corrdyn.errors import DegreeTooLow, Indeterminate
 from corrdyn.rational import (
     RationalMap,
     critical_points,
     polynomial_map,
     rational_eval,
-    rational_preimages,
 )
 from corrdyn.sampling import random_rational_map
 from corrdyn.sphere import INF, SpherePoint, chordal_distance
@@ -114,19 +114,19 @@ def test_riemann_hurwitz_random():
 
 
 def test_preimages_count_and_values():
-    pres = rational_preimages(polynomial_map([0, 0, 1]), pt(4))
+    pres = map_graph(polynomial_map([0, 0, 1])).backward(pt(4))
     vals = sorted(p.to_complex().real for p, _ in pres)
     assert np.allclose(vals, [-2, 2], atol=1e-9)
     # preimages of infinity under (z^2-4)/(z-1)^2: the double pole at 1 and infinity?
     R = RationalMap([-4, 0, 1], [1, -2, 1])
-    pres = rational_preimages(R, INF)
+    pres = map_graph(R).backward(INF)
     assert sum(m for _, m in pres) == 2
 
 
 def test_preimages_with_a_degree_drop():
     # (z^3 + 1)/z = inf has the pole 0 once and inf twice (R ~ z^2 there)
     R = RationalMap([1, 0, 0, 1], [0, 1])
-    pres = rational_preimages(R, INF)
+    pres = map_graph(R).backward(INF)
     assert [(p.is_infinity, m) for p, m in pres] == [(False, 1), (True, 2)]
     assert abs(pres[0][0].to_complex()) < 1e-12
 

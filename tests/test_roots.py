@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_lane_fibers
+import corrdyn.roots as roots_mod
 from corrdyn.errors import NonConvergence, ZeroPolynomial
 from corrdyn.roots import poly_roots, power_of_two_window, roots_with_clusters
 from corrdyn.sphere import chordal_distance, SpherePoint
@@ -70,6 +71,19 @@ def test_power_of_two_window_keeps_the_window_and_scales_outside_it():
 def test_non_finite_coefficients_raise(bad):
     with pytest.raises(NonConvergence):
         poly_roots(np.array([1, bad, 1]))
+
+
+def test_a_root_that_misses_the_residual_check_raises(monkeypatch):
+    # a solver that puts each finite root 1e-3 off: z^2 - 2 leaves 2.8e-3 at +-sqrt 2
+    solve = roots_mod.projective_roots_batch
+
+    def off(coeffs):
+        W1, W2 = solve(coeffs)
+        return W1 + 1e-3 * W2, W2
+
+    monkeypatch.setattr(roots_mod, "projective_roots_batch", off)
+    with pytest.raises(NonConvergence, match="2 root"):
+        poly_roots(np.array([-2, 0, 1]))
 
 
 @pytest.mark.parametrize("top, at_inf", [(0.0, 1), (1e-12, 1), (1e-10, 0)])

@@ -14,9 +14,11 @@ configs land there.  The runs are:
   depth 4.
 
 Next to each run's artifacts go its `stdout`, `stderr` and `exit_code`.  Each
-run's peak resident memory (`ru_maxrss` of the child, from `os.wait4`) is
-printed to stdout, one line a run; nothing else is written under OUT.  This
-script imports no numpy, so its own peak stays below every child's.  DIR
+run's wall seconds (from start to reaping the child) and peak resident memory
+(`ru_maxrss` of the child, from `os.wait4`) are printed to stdout, one line a
+run; nothing else is written under OUT.  Two runs go at once, so a run's wall
+time includes whatever the other one takes from a shared core.  This script
+imports no numpy, so its own peak stays below every child's.  DIR
 defaults to the checkout that holds this script.  To compare two checkouts,
 write each one's artifacts and `diff -r` the two OUT directories.
 """
@@ -28,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -84,16 +87,18 @@ def runs(checkout: Path) -> dict:
     return out
 
 
-def run_one(checkout: Path, where: Path, args: list) -> float:
-    """Run one CLI call in `where`; its peak resident memory in MB."""
+def run_one(checkout: Path, where: Path, args: list) -> tuple:
+    """Run one CLI call in `where`; its wall seconds and peak resident memory in MB."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with open(where / "stdout", "wb") as out, open(where / "stderr", "wb") as err:
+        start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "corrdyn.cli", *args], cwd=where,
                                 env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     (where / "exit_code").write_text(f"{proc.returncode}\n")
-    return usage.ru_maxrss / 1024  # kB on Linux
+    return wall, usage.ru_maxrss / 1024  # kB on Linux
 
 
 def main(argv=None) -> int:
@@ -110,9 +115,9 @@ def main(argv=None) -> int:
     for name, cfg in ORBIT_CONFIGS.items():
         (args.out / name / "orbit.json").write_text(json.dumps(dict(cfg, out="out/orbit.json")))
     with ThreadPoolExecutor(max_workers=2) as pool:  # each run is one process
-        peaks = pool.map(lambda name: run_one(checkout, args.out / name, todo[name]), todo)
-        for name, peak in zip(todo, peaks):
-            print(f"{name}: peak RSS {peak:.1f} MB", flush=True)
+        results = pool.map(lambda name: run_one(checkout, args.out / name, todo[name]), todo)
+        for name, (wall, peak) in zip(todo, results):
+            print(f"{name}: wall {wall:.2f} s, peak RSS {peak:.1f} MB", flush=True)
     failed = [name for name in todo if (args.out / name / "exit_code").read_text() != "0\n"]
     print(f"{len(todo)} runs written under {args.out}; nonzero exit: {', '.join(failed) or 'none'}")
     return 0
